@@ -164,13 +164,13 @@ func runServeBench(c serveBenchConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("offered %d, completed %d, failed %d, rejected %d — %.0f req/s achieved\n",
-		rep.Offered, rep.Completed, rep.Failed, rep.Rejected, rep.AchievedQPS)
+	fmt.Printf("offered %d (%.0f of %.0f req/s asked), completed %d, failed %d, rejected %d — %.0f req/s achieved\n",
+		rep.Offered, rep.OfferedQPS, c.qps, rep.Completed, rep.Failed, rep.Rejected, rep.AchievedQPS)
 	fmt.Printf("latency p50 %v  p95 %v  p99 %v  max %v\n", rep.P50, rep.P95, rep.P99, rep.Max)
 	if rep.SwapPerformed {
 		fmt.Printf("hot swap completed in %v with %d failures in the swap window\n", rep.SwapDuration, rep.SwapWindowFailed)
 	}
-	fmt.Printf("recorded %s (gate ok=%v: min_qps %.0f, max_p99_ms %.0f)\n", c.out, ok, c.minQPS, c.maxP99MS)
+	fmt.Printf("recorded %s (gate ok=%v: min_qps %.0f, max_p99_ms %.0f, offered ≥ 99%% of asked)\n", c.out, ok, c.minQPS, c.maxP99MS)
 	if !ok {
 		return fmt.Errorf("serving gate failed")
 	}

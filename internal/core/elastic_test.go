@@ -285,8 +285,11 @@ func TestElasticLeaveOnDeath(t *testing.T) {
 // buying epoch time. The measured scaling curve lands in BENCH_elastic.json
 // at the repo root (the shared gate.ok schema) for CI to gate and archive.
 func TestElasticScalingHarness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress harness skipped in -short mode")
+	// The virtual clock folds in measured compute, so the gated ratio is
+	// wall-clock dependent, and the harness rewrites a tracked file: bench
+	// lane only, like the other BENCH_*.json gates.
+	if os.Getenv("ECGRAPH_BENCH") != "1" {
+		t.Skip("wall-clock gate: set ECGRAPH_BENCH=1 to run")
 	}
 
 	d := datasets.Generate(datasets.Config{

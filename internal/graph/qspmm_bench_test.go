@@ -66,8 +66,10 @@ func (p *qspmmPayload) packedArm(a *LocalCSR, op *GhostOperand, ar *tensor.Arena
 // (the EC training operating points) and must reach 1.25x; measured numbers
 // land in BENCH_qspmm.json at the repo root for the CI bench gate.
 func TestQuantizedSpMMSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark skipped in -short mode")
+	// A wall-clock gate that rewrites a tracked file: bench lane only, so
+	// plain `go test ./...` asserts no timing and leaves the tree clean.
+	if os.Getenv("ECGRAPH_BENCH") != "1" {
+		t.Skip("wall-clock gate: set ECGRAPH_BENCH=1 to run")
 	}
 	if raceEnabled {
 		t.Skip("timing benchmark skipped under -race: instrumented compute distorts the arms")

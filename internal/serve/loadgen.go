@@ -42,6 +42,9 @@ type LoadReport struct {
 	Rejected  int           `json:"rejected"`
 	Duration  time.Duration `json:"-"`
 
+	// OfferedQPS is the rate the generator actually sustained, Offered over
+	// the offering window; below cfg.QPS when it could not keep its schedule.
+	OfferedQPS         float64       `json:"offered_qps"`
 	AchievedQPS        float64       `json:"achieved_qps"`
 	P50, P95, P99, Max time.Duration `json:"-"`
 
@@ -54,7 +57,12 @@ type LoadReport struct {
 // RunLoad offers cfg.QPS requests per second to predict for cfg.Duration
 // in an open loop — arrivals are clocked, not gated on completions, so a
 // slow service shows up as latency and backpressure rather than a silently
-// reduced offered rate.
+// reduced offered rate. Request i is due at the absolute instant
+// start + i/QPS, whether or not the generator woke in time for request i−1,
+// and its latency runs from that due instant: a stall of the generator or
+// the machine is charged to every request it delayed. A generator that is
+// still behind its schedule when cfg.Duration ends stops there; what it did
+// not send lowers OfferedQPS, never the reported latency.
 func RunLoad(predict PredictFn, cfg LoadGenConfig) LoadReport {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
@@ -62,7 +70,6 @@ func RunLoad(predict PredictFn, cfg LoadGenConfig) LoadReport {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 1024
 	}
-	interval := time.Duration(float64(time.Second) / cfg.QPS)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var (
@@ -94,17 +101,20 @@ func RunLoad(predict PredictFn, cfg LoadGenConfig) LoadReport {
 	}
 
 	start := time.Now()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for time.Since(start) < cfg.Duration {
-		<-ticker.C
-		ids := make([]int, cfg.BatchSize)
-		for i := range ids {
-			ids[i] = rng.Intn(cfg.MaxVertex)
+	offered, asked := 0, int(cfg.QPS*cfg.Duration.Seconds())
+	for ; offered < asked; offered++ {
+		due := start.Add(time.Duration(float64(offered) / cfg.QPS * float64(time.Second)))
+		now := time.Now()
+		if now.Sub(start) >= cfg.Duration {
+			break // every due instant lies inside the window: the generator fell behind
 		}
-		mu.Lock()
-		rep.Offered++
-		mu.Unlock()
+		if wait := due.Sub(now); wait > 0 {
+			time.Sleep(wait)
+		}
+		ids := make([]int, cfg.BatchSize)
+		for k := range ids {
+			ids[k] = rng.Intn(cfg.MaxVertex)
+		}
 		if inFlight.Load() >= int64(cfg.MaxInFlight) {
 			mu.Lock()
 			rep.Rejected++
@@ -113,12 +123,11 @@ func RunLoad(predict PredictFn, cfg LoadGenConfig) LoadReport {
 		}
 		inFlight.Add(1)
 		wg.Add(1)
-		go func(ids []int) {
+		go func() {
 			defer wg.Done()
 			defer inFlight.Add(-1)
-			t0 := time.Now()
 			err := predict(ids)
-			lat := time.Since(t0)
+			lat := time.Since(due)
 			duringSwap := swapping.Load()
 			mu.Lock()
 			defer mu.Unlock()
@@ -134,10 +143,12 @@ func RunLoad(predict PredictFn, cfg LoadGenConfig) LoadReport {
 					rep.SwapWindowFailed++
 				}
 			}
-		}(ids)
+		}()
 	}
 	wg.Wait()
+	rep.Offered = offered
 	rep.Duration = time.Since(start)
+	rep.OfferedQPS = float64(offered) / cfg.Duration.Seconds()
 	rep.AchievedQPS = float64(rep.Completed) / rep.Duration.Seconds()
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	rep.P50 = percentile(latencies, 0.50)
@@ -207,18 +218,26 @@ func HTTPPredict(baseURL string, timeout time.Duration) PredictFn {
 	}
 }
 
+// minOfferedFrac is the share of the asked rate a run must actually have
+// offered for its latencies to describe that rate at all.
+const minOfferedFrac = 0.99
+
 // WriteBench records the run in the repo's shared BENCH_*.json schema: the
 // measured numbers plus a self-evaluating gate, so CI re-checks the
-// artifact itself rather than trusting the run's exit status.
+// artifact itself rather than trusting the run's exit status. A run whose
+// generator offered less than minOfferedFrac of the asked rate fails the
+// gate whatever its latencies: they were measured under a lighter load.
 func (r LoadReport) WriteBench(path string, cfg LoadGenConfig, minQPS, maxP99MS float64) (ok bool, err error) {
 	p99ms := float64(r.P99) / float64(time.Millisecond)
-	ok = r.AchievedQPS >= minQPS && p99ms <= maxP99MS && r.Failed == 0
+	ok = r.AchievedQPS >= minQPS && p99ms <= maxP99MS && r.Failed == 0 &&
+		r.OfferedQPS >= minOfferedFrac*cfg.QPS
 	if r.SwapPerformed {
 		ok = ok && r.SwapErr == "" && r.SwapWindowFailed == 0
 	}
 	out := map[string]any{
 		"benchmark":    "serving",
-		"offered_qps":  cfg.QPS,
+		"asked_qps":    cfg.QPS,
+		"offered_qps":  r.OfferedQPS,
 		"duration_s":   cfg.Duration.Seconds(),
 		"batch_size":   cfg.BatchSize,
 		"offered":      r.Offered,
@@ -239,9 +258,10 @@ func (r LoadReport) WriteBench(path string, cfg LoadGenConfig, minQPS, maxP99MS 
 			"error":          r.SwapErr,
 		},
 		"gate": map[string]any{
-			"min_qps":    minQPS,
-			"max_p99_ms": maxP99MS,
-			"ok":         ok,
+			"min_qps":          minQPS,
+			"max_p99_ms":       maxP99MS,
+			"min_offered_frac": minOfferedFrac,
+			"ok":               ok,
 		},
 	}
 	blob, err := json.MarshalIndent(out, "", "  ")

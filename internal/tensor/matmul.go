@@ -25,6 +25,22 @@ func (m *Matrix) MatMul(n *Matrix) *Matrix {
 	return out
 }
 
+// MatMulRowsInto computes out[r] = m[r]·n for every r in rows and leaves out's
+// other rows alone; the listed rows of out must be zero on entry. Each row
+// runs the same matmulRange body as MatMul, so a listed row is bit-for-bit
+// the row MatMul would have produced — the product restricted to a row
+// subset costs only that subset's work.
+func (m *Matrix) MatMulRowsInto(n, out *Matrix, rows []int32) {
+	if m.Cols != n.Rows || out.Rows != m.Rows || out.Cols != n.Cols {
+		panic(fmt.Sprintf("tensor: MatMulRowsInto %dx%d · %dx%d into %dx%d", m.Rows, m.Cols, n.Rows, n.Cols, out.Rows, out.Cols))
+	}
+	parallelRows(len(rows), len(rows)*m.Cols*n.Cols, func(lo, hi int) {
+		for _, r := range rows[lo:hi] {
+			matmulRange(out, m, n, int(r), int(r)+1)
+		}
+	})
+}
+
 // matmulRange computes rows [lo,hi) of out = m·n with an ikj loop order:
 // the inner loop streams through contiguous rows of n and out, which lets
 // the compiler keep everything in cache lines and vectorise.

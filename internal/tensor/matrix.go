@@ -123,6 +123,20 @@ func (m *Matrix) AddRowsAt(idx []int32, src *Matrix) *Matrix {
 	return m
 }
 
+// SetRowsAt overwrites m row idx[k] with src row k for every k and returns
+// m — AddRowsAt's copying sibling, for rows whose value is computed whole
+// over the subset rather than accumulated into what m already holds.
+func (m *Matrix) SetRowsAt(idx []int32, src *Matrix) *Matrix {
+	if src.Rows != len(idx) || src.Cols != m.Cols {
+		panic(fmt.Sprintf("tensor: SetRowsAt src %dx%d with %d indices into %dx%d",
+			src.Rows, src.Cols, len(idx), m.Rows, m.Cols))
+	}
+	for k, i := range idx {
+		copy(m.Row(int(i)), src.Row(k))
+	}
+	return m
+}
+
 // Sub returns m - n elementwise.
 func (m *Matrix) Sub(n *Matrix) *Matrix {
 	m.assertSameShape(n, "Sub")

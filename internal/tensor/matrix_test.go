@@ -314,6 +314,55 @@ func TestAddRowsAt(t *testing.T) {
 	m.AddRowsAt([]int32{0}, src)
 }
 
+func TestSetRowsAt(t *testing.T) {
+	m := FromSlice(4, 2, []float32{1, 1, 2, 2, 3, 3, 4, 4})
+	src := FromSlice(2, 2, []float32{10, 20, 30, 40})
+	if got := m.SetRowsAt([]int32{0, 3}, src); got != m {
+		t.Fatal("SetRowsAt must return its receiver")
+	}
+	want := FromSlice(4, 2, []float32{10, 20, 2, 2, 3, 3, 30, 40})
+	if !m.Equal(want, 0) {
+		t.Fatalf("SetRowsAt result %v, want %v", m.Data, want.Data)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetRowsAt with mismatched index count did not panic")
+		}
+	}()
+	m.SetRowsAt([]int32{0}, src)
+}
+
+// TestMatMulRowsIntoMatchesMatMulBitwise: the listed rows carry exactly
+// MatMul's bits, the others are left alone — at an inline size and at one
+// large enough to take the banded parallel path.
+func TestMatMulRowsIntoMatchesMatMulBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, rows := range []int{7, 900} {
+		m, n := randomMatrix(rng, rows, 48), randomMatrix(rng, 48, 16)
+		full := m.MatMul(n)
+		var idx []int32
+		for i := 0; i < rows; i++ {
+			if i%3 != 1 {
+				idx = append(idx, int32(i))
+			}
+		}
+		out := New(rows, 16)
+		m.MatMulRowsInto(n, out, idx)
+		for i := 0; i < rows; i++ {
+			for j, v := range out.Row(i) {
+				want := full.At(i, j)
+				if i%3 == 1 {
+					want = 0
+				}
+				if math.Float32bits(v) != math.Float32bits(want) {
+					t.Fatalf("%d rows: out[%d][%d] = %v, want %v", rows, i, j, v, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSoftmaxRows(t *testing.T) {
 	m := FromSlice(2, 3, []float32{1, 1, 1, 1000, 1000, 1000})
 	s := m.SoftmaxRows()

@@ -45,6 +45,17 @@ func (n *delayNet) CallMulti(src int, calls []transport.Call) []transport.Result
 	return transport.SequentialMulti(n, src, calls)
 }
 
+// skipUnlessBench keeps the wall-clock gates out of plain `go test ./...`,
+// which must pass on any machine and leave the tree clean: they assert
+// timing ratios and rewrite the tracked BENCH_*.json, so they run only in
+// the bench lane (CI's bench-exchange job sets ECGRAPH_BENCH=1).
+func skipUnlessBench(t *testing.T) {
+	t.Helper()
+	if os.Getenv("ECGRAPH_BENCH") != "1" {
+		t.Skip("wall-clock gate: set ECGRAPH_BENCH=1 to run")
+	}
+}
+
 // benchModel parameterises the benchmark cluster's model and exchange
 // scheme; the zero value is filled in by benchCluster with the historical
 // defaults (GCN, one 16-unit hidden layer, EC 2-bit exchange).
@@ -182,9 +193,7 @@ func writeBenchJSON(tb testing.TB, file, benchmark string, workers, epochs int,
 // must cut epoch time by at least 1.5x; the measured numbers are recorded in
 // BENCH_exchange.json at the repo root for CI to archive.
 func TestExchangeConcurrencySpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark skipped in -short mode")
-	}
+	skipUnlessBench(t)
 	if raceEnabled {
 		t.Skip("timing benchmark skipped under -race: instrumented compute swamps the injected latency")
 	}
@@ -326,9 +335,7 @@ func calibrateHubSize(ringDeg, dim int, rtt time.Duration) int {
 // around the SpMM) within ~1.5× of the forward one, so both stay just above
 // the RTT instead of the backward window hoarding all the slack.
 func TestOverlapSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark skipped in -short mode")
-	}
+	skipUnlessBench(t)
 	if raceEnabled {
 		t.Skip("timing benchmark skipped under -race: instrumented compute swamps the injected latency")
 	}
@@ -415,9 +422,7 @@ func (s *countingSink) AddInstant(name, category string, pid, tid int, tsSec flo
 // adds time, so the minima converge to the true costs while a noisy stretch
 // of the host cannot land on one arm alone.
 func TestTelemetryOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark skipped in -short mode")
-	}
+	skipUnlessBench(t)
 	if raceEnabled {
 		t.Skip("timing benchmark skipped under -race: instrumented atomics dominate under the detector")
 	}

@@ -5,74 +5,21 @@ import (
 	"testing"
 
 	"ecgraph/internal/datasets"
-	"ecgraph/internal/graph"
 	"ecgraph/internal/nn"
-	"ecgraph/internal/ps"
-	"ecgraph/internal/transport"
 )
 
-// miniCluster wires two workers and one parameter server by hand — the
-// package-level integration fixture exercising RunEpoch, the ghost
-// exchanges and the PS barrier without going through internal/core.
-func miniCluster(t *testing.T, d *datasets.Dataset, opts Options, epochs int) ([]*Worker, []EpochReport, *nn.Model) {
+// miniCluster trains a two-worker GCN cluster and returns the workers and
+// their reports of the last epoch.
+func miniCluster(t *testing.T, d *datasets.Dataset, opts Options, epochs int) ([]*Worker, []EpochReport) {
 	t.Helper()
-	const nWorkers = 2
-	adj := graph.Normalize(d.Graph)
-	assign := make([]int, d.Graph.N)
-	for v := range assign {
-		assign[v] = v % nWorkers
-	}
-	topo := BuildTopology(d.Graph, assign, nWorkers)
-	net := transport.NewInProc(nWorkers + 1)
-
-	dims := []int{d.NumFeatures(), 8, d.NumClasses}
-	template := nn.NewModel(nn.KindGCN, dims, 1)
-	flat := template.FlattenParams()
-	ranges := ps.Ranges(len(flat), 1)
-	net.Register(nWorkers, ps.NewServer(flat, 0.01, nWorkers).Handler())
-
-	nTrain := len(d.TrainIdx())
-	workers := make([]*Worker, nWorkers)
-	for i := range workers {
-		workers[i] = New(Config{
-			ID: i, Net: net, Topo: topo, Adj: adj,
-			Feats: d.Features, Labels: d.Labels, TrainMask: d.TrainMask,
-			NumTrainGlobal: nTrain,
-			Model:          nn.NewModel(nn.KindGCN, dims, 1),
-			PS:             ps.NewClient(net, i, []int{nWorkers}, ranges),
-			Opts:           opts,
-		})
-		net.Register(i, workers[i].Handler())
-	}
-	for _, w := range workers {
-		if err := w.FetchGhostFeatures(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	reports := make([]EpochReport, nWorkers)
-	for e := 0; e < epochs; e++ {
-		errs := make(chan error, nWorkers)
-		for i, w := range workers {
-			go func(i int, w *Worker) {
-				var err error
-				reports[i], err = w.RunEpoch(e)
-				errs <- err
-			}(i, w)
-		}
-		for range workers {
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return workers, reports, template
+	r := clusterSpec{kind: nn.KindGCN, opts: opts, workers: 2, epochs: epochs}.run(t, d)
+	return r.workers, r.reports
 }
 
 func TestWorkerEpochMatchesReference(t *testing.T) {
 	d := datasets.MustLoad("cora")
 	const epochs = 8
-	workers, reports, _ := miniCluster(t, d, Options{}, epochs)
+	workers, reports := miniCluster(t, d, Options{}, epochs)
 
 	ref := nn.TrainFullGraph(nn.NewModel(nn.KindGCN, []int{d.NumFeatures(), 8, d.NumClasses}, 1), d, epochs, 0.01)
 	var lossSum float64
@@ -106,7 +53,7 @@ func TestWorkerEpochMatchesReference(t *testing.T) {
 
 func TestWorkerECSchemesRun(t *testing.T) {
 	d := datasets.MustLoad("cora")
-	workers, reports, _ := miniCluster(t, d, Options{
+	workers, reports := miniCluster(t, d, Options{
 		FPScheme: SchemeEC, FPBits: 2,
 		BPScheme: SchemeEC, BPBits: 2,
 		Ttr: 4, AdaptiveBits: true,
@@ -130,7 +77,7 @@ func TestWorkerECSchemesRun(t *testing.T) {
 
 func TestWorkerDelayedModeRuns(t *testing.T) {
 	d := datasets.MustLoad("cora")
-	_, reports, _ := miniCluster(t, d, Options{DelayRounds: 3}, 6)
+	_, reports := miniCluster(t, d, Options{DelayRounds: 3}, 6)
 	for _, r := range reports {
 		if r.TrainCount == 0 {
 			t.Fatalf("worker reports no training vertices")

@@ -27,6 +27,10 @@ import (
 //	ecgraph_worker_epochs_total{worker}
 type workerObs struct {
 	tracer *obs.Tracer
+	// fpSpans/bpSpans hold the per-layer span names, indexed by layer and
+	// built once: formatting them per layer per epoch would charge the
+	// tracer's own cost to the spans it measures.
+	fpSpans, bpSpans []layerSpans
 
 	fpBits   *obs.Gauge
 	predFrac *obs.Gauge
@@ -49,6 +53,20 @@ type workerObs struct {
 	epochs      *obs.Counter
 }
 
+// layerSpans are the names of one layer's compute spans in one pass.
+type layerSpans struct{ owned, collect, fold string }
+
+// newLayerSpans names layers 1..numLayers of a pass ("fp", "bp"):
+// "fp2 owned", "fp2 collect", "fp2 fold".
+func newLayerSpans(pass string, numLayers int) []layerSpans {
+	out := make([]layerSpans, numLayers+1)
+	for l := 1; l <= numLayers; l++ {
+		p := pass + strconv.Itoa(l)
+		out[l] = layerSpans{p + " owned", p + " collect", p + " fold"}
+	}
+	return out
+}
+
 func newWorkerObs(reg *obs.Registry, tracer *obs.Tracer, id, numLayers int) workerObs {
 	w := strconv.Itoa(id)
 	tuner := reg.CounterVec("ecgraph_ec_tuner_decisions_total",
@@ -62,7 +80,9 @@ func newWorkerObs(reg *obs.Registry, tracer *obs.Tracer, id, numLayers int) work
 		"Ghost-exchange wall seconds: wire = batch launch to completion, blocked = epoch goroutine actually waiting.",
 		"worker", "kind")
 	o := workerObs{
-		tracer: tracer,
+		tracer:  tracer,
+		fpSpans: newLayerSpans("fp", numLayers),
+		bpSpans: newLayerSpans("bp", numLayers),
 		fpBits: reg.GaugeVec("ecgraph_ec_fp_bits",
 			"Current forward codec bit width (tuned or fixed).", "worker").With(w),
 		predFrac: reg.GaugeVec("ecgraph_ec_predicted_fraction",

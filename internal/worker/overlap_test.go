@@ -1,6 +1,8 @@
 package worker
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -8,75 +10,150 @@ import (
 	"ecgraph/internal/datasets"
 	"ecgraph/internal/graph"
 	"ecgraph/internal/nn"
+	"ecgraph/internal/partition"
 	"ecgraph/internal/ps"
 	"ecgraph/internal/tensor"
 	"ecgraph/internal/transport"
 )
 
-// runCluster wires nWorkers workers and one PS over a fresh in-proc network
-// and runs the epoch loop, returning each worker's per-epoch loss sums and
-// its final logits. Unlike miniCluster it parameterises the model kind and
-// keeps the whole loss history — the overlap determinism tests compare the
-// two epoch paths value-for-value.
-func runCluster(t *testing.T, d *datasets.Dataset, kind nn.Kind, opts Options, nWorkers, epochs int) ([][]float64, []*tensor.Matrix) {
+// clusterSpec describes one in-proc training run of the determinism tests:
+// workers and one PS over a fresh network, every worker's epoch in parallel
+// (as the engine does).
+type clusterSpec struct {
+	kind    nn.Kind
+	opts    Options
+	part    partition.Partitioner // nil: round-robin v % workers
+	workers int
+	epochs  int
+	// beforeEpoch, when set, runs on every worker ahead of every epoch,
+	// between the previous epoch's barrier and the next epoch's start.
+	beforeEpoch func(w *Worker) error
+}
+
+// clusterRun is a clusterSpec's cluster and what it has produced so far:
+// each worker's per-epoch loss sums and its report of the latest epoch, and
+// after run the final logits and the parameters after the last push.
+type clusterRun struct {
+	spec    clusterSpec
+	workers []*Worker
+	losses  [][]float64
+	reports []EpochReport
+	logits  []*tensor.Matrix
+	params  []float32
+}
+
+// build wires the cluster and fetches ghost features; no epoch has run.
+func (s clusterSpec) build(t *testing.T, d *datasets.Dataset) *clusterRun {
 	t.Helper()
 	adj := graph.Normalize(d.Graph)
-	assign := make([]int, d.Graph.N)
-	for v := range assign {
-		assign[v] = v % nWorkers
+	var assign []int
+	if s.part != nil {
+		assign = s.part.Partition(d.Graph, s.workers)
+	} else {
+		assign = make([]int, d.Graph.N)
+		for v := range assign {
+			assign[v] = v % s.workers
+		}
 	}
-	topo := BuildTopology(d.Graph, assign, nWorkers)
-	net := transport.NewInProc(nWorkers + 1)
+	topo := BuildTopology(d.Graph, assign, s.workers)
+	net := transport.NewInProc(s.workers + 1)
 
 	dims := []int{d.NumFeatures(), 8, d.NumClasses}
-	template := nn.NewModel(kind, dims, 1)
+	template := nn.NewModel(s.kind, dims, 1)
 	flat := template.FlattenParams()
 	ranges := ps.Ranges(len(flat), 1)
-	net.Register(nWorkers, ps.NewServer(flat, 0.01, nWorkers).Handler())
+	net.Register(s.workers, ps.NewServer(flat, 0.01, s.workers).Handler())
 
 	nTrain := len(d.TrainIdx())
-	workers := make([]*Worker, nWorkers)
-	for i := range workers {
-		workers[i] = New(Config{
+	r := &clusterRun{
+		spec:    s,
+		workers: make([]*Worker, s.workers),
+		losses:  make([][]float64, s.workers),
+		reports: make([]EpochReport, s.workers),
+	}
+	for i := range r.workers {
+		r.workers[i] = New(Config{
 			ID: i, Net: net, Topo: topo, Adj: adj,
 			Feats: d.Features, Labels: d.Labels, TrainMask: d.TrainMask,
 			NumTrainGlobal: nTrain,
-			Model:          nn.NewModel(kind, dims, 1),
-			PS:             ps.NewClient(net, i, []int{nWorkers}, ranges),
-			Opts:           opts,
+			Model:          nn.NewModel(s.kind, dims, 1),
+			PS:             ps.NewClient(net, i, []int{s.workers}, ranges),
+			Opts:           s.opts,
 		})
-		net.Register(i, workers[i].Handler())
+		net.Register(i, r.workers[i].Handler())
 	}
-	for _, w := range workers {
+	for _, w := range r.workers {
 		if err := w.FetchGhostFeatures(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return r
+}
 
-	losses := make([][]float64, nWorkers)
-	for i := range losses {
-		losses[i] = make([]float64, epochs)
-	}
-	for e := 0; e < epochs; e++ {
-		errs := make(chan error, nWorkers)
-		for i, w := range workers {
+// runEpochs runs epochs [from, to) with every worker in parallel.
+func (r *clusterRun) runEpochs(t *testing.T, from, to int) {
+	t.Helper()
+	for e := from; e < to; e++ {
+		if r.spec.beforeEpoch != nil {
+			for _, w := range r.workers {
+				if err := r.spec.beforeEpoch(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		errs := make(chan error, len(r.workers))
+		for i, w := range r.workers {
 			go func(i int, w *Worker) {
-				rep, err := w.RunEpoch(e)
-				losses[i][e] = rep.LocalLossSum
+				var err error
+				r.reports[i], err = w.RunEpoch(e)
+				r.losses[i] = append(r.losses[i], r.reports[i].LocalLossSum)
 				errs <- err
 			}(i, w)
 		}
-		for range workers {
+		for range r.workers {
 			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	logits := make([]*tensor.Matrix, nWorkers)
-	for i, w := range workers {
-		_, logits[i] = w.Logits(epochs - 1)
+}
+
+// run builds the cluster, trains s.epochs epochs and collects the results.
+func (s clusterSpec) run(t *testing.T, d *datasets.Dataset) *clusterRun {
+	t.Helper()
+	r := s.build(t, d)
+	r.runEpochs(t, 0, s.epochs)
+	r.logits = make([]*tensor.Matrix, s.workers)
+	for i, w := range r.workers {
+		_, r.logits[i] = w.Logits(s.epochs - 1)
 	}
-	return losses, logits
+	params, err := r.workers[0].cfg.PS.Pull(s.epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.params = params
+	return r
+}
+
+// requireSameRun fails unless b reproduced a bit for bit: every per-epoch
+// loss, every final logit and every final parameter.
+func requireSameRun(t *testing.T, a, b *clusterRun) {
+	t.Helper()
+	for i := range a.losses {
+		for e := range a.losses[i] {
+			if a.losses[i][e] != b.losses[i][e] {
+				t.Fatalf("worker %d epoch %d: loss %v != %v", i, e, b.losses[i][e], a.losses[i][e])
+			}
+		}
+	}
+	for i := range a.logits {
+		requireSameBits(t, fmt.Sprintf("worker %d logits", i), a.logits[i], b.logits[i])
+	}
+	for k := range a.params {
+		if math.Float32bits(a.params[k]) != math.Float32bits(b.params[k]) {
+			t.Fatalf("final param %d: %v != %v", k, b.params[k], a.params[k])
+		}
+	}
 }
 
 // TestOverlapMatchesSequentialBitwise is the overlap pipeline's core
@@ -101,27 +178,11 @@ func TestOverlapMatchesSequentialBitwise(t *testing.T) {
 	const epochs = 6
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seqOpts, ovlOpts := tc.opts, tc.opts
-			seqOpts.Overlap = false
-			ovlOpts.Overlap = true
-			seqLoss, seqLogits := runCluster(t, d, tc.kind, seqOpts, 3, epochs)
-			ovlLoss, ovlLogits := runCluster(t, d, tc.kind, ovlOpts, 3, epochs)
-			for i := range seqLoss {
-				for e := range seqLoss[i] {
-					if seqLoss[i][e] != ovlLoss[i][e] {
-						t.Fatalf("worker %d epoch %d: overlap loss %v != sequential %v",
-							i, e, ovlLoss[i][e], seqLoss[i][e])
-					}
-				}
-			}
-			for i := range seqLogits {
-				for k := range seqLogits[i].Data {
-					if seqLogits[i].Data[k] != ovlLogits[i].Data[k] {
-						t.Fatalf("worker %d logit %d: overlap %v != sequential %v",
-							i, k, ovlLogits[i].Data[k], seqLogits[i].Data[k])
-					}
-				}
-			}
+			spec := clusterSpec{kind: tc.kind, opts: tc.opts, workers: 3, epochs: epochs}
+			spec.opts.Overlap = false
+			seq := spec.run(t, d)
+			spec.opts.Overlap = true
+			requireSameRun(t, seq, spec.run(t, d))
 		})
 	}
 }

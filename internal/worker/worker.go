@@ -172,11 +172,19 @@ type Worker struct {
 	// the fused kernel bit-for-bit.
 	adj *graph.LocalCSR
 
-	x         *tensor.Matrix // owned feature rows
-	ghostX    *tensor.Matrix // cached ghost feature rows (first-hop cache)
-	labels    []int          // owned labels
-	trainMask []bool         // owned train mask
-	nTrain    int            // owned training vertices
+	x *tensor.Matrix // owned feature rows
+	// ghostX is the first-hop cache (§III-A): the ghost vertices' feature
+	// rows, held from FetchGhostFeatures until the first forward pass folds
+	// them into agg1 — their only consumer — and nil from then on.
+	ghostX *tensor.Matrix
+	// agg1 is layer 1's retained aggregate ÂX, built by the first forward
+	// pass after FetchGhostFeatures (which resets it) and reused by every
+	// later epoch. Epoch goroutine only.
+	agg1 *layer1Agg
+
+	labels    []int  // owned labels
+	trainMask []bool // owned train mask
+	nTrain    int    // owned training vertices
 
 	// pairRows[i] are the owned-matrix row indices this worker serves to
 	// requester i (the rows of Needs[i][id] in owned indexing).
@@ -512,8 +520,9 @@ func (w *Worker) ForceExactSync() {
 // retry or replay: compensation state zeroed, publication stores emptied
 // (their epoch tags would otherwise be ahead of the replayed epoch and
 // panic), degraded-mode caches and delayed-aggregation caches cleared.
-// Ghost features survive — they are static preprocessing, re-fetched only
-// on a genuine respawn.
+// The layer-1 aggregate survives (as do ghost features not yet folded into
+// it) — it is static preprocessing over X and Â, rebuilt only on a genuine
+// respawn or view change, which construct a new Worker.
 func (w *Worker) ResetSessionState() {
 	w.ResetCompensation()
 	w.hStore.Reset()
@@ -535,9 +544,12 @@ func (w *Worker) ResetSessionState() {
 
 // FetchGhostFeatures pulls the owned feature rows of every ghost vertex
 // from its owner and caches them — the paper's first-hop remote-neighbour
-// cache (§III-A). Must run after all workers are registered; the traffic is
-// preprocessing, not per-epoch communication.
+// cache (§III-A). Must run after all workers are registered and after any
+// handoff import; the traffic is preprocessing, not per-epoch communication.
+// The rows are held until the next forward pass folds them into the layer-1
+// aggregate, which this call discards so that it is rebuilt from them.
 func (w *Worker) FetchGhostFeatures() error {
+	w.agg1 = nil
 	w.ghostX = tensor.New(len(w.ghostIDs), w.cfg.Feats.Cols)
 	req := transport.NewWriter(4)
 	req.Int32(int32(w.id))
@@ -708,7 +720,7 @@ func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 // is asserted bit-for-bit against.
 func (w *Worker) forwardSequential(t, L int) error {
 	for l := 1; l <= L; l++ {
-		ghost := graph.NewGhostDense(w.ghostX)
+		var ghost *graph.GhostOperand
 		if l > 1 {
 			var err error
 			if ghost, err = w.fetchGhostH(l-1, t); err != nil {
@@ -731,11 +743,8 @@ func (w *Worker) forwardSequential(t, L int) error {
 func (w *Worker) forwardOverlap(t, L int) error {
 	var pend *pendingGhost
 	for l := 1; l <= L; l++ {
-		collect := func() (*graph.GhostOperand, error) { return graph.NewGhostDense(w.ghostX), nil }
-		if l > 1 {
-			p, prevLayer := pend, l-1
-			collect = func() (*graph.GhostOperand, error) { return w.collectGhostH(p, prevLayer, t) }
-		}
+		p, prevLayer := pend, l-1
+		collect := func() (*graph.GhostOperand, error) { return w.collectGhostH(p, prevLayer, t) }
 		if err := w.forwardLayer(l, t, collect); err != nil {
 			return err
 		}
@@ -751,7 +760,9 @@ func (w *Worker) forwardOverlap(t, L int) error {
 // ghost-independent — the owned-column SpMM, the owned H·W and H·WSelf
 // matmuls — and is exactly the work the overlap path performs while the
 // exchange is on the wire. Both epoch paths execute this same body, so
-// their float operation sequences are identical.
+// their float operation sequences are identical. Layer 1 has no exchange
+// (collect is never invoked) and no SpMM either after the first epoch: its
+// aggregate is retained in agg1 and only the ·W products run.
 func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, error)) error {
 	layer := w.cfg.Model.Layers[l-1]
 	h := w.ownH[l-1]
@@ -766,35 +777,48 @@ func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, err
 	if tr != nil {
 		t0 = time.Now()
 	}
-	ah := tensor.New(len(w.owned), h.Cols)
-	w.adj.SpMMOwnedInto(h, ah)
-	z := ah.MatMul(layer.W)
+	var ah, z *tensor.Matrix
+	if l == 1 {
+		if w.agg1 == nil {
+			w.agg1 = w.buildLayer1()
+		}
+		ah = w.agg1.ah
+		z = w.agg1.interiorTimes(layer.W)
+	} else {
+		ah = tensor.New(len(w.owned), h.Cols)
+		w.adj.SpMMOwnedInto(h, ah)
+		z = ah.MatMul(layer.W)
+	}
 	var zSelf *tensor.Matrix
 	if layer.WSelf != nil {
 		zSelf = h.MatMul(layer.WSelf)
 	}
 	if tr != nil {
 		now := time.Now()
-		tr.Span(fmt.Sprintf("fp%d owned", l), "fp", 1+w.id, 0, t0, now.Sub(t0))
+		tr.Span(w.obs.fpSpans[l].owned, "fp", 1+w.id, 0, t0, now.Sub(t0))
 		t0 = now
 	}
 
-	ghost, err := collect()
-	if err != nil {
-		return err
-	}
-	if tr != nil {
-		now := time.Now()
-		tr.Span(fmt.Sprintf("fp%d collect", l), "fp", 1+w.id, 0, t0, now.Sub(t0))
-		t0 = now
-	}
-	// Compact fold: the ghost aggregation only touches boundary rows, so
-	// its dense transform runs over len(BoundaryRows()) rows and is
-	// scattered back — the fold's cost tracks the partition's cut, not its
-	// size.
-	if ahGhost := w.ghostFold(ghost); ahGhost != nil {
-		z.AddRowsAt(w.adj.BoundaryRows(), ahGhost.MatMul(layer.W))
-		ah.AddRowsAt(w.adj.BoundaryRows(), ahGhost)
+	if l == 1 {
+		w.agg1.foldBoundary(z, layer.W)
+	} else {
+		ghost, err := collect()
+		if err != nil {
+			return err
+		}
+		if tr != nil {
+			now := time.Now()
+			tr.Span(w.obs.fpSpans[l].collect, "fp", 1+w.id, 0, t0, now.Sub(t0))
+			t0 = now
+		}
+		// Compact fold: the ghost aggregation only touches boundary rows, so
+		// its dense transform runs over len(BoundaryRows()) rows and is
+		// scattered back — the fold's cost tracks the partition's cut, not
+		// its size.
+		if ahGhost := w.ghostFold(ghost); ahGhost != nil {
+			z.AddRowsAt(w.adj.BoundaryRows(), ahGhost.MatMul(layer.W))
+			ah.AddRowsAt(w.adj.BoundaryRows(), ahGhost)
+		}
 	}
 	if zSelf != nil {
 		z.AddInPlace(zSelf)
@@ -810,7 +834,7 @@ func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, err
 	w.ownH[l] = hOut
 	w.hStore.Put(l, t, hOut)
 	if tr != nil {
-		tr.Span(fmt.Sprintf("fp%d fold", l), "fp", 1+w.id, 0, t0, time.Since(t0))
+		tr.Span(w.obs.fpSpans[l].fold, "fp", 1+w.id, 0, t0, time.Since(t0))
 	}
 	return nil
 }
@@ -878,7 +902,7 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 	grads.Layers[l-1].Bias = g.ColSums()
 	if l == 1 {
 		if tr != nil {
-			tr.Span("bp1 owned", "bp", 1+w.id, 0, t0, time.Since(t0))
+			tr.Span(w.obs.bpSpans[l].owned, "bp", 1+w.id, 0, t0, time.Since(t0))
 		}
 		return nil, nil
 	}
@@ -892,7 +916,7 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 	}
 	if tr != nil {
 		now := time.Now()
-		tr.Span(fmt.Sprintf("bp%d owned", l), "bp", 1+w.id, 0, t0, now.Sub(t0))
+		tr.Span(w.obs.bpSpans[l].owned, "bp", 1+w.id, 0, t0, now.Sub(t0))
 		t0 = now
 	}
 
@@ -902,7 +926,7 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 	}
 	if tr != nil {
 		now := time.Now()
-		tr.Span(fmt.Sprintf("bp%d collect", l), "bp", 1+w.id, 0, t0, now.Sub(t0))
+		tr.Span(w.obs.bpSpans[l].collect, "bp", 1+w.id, 0, t0, now.Sub(t0))
 		t0 = now
 	}
 	if agGhost := w.ghostFold(ghost); agGhost != nil {
@@ -913,7 +937,7 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 	}
 	out := gPrev.ReLUBackwardInPlace(w.z[l-1])
 	if tr != nil {
-		tr.Span(fmt.Sprintf("bp%d fold", l), "bp", 1+w.id, 0, t0, time.Since(t0))
+		tr.Span(w.obs.bpSpans[l].fold, "bp", 1+w.id, 0, t0, time.Since(t0))
 	}
 	return out, nil
 }
