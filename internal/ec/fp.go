@@ -14,6 +14,8 @@ package ec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"ecgraph/internal/compress"
 	"ecgraph/internal/tensor"
@@ -24,7 +26,7 @@ import (
 const (
 	schemeRaw      = 0 // uncompressed matrix
 	schemeCompress = 1 // compression only, no compensation
-	schemeExact    = 2 // ReqEC trend boundary: exact H + changing-rate matrix
+	schemeExact    = 2 // ReqEC trend boundary: exact H + derive flag + boundary seq (M_cr is derived, not shipped)
 	schemeSelected = 3 // ReqEC in-group: selector array + filtered compressed rows
 	schemeSparse   = 4 // Top-K sparsified matrix (with error feedback)
 )
@@ -67,11 +69,25 @@ type ForwardResponder struct {
 	Ttr         int
 	Granularity Granularity
 
-	hLast      *tensor.Matrix // exact rows at the previous trend boundary
-	mcr        *tensor.Matrix // (H_now − H_last)/Ttr
-	haveBase   bool
-	forceExact bool // Respond sends exact boundaries regardless of t
-	forceRound int  // first round served while forced; exact through that round
+	hLast *tensor.Matrix // exact rows at the last trend boundary; nil before the first
+	mcr   *tensor.Matrix // (H_now − H_last)/Ttr as of that boundary
+
+	// Boundary bookkeeping (DESIGN.md §8). seq counts the boundaries this
+	// responder has served and names the base both ends must hold; it
+	// survives Reset, so one number never names two bases. round is the
+	// iteration the last boundary served (−1 before the first, and after
+	// Reset) and derived the flag it shipped: a repeat of that round is
+	// re-emitted from them, not recomputed.
+	seq        uint32
+	round      int
+	derived    byte
+	forceExact bool // the next new round is a boundary whatever its number
+
+	// Hot-path scratch of the in-group rounds, reallocated only when the
+	// pair's shape changes: the decode of the quantised rows (compacted in
+	// place into the rows that travel) and the selector ids.
+	cps *tensor.Matrix
+	sel []byte
 }
 
 // NewForwardResponder returns responder state with trend-group length ttr.
@@ -79,111 +95,159 @@ func NewForwardResponder(ttr int) *ForwardResponder {
 	if ttr < 2 {
 		panic(fmt.Sprintf("ec: Ttr must be ≥ 2, got %d", ttr))
 	}
-	return &ForwardResponder{Ttr: ttr}
+	return &ForwardResponder{Ttr: ttr, round: -1}
 }
 
 // Respond builds the reply payload for iteration t carrying the embedding
 // rows h (the requester's ghost rows, fixed order) compressed with the
-// given bit width. At trend boundaries (t mod Ttr == Ttr−1) it sends exact
-// embeddings plus M_cr; otherwise it evaluates the three approximations,
-// selects per vertex, and ships only what the requester cannot predict.
+// given bit width. At trend boundaries (t mod Ttr == Ttr−1, or the first
+// round after ForceExact) it sends the exact embeddings, from which the
+// requester derives the same M_cr this end keeps; otherwise it evaluates
+// the three approximations, selects per vertex, and ships only what the
+// requester cannot predict.
+//
+// A boundary is idempotent per round: a repeat of the round that served the
+// last boundary (a transport retry, a leaked duplicate of a failed attempt)
+// gets the same bytes and leaves the pair alone. A round older than that
+// boundary can only be a late duplicate nobody waits for; it is answered
+// with exact rows that claim nothing about the pair (flag 0, seq 0) and
+// mutates nothing.
 func (r *ForwardResponder) Respond(h *tensor.Matrix, t, bits int) ([]byte, RespondStats) {
-	if r.forceExact {
-		if r.forceRound < 0 {
-			r.forceRound = t
-		}
-		if t <= r.forceRound {
-			return r.respondExact(h), RespondStats{Rows: h.Rows, Exact: true}
-		}
-		// First request past the forced round: the sync happened, resume
-		// the normal trend-group schedule.
-		r.forceExact = false
-		r.forceRound = -1
-	}
-	if (t+1)%r.Ttr == 0 {
-		return r.respondExact(h), RespondStats{Rows: h.Rows, Exact: true}
+	exact := RespondStats{Rows: h.Rows, Exact: true}
+	switch {
+	case t == r.round:
+		return encodeExact(r.hLast, r.derived, r.seq), exact
+	case t < r.round:
+		return encodeExact(h, 0, 0), exact
+	case r.forceExact || (t+1)%r.Ttr == 0:
+		r.boundary(h, t)
+		return encodeExact(h, r.derived, r.seq), exact
 	}
 	return r.respondSelected(h, t, bits)
 }
 
-// ForceExact makes Respond send exact trend boundaries regardless of the
+// ForceExact makes the next new round a trend boundary regardless of its
 // iteration number — the forced exact-sync round a recovery or resume uses
 // to re-baseline the pair after compensation state was reset, exactly
-// mirroring the scheduled T_tr boundary on the wire. The force is sticky
-// for the whole first round it serves (not one-shot): a failed epoch
-// attempt can leave timed-out duplicate requests in flight, and a stale
-// duplicate must not consume the exact sync the retry depends on.
-func (r *ForwardResponder) ForceExact() {
-	r.forceExact = true
-	r.forceRound = -1
-}
+// mirroring the scheduled T_tr boundary on the wire. Duplicates of that
+// round left in flight by a failed epoch attempt cannot consume the sync
+// the retry depends on: whichever arrives first performs it and the rest
+// are repeats of its round.
+func (r *ForwardResponder) ForceExact() { r.forceExact = true }
 
 // Reset discards the trend state (H_last, M_cr): the pair behaves as if
-// freshly constructed. Used when a peer is respawned or a run rolls back —
-// stale baselines must never feed the selector again.
+// freshly constructed, except that seq keeps counting. Used when a peer is
+// respawned or a run rolls back — stale baselines must never feed the
+// selector again.
 func (r *ForwardResponder) Reset() {
 	r.hLast = nil
 	r.mcr = nil
-	r.haveBase = false
+	r.round = -1
 	r.forceExact = false
-	r.forceRound = -1
 }
 
-func (r *ForwardResponder) respondExact(h *tensor.Matrix) []byte {
-	w := transport.NewWriter(2 + h.Rows*h.Cols*8)
+// OutOfSync reports whether a request for iteration t from a requester that
+// has parsed seq boundaries comes from a base this responder does not hold:
+// a round newer than the last boundary whose count is not ours means the
+// requester lost a boundary (or either end was reset alone), and every
+// in-group payload would be decoded against the wrong base. The caller
+// re-baselines with Reset and ForceExact. Repeats of the boundary round
+// legitimately carry the previous count and are not out of sync.
+func (r *ForwardResponder) OutOfSync(t int, seq uint32) bool {
+	return t > r.round && seq != r.seq
+}
+
+// boundary moves the trend base to h: M_cr = (h − H_last)/Ttr when a base
+// exists (Alg. 4 line 4), zero otherwise.
+func (r *ForwardResponder) boundary(h *tensor.Matrix, t int) {
+	if r.hLast != nil {
+		advanceTrend(r.mcr, r.hLast, h, r.Ttr)
+		r.derived = 1
+	} else {
+		r.hLast = h.Clone()
+		r.mcr = tensor.New(h.Rows, h.Cols)
+		r.derived = 0
+	}
+	r.seq++
+	r.round = t
+	r.forceExact = false
+}
+
+// advanceTrend sets mcr = (h − base)/ttr and then base = h, in place. Both
+// ends of a pair run exactly this — a float32 subtraction rounded to
+// float32, then one multiplication by 1/ttr — which is why the requester's
+// derived M_cr equals the responder's bit for bit.
+func advanceTrend(mcr, base, h *tensor.Matrix, ttr int) {
+	if !h.SameShape(base) {
+		panic(fmt.Sprintf("ec: trend boundary of %dx%d rows over a %dx%d base", h.Rows, h.Cols, base.Rows, base.Cols))
+	}
+	inv := 1 / float32(ttr)
+	md, bd := mcr.Data, base.Data
+	for i, x := range h.Data {
+		md[i] = float32(x-bd[i]) * inv
+		bd[i] = x
+	}
+}
+
+// encodeExact writes a trend-boundary payload: the exact rows, whether the
+// requester must derive M_cr from its previous base (1) or start from
+// M_cr = 0 (0), and the boundary's sequence number.
+func encodeExact(h *tensor.Matrix, derived byte, seq uint32) []byte {
+	w := transport.NewWriter(14 + len(h.Data)*4)
 	w.Byte(schemeExact)
 	w.Matrix(h)
-	if r.haveBase {
-		// M_cr = (H_res − H_last)/Ttr (Alg. 4 line 4).
-		mcr := h.Sub(r.hLast).ScaleInPlace(1 / float32(r.Ttr))
-		w.Byte(1)
-		w.Matrix(mcr)
-		r.mcr = mcr
-	} else {
-		w.Byte(0)
-		r.mcr = tensor.New(h.Rows, h.Cols)
-	}
-	r.hLast = h.Clone()
-	r.haveBase = true
+	w.Byte(derived)
+	w.Uint32(seq)
 	return w.Bytes()
 }
 
 func (r *ForwardResponder) respondSelected(h *tensor.Matrix, t, bits int) ([]byte, RespondStats) {
 	q := compress.Compress(h, bits)
-	cps := q.Decompress()
+	defer q.Release()
 
 	stats := RespondStats{Rows: h.Rows}
 	w := transport.NewWriter(2 + h.Rows*h.Cols)
 	w.Byte(schemeSelected)
 
-	if !r.haveBase {
+	if r.hLast == nil {
 		// No trend baseline yet (first group of the run): only the
 		// compressed approximation exists. An all-compressed selector is
 		// encoded compactly as "no selector" (flag 0).
 		w.Byte(0)
 		w.Quantized(q)
-		q.Release()
 		return w.Bytes(), stats
 	}
 
-	// Ĥ_pdt = H_base + M_cr·(t mod Ttr + 1) (Eq. 7).
+	if r.cps == nil || !r.cps.SameShape(h) {
+		r.cps = tensor.New(h.Rows, h.Cols)
+		r.sel = make([]byte, h.Rows)
+	}
+	cps := q.DecompressInto(r.cps)
 	k := float32(t%r.Ttr + 1)
-	pdt := r.hLast.Add(r.mcr.Scale(k))
-	// Ĥ_avg = (Ĥ_pdt + Ĥ_cps)/2 (Eq. 9).
-	avg := pdt.Add(cps).ScaleInPlace(0.5)
 
 	if r.Granularity == GranularityMatrix {
-		out, st := r.respondMatrixWise(h, cps, pdt, avg, q, w, stats)
-		q.Release()
-		return out, st
+		return r.respondMatrixWise(h, cps, k, q, w, stats)
 	}
 
-	// Per-vertex L1 distances (Eq. 10) and arg-min selection.
-	sel := make([]byte, h.Rows)
+	// One pass per vertex over the three candidates and their L1 distances
+	// to h (Eq. 10), element by element in the order the whole-matrix form
+	// used — Ĥ_pdt = H_base + M_cr·k (Eq. 7), Ĥ_avg = (Ĥ_pdt + Ĥ_cps)/2
+	// (Eq. 9), each intermediate rounded to float32 — then the arg-min.
+	// Rows that need data on the wire (§IV-B: predicted rows "do not need
+	// to send the compressed values") are compacted to the front of cps.
+	cols, kept := h.Cols, 0
 	for v := 0; v < h.Rows; v++ {
-		dc := rowL1(h, cps, v)
-		dp := rowL1(h, pdt, v)
-		da := rowL1(h, avg, v)
+		hr, cr := h.Row(v), cps.Row(v)
+		br, mr := r.hLast.Row(v), r.mcr.Row(v)
+		var dc, dp, da float64
+		for j, x := range hr {
+			c := cr[j]
+			p := br[j] + float32(k*mr[j])
+			a := float32(p+c) * 0.5
+			dc += math.Abs(float64(x - c))
+			dp += math.Abs(float64(x - p))
+			da += math.Abs(float64(x - a))
+		}
 		best := SelCompressed
 		bd := dc
 		if dp < bd {
@@ -192,37 +256,32 @@ func (r *ForwardResponder) respondSelected(h *tensor.Matrix, t, bits int) ([]byt
 		if da < bd {
 			best = SelAverage
 		}
-		sel[v] = byte(best)
+		r.sel[v] = byte(best)
 		switch best {
 		case SelPredicted:
 			stats.Predicted++
+			continue
 		case SelAverage:
 			stats.Average++
 		}
+		copy(cps.Data[kept*cols:(kept+1)*cols], cr)
+		kept++
 	}
-
-	// Filter out predicted rows: they need no data on the wire (§IV-B
-	// "we do not need to send the compressed values").
-	keep := make([]int, 0, h.Rows)
-	for v, s := range sel {
-		if s != SelPredicted {
-			keep = append(keep, v)
-		}
-	}
-	filtered := compress.CompressWithRange(cps.GatherRows(keep), bits, q.Lo, q.Hi)
+	filtered := compress.CompressWithRange(tensor.FromSlice(kept, cols, cps.Data[:kept*cols]), bits, q.Lo, q.Hi)
 
 	w.Byte(1)
-	w.Uint8s(packSelector(sel))
-	w.Uint32(uint32(len(sel)))
+	w.Uint8s(packSelector(r.sel))
+	w.Uint32(uint32(len(r.sel)))
 	w.Quantized(filtered)
 	filtered.Release()
-	q.Release()
 	return w.Bytes(), stats
 }
 
 // respondMatrixWise picks one approximation for the entire message: a
 // single id byte plus, unless predicted wins, the compressed matrix.
-func (r *ForwardResponder) respondMatrixWise(h, cps, pdt, avg *tensor.Matrix, q *compress.Quantized, w *transport.Writer, stats RespondStats) ([]byte, RespondStats) {
+func (r *ForwardResponder) respondMatrixWise(h, cps *tensor.Matrix, k float32, q *compress.Quantized, w *transport.Writer, stats RespondStats) ([]byte, RespondStats) {
+	pdt := r.hLast.Add(r.mcr.Scale(k))
+	avg := pdt.Add(cps).ScaleInPlace(0.5)
 	dc := cps.Sub(h).AbsSum()
 	dp := pdt.Sub(h).AbsSum()
 	da := avg.Sub(h).AbsSum()
@@ -258,19 +317,6 @@ func decompressReleasing(r *transport.Reader) *tensor.Matrix {
 	return m
 }
 
-func rowL1(a, b *tensor.Matrix, row int) float64 {
-	ra, rb := a.Row(row), b.Row(row)
-	var sum float64
-	for i, v := range ra {
-		d := float64(v - rb[i])
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum
-}
-
 // packSelector packs 2-bit approximation ids, four per byte (the paper
 // ships 2 bits per vertex).
 func packSelector(sel []byte) []byte {
@@ -295,9 +341,10 @@ func unpackSelector(packed []byte, n int) []byte {
 type ForwardRequester struct {
 	Ttr int
 
-	hBase    *tensor.Matrix
-	mcr      *tensor.Matrix
-	haveBase bool
+	hBase *tensor.Matrix // nil before the first parsed boundary
+	mcr   *tensor.Matrix
+	seq   uint32 // the responder's number for the boundary hBase came from
+	round int    // iteration of that boundary, −1 without one
 }
 
 // NewForwardRequester returns requester state with trend-group length ttr.
@@ -305,7 +352,7 @@ func NewForwardRequester(ttr int) *ForwardRequester {
 	if ttr < 2 {
 		panic(fmt.Sprintf("ec: Ttr must be ≥ 2, got %d", ttr))
 	}
-	return &ForwardRequester{Ttr: ttr}
+	return &ForwardRequester{Ttr: ttr, round: -1}
 }
 
 // Reset discards the requester's trend state; the next parsed exact
@@ -315,7 +362,29 @@ func NewForwardRequester(ttr int) *ForwardRequester {
 func (q *ForwardRequester) Reset() {
 	q.hBase = nil
 	q.mcr = nil
-	q.haveBase = false
+	q.seq = 0
+	q.round = -1
+}
+
+// Seq returns the sequence number of the boundary this requester's base
+// came from (0 without one). A request carries it so the responder can tell
+// a requester that lost a boundary from one in step (OutOfSync).
+func (q *ForwardRequester) Seq() uint32 { return q.seq }
+
+// InSyncWith reports whether both ends of a pair hold the same boundary:
+// same sequence number and bitwise-equal base and M_cr. A diagnostic for
+// tests and invariant checks; the caller serialises access to both ends.
+func (q *ForwardRequester) InSyncWith(r *ForwardResponder) bool {
+	if q.hBase == nil || r.hLast == nil {
+		return q.hBase == nil && r.hLast == nil
+	}
+	return q.seq == r.seq && sameBits(q.hBase, r.hLast) && sameBits(q.mcr, r.mcr)
+}
+
+func sameBits(a, b *tensor.Matrix) bool {
+	return a.SameShape(b) && slices.EqualFunc(a.Data, b.Data, func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y)
+	})
 }
 
 // Predict returns the requester-side linear prediction
@@ -325,7 +394,7 @@ func (q *ForwardRequester) Reset() {
 // approximates rows the network failed to deliver. ok is false before the
 // first trend baseline has been received.
 func (q *ForwardRequester) Predict(t int) (pdt *tensor.Matrix, ok bool) {
-	if !q.haveBase {
+	if q.hBase == nil {
 		return nil, false
 	}
 	k := float32(t%q.Ttr + 1)
@@ -333,19 +402,32 @@ func (q *ForwardRequester) Predict(t int) (pdt *tensor.Matrix, ok bool) {
 }
 
 // Parse decodes a ReqEC-FP payload for iteration t into the reconstructed
-// ghost embedding rows.
+// ghost embedding rows. A trend boundary carries the exact rows only; the
+// requester derives M_cr from them and the base it kept, with the
+// responder's own arithmetic (advanceTrend). That is sound only from the
+// same base, so a boundary that asks for derivation must be the one right
+// after the requester's own (seq + 1); anything else means a boundary was
+// lost and is a decode error. Repeats of the boundary already held and
+// boundaries older than it return their rows and change nothing.
 func (q *ForwardRequester) Parse(payload []byte, t int) *tensor.Matrix {
 	r := transport.NewReader(payload)
 	switch scheme := r.Byte(); scheme {
 	case schemeExact:
 		h := r.Matrix()
-		if r.Byte() == 1 {
-			q.mcr = r.Matrix()
-		} else {
-			q.mcr = tensor.New(h.Rows, h.Cols)
+		derived, seq := r.Byte(), r.Uint32()
+		if t < q.round || (t == q.round && seq == q.seq) {
+			return h
 		}
-		q.hBase = h.Clone()
-		q.haveBase = true
+		switch {
+		case derived == 0:
+			q.hBase = h.Clone() // h goes to the caller; the base is advanced in place
+			q.mcr = tensor.New(h.Rows, h.Cols)
+		case q.hBase == nil || seq != q.seq+1:
+			panic(fmt.Sprintf("ec: boundary %d derives M_cr from boundary %d, requester holds %d", seq, seq-1, q.seq))
+		default:
+			advanceTrend(q.mcr, q.hBase, h, q.Ttr)
+		}
+		q.seq, q.round = seq, t
 		return h
 	case schemeSelected:
 		switch flag := r.Byte(); flag {
@@ -358,7 +440,7 @@ func (q *ForwardRequester) Parse(payload []byte, t int) *tensor.Matrix {
 			n := int(r.Uint32())
 			var pdt *tensor.Matrix
 			if id != SelCompressed {
-				if !q.haveBase {
+				if q.hBase == nil {
 					panic("ec: matrix-wise prediction before any trend baseline")
 				}
 				k := float32(t%q.Ttr + 1)
@@ -384,11 +466,14 @@ func (q *ForwardRequester) Parse(payload []byte, t int) *tensor.Matrix {
 		}
 		packed := r.Uint8s()
 		n := int(r.Uint32())
-		sel := unpackSelector(packed, n)
-		filtered := decompressReleasing(r)
-		if !q.haveBase {
+		if q.hBase == nil {
 			panic("ec: selected payload with selector before any trend baseline")
 		}
+		if n != q.hBase.Rows || len(packed) != (n+3)/4 {
+			panic(fmt.Sprintf("ec: selector for %d rows in %d bytes over a %d-row base", n, len(packed), q.hBase.Rows))
+		}
+		sel := unpackSelector(packed, n)
+		filtered := decompressReleasing(r)
 		k := float32(t%q.Ttr + 1)
 		pdt := q.hBase.Add(q.mcr.Scale(k))
 		out := tensor.New(n, pdt.Cols)

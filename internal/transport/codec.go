@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ecgraph/internal/compress"
@@ -81,12 +82,20 @@ func (w *Writer) Int32(v int32) { w.Uint32(uint32(v)) }
 // Float32 appends a little-endian float32.
 func (w *Writer) Float32(v float32) { w.Uint32(math.Float32bits(v)) }
 
+// float32s appends the raw little-endian data of v, growing the buffer once.
+func (w *Writer) float32s(v []float32) {
+	off := len(w.buf)
+	w.buf = slices.Grow(w.buf, 4*len(v))[:off+4*len(v)]
+	dst := w.buf[off:]
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
+	}
+}
+
 // Float32s appends a length-prefixed float32 slice.
 func (w *Writer) Float32s(v []float32) {
 	w.Uint32(uint32(len(v)))
-	for _, x := range v {
-		w.Float32(x)
-	}
+	w.float32s(v)
 }
 
 // Float64 appends a little-endian float64.
@@ -120,9 +129,7 @@ func (w *Writer) Uint8s(v []byte) {
 func (w *Writer) Matrix(m *tensor.Matrix) {
 	w.Uint32(uint32(m.Rows))
 	w.Uint32(uint32(m.Cols))
-	for _, x := range m.Data {
-		w.Float32(x)
-	}
+	w.float32s(m.Data)
 }
 
 // Quantized appends a compressed matrix: shape, bits, domain and packed ids.
@@ -157,10 +164,12 @@ func (w *Writer) Sparse(s *compress.Sparse) {
 	}
 }
 
-// Reader consumes binary values written by Writer. Out-of-bounds reads
-// panic with a descriptive message; transport payloads are produced by
-// trusted peers in the same process or cluster, so a malformed frame is a
-// programming error, not an input-validation concern.
+// Reader consumes binary values written by Writer. A read past the end of
+// the buffer panics with a descriptive message, which every caller that
+// sees network bytes turns into an error (worker.Handler, the ghost decode
+// paths, ps.ApplyReplica). Counts read off the wire are checked against the
+// bytes that remain before anything is allocated from them, so a corrupted
+// frame costs at most a small multiple of its own length.
 type Reader struct {
 	buf []byte
 	off int
@@ -173,9 +182,30 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
 func (r *Reader) need(n int) {
-	if r.off+n > len(r.buf) {
+	if n < 0 || n > len(r.buf)-r.off {
 		panic(fmt.Sprintf("transport: short read: need %d bytes at offset %d of %d", n, r.off, len(r.buf)))
 	}
+}
+
+// take checks that count elements of size bytes each remain — without
+// overflowing on a hostile count — and returns them, advancing the offset.
+func (r *Reader) take(count, size int) []byte {
+	if count < 0 || count > (len(r.buf)-r.off)/size {
+		panic(fmt.Sprintf("transport: short read: need %d x %d bytes at offset %d of %d", count, size, r.off, len(r.buf)))
+	}
+	b := r.buf[r.off : r.off+count*size]
+	r.off += count * size
+	return b
+}
+
+// float32s decodes n raw float32 values.
+func (r *Reader) float32s(n int) []float32 {
+	src := r.take(n, 4)
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+	return out
 }
 
 // Byte reads a single byte.
@@ -210,12 +240,7 @@ func (r *Reader) Float32() float32 { return math.Float32frombits(r.Uint32()) }
 
 // Float32s reads a length-prefixed float32 slice.
 func (r *Reader) Float32s() []float32 {
-	n := int(r.Uint32())
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = r.Float32()
-	}
-	return out
+	return r.float32s(int(r.Uint32()))
 }
 
 // Float64 reads a little-endian float64.
@@ -223,61 +248,70 @@ func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
 // Float64s reads a length-prefixed float64 slice.
 func (r *Reader) Float64s() []float64 {
-	n := int(r.Uint32())
-	out := make([]float64, n)
+	src := r.take(int(r.Uint32()), 8)
+	out := make([]float64, len(src)/8)
 	for i := range out {
-		out[i] = r.Float64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 	return out
 }
 
 // Int32s reads a length-prefixed int32 slice.
 func (r *Reader) Int32s() []int32 {
-	n := int(r.Uint32())
-	out := make([]int32, n)
+	src := r.take(int(r.Uint32()), 4)
+	out := make([]int32, len(src)/4)
 	for i := range out {
-		out[i] = r.Int32()
+		out[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 	return out
 }
 
 // Uint8s reads a length-prefixed byte slice (copied out of the buffer).
 func (r *Reader) Uint8s() []byte {
-	n := int(r.Uint32())
-	r.need(n)
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+n])
-	r.off += n
-	return out
+	return slices.Clone(r.take(int(r.Uint32()), 1))
+}
+
+// elems returns rows*cols, or a count no buffer holds when the product
+// overflows, so that the length check that follows fails.
+func elems(rows, cols int) int {
+	if cols != 0 && rows > math.MaxInt/cols {
+		return math.MaxInt
+	}
+	return rows * cols
 }
 
 // Matrix reads a dense matrix.
 func (r *Reader) Matrix() *tensor.Matrix {
 	rows := int(r.Uint32())
 	cols := int(r.Uint32())
-	m := tensor.New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = r.Float32()
-	}
-	return m
+	return tensor.FromSlice(rows, cols, r.float32s(elems(rows, cols)))
 }
 
-// Sparse reads a Top-K sparsified matrix.
+// Sparse reads a Top-K sparsified matrix. The shape is checked against the
+// kept count: Top-K keeps at least one element in 64 (compress.KForBudget
+// at B = 1), so a sparser header is corrupt — and Dense would allocate its
+// whole shape from it.
 func (r *Reader) Sparse() *compress.Sparse {
 	s := &compress.Sparse{}
 	s.Rows = int(r.Uint32())
 	s.Cols = int(r.Uint32())
-	n := int(r.Uint32())
-	s.Idx = make([]int32, n)
-	s.Val = make([]float32, n)
-	for i := 0; i < n; i++ {
-		s.Idx[i] = r.Int32()
-		s.Val[i] = r.Float32()
+	src := r.take(int(r.Uint32()), 8)
+	k := len(src) / 8
+	if elems(s.Rows, s.Cols)/64 > k {
+		panic(fmt.Sprintf("transport: sparse %dx%d matrix with %d kept elements", s.Rows, s.Cols, k))
+	}
+	s.Idx = make([]int32, k)
+	s.Val = make([]float32, k)
+	for i := range s.Idx {
+		s.Idx[i] = int32(binary.LittleEndian.Uint32(src[8*i:]))
+		s.Val[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[8*i+4:]))
 	}
 	return s
 }
 
-// Quantized reads a compressed matrix.
+// Quantized reads a compressed matrix. Width and word count are checked
+// against the shape, so whatever is decoded from the result (Decompress,
+// Block) allocates in proportion to the bytes that arrived.
 func (r *Reader) Quantized() *compress.Quantized {
 	q := &compress.Quantized{}
 	q.Rows = int(r.Uint32())
@@ -286,10 +320,23 @@ func (r *Reader) Quantized() *compress.Quantized {
 	q.ZeroCentered = r.Byte() == 1
 	q.Lo = r.Float32()
 	q.Hi = r.Float32()
-	n := int(r.Uint32())
-	q.Packed = make([]uint64, n)
+	src := r.take(int(r.Uint32()), 8)
+	if !compress.IsValidBits(q.Bits) {
+		panic(fmt.Sprintf("transport: quantised matrix at %d bits", q.Bits))
+	}
+	n, perWord := elems(q.Rows, q.Cols), 64/q.Bits
+	words := n / perWord
+	if n%perWord != 0 {
+		words++
+	}
+	// Zero-width rows carry no words to hold the row count to, and Block
+	// sizes its table list by rows.
+	if len(src)/8 != words || (q.Cols == 0 && q.Rows != 0) {
+		panic(fmt.Sprintf("transport: quantised %dx%d matrix at %d bits in %d words", q.Rows, q.Cols, q.Bits, len(src)/8))
+	}
+	q.Packed = make([]uint64, len(src)/8)
 	for i := range q.Packed {
-		q.Packed[i] = r.Uint64()
+		q.Packed[i] = binary.LittleEndian.Uint64(src[8*i:])
 	}
 	return q
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -114,6 +115,64 @@ func TestReaderShortReadPanics(t *testing.T) {
 		}
 	}()
 	NewReader([]byte{1, 2}).Uint32()
+}
+
+// TestReaderChecksCountsBeforeAllocating feeds every variable-length
+// decoder a header that promises gigabytes over a few bytes of data (and one
+// whose rows*cols overflows): each must fail on its length check, before it
+// allocates from the count.
+func TestReaderChecksCountsBeforeAllocating(t *testing.T) {
+	huge := func(counts ...uint32) []byte {
+		w := NewWriter(64)
+		for _, c := range counts {
+			w.Uint32(c)
+		}
+		w.Uint64(0) // a little data, never enough
+		return w.Bytes()
+	}
+	quantHeader := func(rows, cols uint32, bits byte, words uint32) []byte {
+		w := NewWriter(64)
+		w.Uint32(rows)
+		w.Uint32(cols)
+		w.Byte(bits)
+		w.Byte(0)
+		w.Float32(0)
+		w.Float32(1)
+		w.Uint32(words)
+		w.Uint64(0)
+		return w.Bytes()
+	}
+	const big = 1 << 30
+	cases := map[string]func(){
+		"Float32s":         func() { NewReader(huge(big)).Float32s() },
+		"Float64s":         func() { NewReader(huge(big)).Float64s() },
+		"Int32s":           func() { NewReader(huge(big)).Int32s() },
+		"Uint8s":           func() { NewReader(huge(big)).Uint8s() },
+		"Matrix":           func() { NewReader(huge(big, 4)).Matrix() },
+		"Matrix overflow":  func() { NewReader(huge(math.MaxUint32, math.MaxUint32)).Matrix() },
+		"Sparse count":     func() { NewReader(huge(4, 4, big)).Sparse() },
+		"Sparse shape":     func() { NewReader(huge(big, 4, 1)).Sparse().Dense() },
+		"Quantized words":  func() { NewReader(quantHeader(4, 4, 2, big)).Quantized() },
+		"Quantized shape":  func() { NewReader(quantHeader(big, 4, 2, 1)).Quantized().Decompress() },
+		"Quantized bits":   func() { NewReader(quantHeader(4, 4, 3, 1)).Quantized() },
+		"Quantized 0-wide": func() { NewReader(quantHeader(big, 0, 2, 0)).Quantized().Block() },
+	}
+	for name, decode := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			decode()
+			return false
+		}()
+		runtime.ReadMemStats(&after)
+		if !panicked {
+			t.Errorf("%s: corrupted count decoded", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: allocated %d bytes from a %d-byte frame", name, grew, 20)
+		}
+	}
 }
 
 func echoHandler(method string, req []byte) ([]byte, error) {

@@ -34,14 +34,11 @@ func (w *Worker) callPeer(j int, method string, req []byte) ([]byte, error) {
 
 // encodeGhostReq builds the common getH/getG request header into a pooled
 // writer; the caller must Release it after CallMulti returns.
-func (w *Worker) encodeGhostReq(l, t int, subset bool) *transport.Writer {
+func (w *Worker) encodeGhostReq(l, t int) *transport.Writer {
 	req := transport.GetWriter(16)
 	req.Byte(byte(l))
 	req.Uint32(uint32(t))
 	req.Int32(int32(w.id))
-	if !subset {
-		req.Byte(0) // no subset
-	}
 	return req
 }
 
@@ -136,7 +133,13 @@ func (w *Worker) buildGhostH(l, t int) *pendingGhost {
 			p.served[j] = skipped
 			continue
 		}
-		req := w.encodeGhostReq(l, t, false)
+		req := w.encodeGhostReq(l, t)
+		req.Byte(0) // no subset
+		if w.cfg.Opts.FPScheme == SchemeEC {
+			// The boundary this requester's base came from: the responder
+			// re-baselines the pair when it is not the one it holds.
+			req.Uint32(w.fpReq[l][j].Seq())
+		}
 		p.callIdx[j] = len(p.calls)
 		p.calls = append(p.calls, transport.Call{
 			Dst: j, Method: MethodGetH, Req: req.Bytes(), Timeout: w.peerTimeout(j),
@@ -442,7 +445,7 @@ func (w *Worker) fetchGhostHDelayed(l, t, dim int) (*tensor.Matrix, error) {
 				continue
 			}
 		}
-		req := w.encodeGhostReq(l, t, true)
+		req := w.encodeGhostReq(l, t)
 		req.Byte(1)
 		req.Int32s(positions)
 		resp, err := w.callPeer(j, MethodGetH, req.Bytes())
@@ -482,10 +485,7 @@ func (w *Worker) buildGhostG(l, t int) *pendingGhost {
 			p.served[j] = skipped
 			continue
 		}
-		req := transport.GetWriter(16)
-		req.Byte(byte(l))
-		req.Uint32(uint32(t))
-		req.Int32(int32(w.id))
+		req := w.encodeGhostReq(l, t)
 		p.callIdx[j] = len(p.calls)
 		p.calls = append(p.calls, transport.Call{
 			Dst: j, Method: MethodGetG, Req: req.Bytes(), Timeout: w.peerTimeout(j),
@@ -703,12 +703,22 @@ func (w *Worker) Handler() transport.Handler {
 				w.storeLayerBits(l, bits)
 				return ec.RespondCompressOnly(m, bits), nil
 			case SchemeEC:
+				seq := r.Uint32()
 				// Under ecMu: a leaked handler goroutine from an abandoned
 				// timed-out attempt may still be in here while supervised
 				// recovery resets the responder state.
 				w.ecMu.Lock()
 				bits := w.fpBitsLocked()
-				payload, stats := w.fpResp[l][requester].Respond(m, t, bits)
+				resp := w.fpResp[l][requester]
+				if resp.OutOfSync(t, seq) {
+					// The requester decodes against a base this end does not
+					// hold (it lost a boundary): start the pair over with an
+					// exact round instead of a trend group of wrong rows.
+					resp.Reset()
+					resp.ForceExact()
+					w.obs.rebaselines.Inc()
+				}
+				payload, stats := resp.Respond(m, t, bits)
 				w.ecMu.Unlock()
 				w.storeLayerBits(l, bits)
 				if !stats.Exact {

@@ -8,6 +8,7 @@ import (
 	"ecgraph/internal/datasets"
 	"ecgraph/internal/graph"
 	"ecgraph/internal/nn"
+	"ecgraph/internal/obs"
 	"ecgraph/internal/ps"
 	"ecgraph/internal/transport"
 )
@@ -38,6 +39,15 @@ func (f *flakyNet) CallMulti(src int, calls []transport.Call) []transport.Result
 // function running one epoch on both workers.
 func faultCluster(t *testing.T, opts Options, fail func(src, dst int, method string) bool) ([]*Worker, []EpochReport, func(epoch int) []error) {
 	t.Helper()
+	return clusterOver(t, opts, nil, func(base transport.Network) transport.Network {
+		return &flakyNet{Network: base, fail: fail}
+	})
+}
+
+// clusterOver is faultCluster over whatever the caller wraps around the
+// in-process network (3 nodes: two workers and the PS).
+func clusterOver(t *testing.T, opts Options, reg *obs.Registry, wrap func(transport.Network) transport.Network) ([]*Worker, []EpochReport, func(epoch int) []error) {
+	t.Helper()
 	d := datasets.MustLoad("cora")
 	const nWorkers = 2
 	adj := graph.Normalize(d.Graph)
@@ -46,7 +56,7 @@ func faultCluster(t *testing.T, opts Options, fail func(src, dst int, method str
 		assign[v] = v % nWorkers
 	}
 	topo := BuildTopology(d.Graph, assign, nWorkers)
-	net := &flakyNet{Network: transport.NewInProc(nWorkers + 1), fail: fail}
+	net := wrap(transport.NewInProc(nWorkers + 1))
 
 	dims := []int{d.NumFeatures(), 8, d.NumClasses}
 	template := nn.NewModel(nn.KindGCN, dims, 1)
@@ -64,6 +74,7 @@ func faultCluster(t *testing.T, opts Options, fail func(src, dst int, method str
 			Model:          nn.NewModel(nn.KindGCN, dims, 1),
 			PS:             ps.NewClient(net, i, []int{nWorkers}, ranges),
 			Opts:           opts,
+			Metrics:        reg,
 		})
 		net.Register(i, workers[i].Handler())
 	}
@@ -292,5 +303,90 @@ func TestWorkerDelayedModeDegrades(t *testing.T) {
 	degraded := reports[0].DegradedFetches + reports[1].DegradedFetches
 	if degraded == 0 {
 		t.Fatalf("no degraded refreshes recorded in delayed mode")
+	}
+}
+
+// replyDropNet loses replies instead of requests: the handler runs — and
+// mutates whatever it mutates — and the caller sees a failure.
+type replyDropNet struct {
+	transport.Network
+	drop func(src, dst int, method string, req []byte) bool
+}
+
+func (n *replyDropNet) Call(src, dst int, method string, req []byte) ([]byte, error) {
+	resp, err := n.Network.Call(src, dst, method, req)
+	if err == nil && n.drop(src, dst, method, req) {
+		return nil, transport.ErrInjected
+	}
+	return resp, err
+}
+
+func (n *replyDropNet) CallMulti(src int, calls []transport.Call) []transport.Result {
+	return transport.SequentialMulti(n, src, calls)
+}
+
+// TestLostBoundaryReplyRebaselines loses one trend boundary's reply past all
+// of Reliable's retries (worker 0 asking worker 1, round 19 — the second
+// boundary, so the requester holds the first one's base and nothing fails
+// to decode). The responder moved its base and the requester did not: the
+// retries must be repeats of the boundary, the next request must trigger
+// exactly one re-baseline, and from then on both ends hold the same base at
+// every round. The parent zeroed M_cr on the first retry and then served a
+// whole trend group against a base the requester never received.
+func TestLostBoundaryReplyRebaselines(t *testing.T) {
+	const lost, attempts = 19, 3
+	var dropped atomic.Int32
+	reg := obs.NewRegistry()
+	workers, reports, step := clusterOver(t, Options{
+		FPScheme: SchemeEC, FPBits: 2, BPScheme: SchemeEC, BPBits: 2, Ttr: 10,
+	}, reg, func(base transport.Network) transport.Network {
+		lossy := &replyDropNet{Network: base, drop: func(src, dst int, method string, req []byte) bool {
+			r := transport.NewReader(req)
+			if method != MethodGetH || src != 0 || dst != 1 || r.Byte() != 1 || r.Uint32() != lost {
+				return false
+			}
+			dropped.Add(1)
+			return true
+		}}
+		return transport.NewStack(lossy, transport.WithNodes(3), transport.WithReliable(transport.ReliableConfig{MaxAttempts: attempts}))
+	})
+	inSync := func(requester, responder int) bool {
+		resp := workers[responder]
+		resp.ecMu.Lock()
+		defer resp.ecMu.Unlock()
+		return workers[requester].fpReq[1][responder].InSyncWith(resp.fpResp[1][requester])
+	}
+	rebaselines := func() float64 { return workers[0].obs.rebaselines.Value() + workers[1].obs.rebaselines.Value() }
+	for e := 0; e < 35; e++ {
+		for _, err := range step(e) {
+			if err != nil {
+				t.Fatalf("epoch %d: %v", e, err)
+			}
+		}
+		wantDegraded, wantRebaselines := 0, 0.0
+		if e == lost {
+			wantDegraded = 1
+		}
+		if e > lost {
+			wantRebaselines = 1
+		}
+		if reports[0].DegradedFetches != wantDegraded || reports[1].DegradedFetches != 0 {
+			t.Fatalf("epoch %d: degraded fetches %d/%d", e, reports[0].DegradedFetches, reports[1].DegradedFetches)
+		}
+		if got := rebaselines(); got != wantRebaselines {
+			t.Fatalf("epoch %d: %v re-baselines, want %v", e, got, wantRebaselines)
+		}
+		if !inSync(1, 0) {
+			t.Fatalf("epoch %d: the undisturbed pair is out of sync", e)
+		}
+		if got := inSync(0, 1); got != (e != lost) {
+			t.Fatalf("epoch %d: requester 0 and responder 1 in sync = %v", e, got)
+		}
+	}
+	if dropped.Load() != attempts {
+		t.Fatalf("dropped %d replies, want every one of %d attempts", dropped.Load(), attempts)
+	}
+	if workers[1].obs.rebaselines.Value() != 1 {
+		t.Fatal("the re-baseline was not the responder's")
 	}
 }

@@ -20,6 +20,7 @@ import (
 //	ecgraph_ec_tuner_decisions_total{worker,decision="up"|"down"|"hold"}
 //	ecgraph_ec_fp_choice_total{worker,choice="compressed"|"predicted"|"average"}
 //	ecgraph_ec_residual_l2{worker,layer}           ResEC-BP residual norm
+//	ecgraph_ec_rebaselines_total{worker}           ReqEC-FP pairs restarted after a lost boundary
 //	ecgraph_worker_degraded_fetches_total{worker}
 //	ecgraph_worker_straggler_skips_total{worker}
 //	ecgraph_worker_comm_seconds_total{worker,kind="wire"|"blocked"}
@@ -43,7 +44,8 @@ type workerObs struct {
 	selPredicted  *obs.Counter
 	selAverage    *obs.Counter
 
-	residual []*obs.Gauge // indexed by layer, nil-safe entries
+	residual    []*obs.Gauge // indexed by layer, nil-safe entries
+	rebaselines *obs.Counter
 
 	degraded    *obs.Counter
 	skips       *obs.Counter
@@ -93,6 +95,8 @@ func newWorkerObs(reg *obs.Registry, tracer *obs.Tracer, id, numLayers int) work
 		selCompressed: choice.With(w, "compressed"),
 		selPredicted:  choice.With(w, "predicted"),
 		selAverage:    choice.With(w, "average"),
+		rebaselines: reg.CounterVec("ecgraph_ec_rebaselines_total",
+			"ReqEC-FP pairs this responder restarted with a flag-0 exact round because the requester's boundary count was not its own.", "worker").With(w),
 		degraded: reg.CounterVec("ecgraph_worker_degraded_fetches_total",
 			"Ghost exchanges served from stale cache or prediction instead of the wire.", "worker").With(w),
 		skips: reg.CounterVec("ecgraph_worker_straggler_skips_total",
