@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,16 +13,85 @@ import (
 // products costs more than it saves.
 const parallelThreshold = 32 * 1024
 
-// MatMul returns m · n using a cache-blocked ikj kernel, parallelised over
-// row bands when the product is large enough.
+// Axpy4 is the one arithmetic loop under the dense products (and the owned
+// SpMM): o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], the four
+// terms added left to right. Every product is rounded to float32 by an
+// explicit conversion before its add, so no compiler may fuse the pair on any
+// GOARCH: o ends with exactly the bits of four Axpy passes in the same order,
+// for a quarter of their loads and stores of o. The b rows must be at least
+// as long as o.
+func Axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	for j := range o {
+		o[j] = o[j] + float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
+	}
+}
+
+// Axpy is the one-term form, o[j] = o[j] + a·b[j], for the up to three terms
+// a sum leaves over after its groups of four.
+func Axpy(o []float32, a float32, b []float32) {
+	b = b[:len(o)]
+	for j := range o {
+		o[j] += float32(a * b[j])
+	}
+}
+
+// terms collects the terms a·b[k] of one output row in the order they must be
+// added, so that they can be applied four at a time. k is the row of the
+// right operand the term reads.
+type terms struct {
+	a [4]float32
+	k [4]int32
+	n int
+}
+
+// add appends a·b[k] unless a is zero (either sign) and reports whether four
+// terms are pending, which the caller must then apply. It does not branch on
+// a: at the densities of ÂX and of ReLU outputs that branch is a coin toss
+// the predictor loses.
+func (t *terms) add(a float32, k int) bool {
+	t.a[t.n&3], t.k[t.n&3] = a, int32(k)
+	bits := math.Float32bits(a) << 1 // drops the sign: zero iff a == 0
+	t.n += int((bits | -bits) >> 31)
+	return t.n == 4
+}
+
+// apply adds the four pending terms to o; b is the right operand's data, N
+// its row length.
+func (t *terms) apply(o, b []float32, N int) {
+	k0, k1, k2, k3 := int(t.k[0])*N, int(t.k[1])*N, int(t.k[2])*N, int(t.k[3])*N
+	Axpy4(o, t.a[0], t.a[1], t.a[2], t.a[3], b[k0:k0+N], b[k1:k1+N], b[k2:k2+N], b[k3:k3+N])
+	t.n = 0
+}
+
+// flush adds the up to three terms still pending to o, in order; t is done
+// with afterwards.
+func (t *terms) flush(o, b []float32, N int) {
+	for i := 0; i < t.n; i++ {
+		k := int(t.k[i]) * N
+		Axpy(o, t.a[i], b[k:k+N])
+	}
+}
+
+// matmulRows is how many rows of the left operand one unit of MatMul's
+// parallel loop covers, and matmulL1 the bytes of the right operand those
+// rows go through before moving on to its next rows: a right operand larger
+// than that (256×64 floats is 64 KB) would otherwise stream from L2 once per
+// row of the left.
+const (
+	matmulRows = 16
+	matmulL1   = 24 * 1024
+)
+
+// MatMul returns m · n, parallelised over row bands when the product is
+// large enough. out[i][j] is the float32 sum, in ascending k, of the rounded
+// products m[i][k]·n[k][j] over the nonzero m[i][k].
 func (m *Matrix) MatMul(n *Matrix) *Matrix {
 	if m.Cols != n.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
 	}
 	out := New(m.Rows, n.Cols)
-	parallelRows(m.Rows, m.Rows*m.Cols*n.Cols, func(lo, hi int) {
-		matmulRange(out, m, n, lo, hi)
-	})
+	matmulInto(out, m, n, nil, m.Rows)
 	return out
 }
 
@@ -34,85 +104,127 @@ func (m *Matrix) MatMulRowsInto(n, out *Matrix, rows []int32) {
 	if m.Cols != n.Rows || out.Rows != m.Rows || out.Cols != n.Cols {
 		panic(fmt.Sprintf("tensor: MatMulRowsInto %dx%d · %dx%d into %dx%d", m.Rows, m.Cols, n.Rows, n.Cols, out.Rows, out.Cols))
 	}
-	parallelRows(len(rows), len(rows)*m.Cols*n.Cols, func(lo, hi int) {
-		for _, r := range rows[lo:hi] {
-			matmulRange(out, m, n, int(r), int(r)+1)
-		}
+	matmulInto(out, m, n, rows, len(rows))
+}
+
+// matmulInto runs matmulRange over count rows — all of m's, or those listed
+// — in parallel units of matmulRows.
+func matmulInto(out, m, n *Matrix, rows []int32, count int) {
+	units := (count + matmulRows - 1) / matmulRows
+	parallelRows(units, count*m.Cols*n.Cols, func(lo, hi int) {
+		matmulRange(out, m, n, rows, lo*matmulRows, min(hi*matmulRows, count))
 	})
 }
 
-// matmulRange computes rows [lo,hi) of out = m·n with an ikj loop order:
-// the inner loop streams through contiguous rows of n and out, which lets
-// the compiler keep everything in cache lines and vectorise.
-func matmulRange(out, m, n *Matrix, lo, hi int) {
+// matmulRange accumulates rows [lo,hi) of m·n into out, or rows rows[lo:hi]
+// when a row list is given. Each output row gets one pass per four nonzero
+// entries of m's row, a pass streaming the four rows of n they select; zero
+// entries (ÂX is a fifth nonzero, a ReLU output half) cost a few integer
+// operations. The inner index advances in blocks of n that fit L1, all rows
+// of the range going through a block before the next, which leaves every
+// output element its ascending order.
+func matmulRange(out, m, n *Matrix, rows []int32, lo, hi int) {
 	K, N := m.Cols, n.Cols
-	for i := lo; i < hi; i++ {
-		mrow := m.Data[i*K : (i+1)*K]
-		orow := out.Data[i*N : (i+1)*N]
-		for k, a := range mrow {
-			if a == 0 {
-				continue
+	kb := max(4, matmulL1/(4*max(N, 1)))
+	for k0 := 0; k0 < K; k0 += kb {
+		k1 := min(k0+kb, K)
+		for i := lo; i < hi; i++ {
+			r := i
+			if rows != nil {
+				r = int(rows[i])
 			}
-			nrow := n.Data[k*N : (k+1)*N]
-			for j, b := range nrow {
-				orow[j] += a * b
+			orow := out.Data[r*N : (r+1)*N]
+			var t terms
+			for k, a := range m.Data[r*K+k0 : r*K+k1] {
+				if t.add(a, k0+k) {
+					t.apply(orow, n.Data, N)
+				}
 			}
+			t.flush(orow, n.Data, N)
 		}
 	}
 }
 
-// MatMulT returns m · nᵀ without materialising the transpose.
+// MatMulT returns m · nᵀ: out[i][j] is the float32 sum, in ascending k, of
+// the rounded products m[i][k]·n[j][k], zero terms included. The right
+// operand here is a weight matrix — small — so it is transposed once and each
+// output row is then a sum over contiguous rows, four k per pass, rather
+// than one serial add chain per output element.
 func (m *Matrix) MatMulT(n *Matrix) *Matrix {
 	if m.Cols != n.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT inner dimension mismatch %dx%d · (%dx%d)ᵀ", m.Rows, m.Cols, n.Rows, n.Cols))
 	}
 	out := New(m.Rows, n.Rows)
-	work := func(lo, hi int) {
-		K := m.Cols
+	nt := n.T().Data
+	K, N := m.Cols, n.Rows
+	parallelRows(m.Rows, m.Rows*K*N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
+			orow := out.Data[i*N : (i+1)*N]
 			mrow := m.Data[i*K : (i+1)*K]
-			orow := out.Data[i*n.Rows : (i+1)*n.Rows]
-			for j := 0; j < n.Rows; j++ {
-				nrow := n.Data[j*K : (j+1)*K]
-				var acc float32
-				for k, a := range mrow {
-					acc += a * nrow[k]
-				}
-				orow[j] = acc
+			k := 0
+			for ; k+4 <= K; k += 4 {
+				Axpy4(orow, mrow[k], mrow[k+1], mrow[k+2], mrow[k+3],
+					nt[k*N:(k+1)*N], nt[(k+1)*N:(k+2)*N], nt[(k+2)*N:(k+3)*N], nt[(k+3)*N:(k+4)*N])
+			}
+			for ; k < K; k++ {
+				Axpy(orow, mrow[k], nt[k*N:(k+1)*N])
 			}
 		}
-	}
-	parallelRows(m.Rows, m.Rows*m.Cols*n.Rows, work)
+	})
 	return out
 }
 
+// tmatmulBand is how many columns of m one TMatMul band covers: one 64-byte
+// cache line of each of m's rows.
+const tmatmulBand = 16
+
 // TMatMul returns mᵀ · n without materialising the transpose. The result is
-// Cols(m) × Cols(n); used for weight gradients Y = Hᵀ(AG).
+// Cols(m) × Cols(n); used for weight gradients Y = Hᵀ(AG). out[c][j] is the
+// float32 sum, in ascending r, of the rounded products m[r][c]·n[r][j] over
+// the nonzero m[r][c].
+//
+// The product is parallelised over bands of output rows (columns of m); each
+// worker owns a disjoint band so no synchronisation is needed. A band sweeps
+// m and n top to bottom once, reading one cache line of each of m's rows, and
+// keeps per column the terms not yet applied, so that each output row is
+// passed over once per four nonzero entries of its column.
 func (m *Matrix) TMatMul(n *Matrix) *Matrix {
 	if m.Rows != n.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul inner dimension mismatch (%dx%d)ᵀ · %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
 	}
 	out := New(m.Cols, n.Cols)
-	// Parallelise over bands of output rows (columns of m). Each worker owns
-	// a disjoint band so no synchronisation is needed.
-	work := func(lo, hi int) {
-		N := n.Cols
-		for r := 0; r < m.Rows; r++ {
-			mrow := m.Data[r*m.Cols : (r+1)*m.Cols]
-			nrow := n.Data[r*N : (r+1)*N]
-			for c := lo; c < hi; c++ {
-				a := mrow[c]
-				if a == 0 {
-					continue
+	C, N := m.Cols, n.Cols
+	// Narrower bands only when m has too few columns to give every P one.
+	procs := runtime.GOMAXPROCS(0)
+	width := min(tmatmulBand, max(1, C/procs))
+	bands := (C + width - 1) / width
+	// A band runs the whole height of m, many times bandWork. On a single P it
+	// therefore yields inside the sweep, as often as parallelRows does between
+	// bands of other kernels.
+	yieldRows := 0
+	if procs == 1 {
+		yieldRows = max(1, bandWork/(width*max(N, 1)))
+	}
+	parallelRows(bands, m.Rows*C*N, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			c0 := b * width
+			c1 := min(c0+width, C)
+			var pending [tmatmulBand]terms
+			for r := 0; r < m.Rows; r++ {
+				for c, a := range m.Data[r*C+c0 : r*C+c1] {
+					if pending[c].add(a, r) {
+						pending[c].apply(out.Data[(c0+c)*N:(c0+c+1)*N], n.Data, N)
+					}
 				}
-				orow := out.Data[c*N : (c+1)*N]
-				for j, b := range nrow {
-					orow[j] += a * b
+				if yieldRows > 0 && r%yieldRows == yieldRows-1 {
+					runtime.Gosched()
 				}
 			}
+			for c := c0; c < c1; c++ {
+				pending[c-c0].flush(out.Data[c*N:(c+1)*N], n.Data, N)
+			}
 		}
-	}
-	parallelRows(m.Cols, m.Rows*m.Cols*n.Cols, work)
+	})
 	return out
 }
 

@@ -1,0 +1,277 @@
+package tensor
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// The three loops the dense products ran before the four-term row kernel,
+// kept verbatim except that each product is rounded by an explicit
+// conversion (which is what the unfused amd64 build always did). They are
+// the bitwise oracle: every output element of MatMul, MatMulRowsInto, TMatMul
+// and MatMulT must see exactly this float32 operation sequence.
+
+func refMatMul(m, n *Matrix) *Matrix {
+	out := New(m.Rows, n.Cols)
+	K, N := m.Cols, n.Cols
+	for i := 0; i < m.Rows; i++ {
+		mrow := m.Data[i*K : (i+1)*K]
+		orow := out.Data[i*N : (i+1)*N]
+		for k, a := range mrow {
+			if a == 0 {
+				continue
+			}
+			nrow := n.Data[k*N : (k+1)*N]
+			for j, b := range nrow {
+				orow[j] += float32(a * b)
+			}
+		}
+	}
+	return out
+}
+
+func refMatMulT(m, n *Matrix) *Matrix {
+	out := New(m.Rows, n.Rows)
+	K := m.Cols
+	for i := 0; i < m.Rows; i++ {
+		mrow := m.Data[i*K : (i+1)*K]
+		orow := out.Data[i*n.Rows : (i+1)*n.Rows]
+		for j := 0; j < n.Rows; j++ {
+			nrow := n.Data[j*K : (j+1)*K]
+			var acc float32
+			for k, a := range mrow {
+				acc += float32(a * nrow[k])
+			}
+			orow[j] = acc
+		}
+	}
+	return out
+}
+
+func refTMatMul(m, n *Matrix) *Matrix {
+	out := New(m.Cols, n.Cols)
+	N := n.Cols
+	for r := 0; r < m.Rows; r++ {
+		mrow := m.Data[r*m.Cols : (r+1)*m.Cols]
+		nrow := n.Data[r*N : (r+1)*N]
+		for c := 0; c < m.Cols; c++ {
+			a := mrow[c]
+			if a == 0 {
+				continue
+			}
+			orow := out.Data[c*N : (c+1)*N]
+			for j, b := range nrow {
+				orow[j] += float32(a * b)
+			}
+		}
+	}
+	return out
+}
+
+// operand fills a rows×cols matrix whose entries are nonzero with
+// probability density.
+func operand(rng *rand.Rand, rows, cols int, density float64) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		if rng.Float64() < density {
+			m.Data[i] = float32(rng.NormFloat64())
+		}
+	}
+	return m
+}
+
+// oddOperand is operand with a quarter of the zeros turned into -0 (which the
+// kernels must skip like +0) and a sixteenth of the nonzeros into denormals.
+// Timed code gets none of these: arithmetic on a denormal takes a microcode
+// assist of a hundred cycles and more.
+func oddOperand(rng *rand.Rand, rows, cols int, density float64) *Matrix {
+	m := operand(rng, rows, cols, density)
+	for i, v := range m.Data {
+		switch {
+		case v == 0 && rng.Intn(4) == 0:
+			m.Data[i] = float32(math.Copysign(0, -1))
+		case v != 0 && rng.Intn(16) == 0:
+			m.Data[i] = math.Float32frombits(1 + uint32(rng.Intn(1<<23-1)))
+		}
+	}
+	return m
+}
+
+func sameBits(t *testing.T, what string, got, want *Matrix) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range got.Data {
+		if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: element [%d][%d] = %v (%#08x), want %v (%#08x)", what, i/got.Cols, i%got.Cols,
+				v, math.Float32bits(v), want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+// TestProductsMatchReferenceBitwise sweeps the shapes at which the kernels
+// change path — inner sizes around the four-term group, output widths around
+// the unroll, band dimensions around TMatMul's 16-column band, row counts
+// below and above the parallel crossover — at every left-operand density
+// from empty to full; the rows above the crossover run inline, on two Ps and
+// on more Ps than some of these shapes have bands.
+func TestProductsMatchReferenceBitwise(t *testing.T) {
+	// 97 and 201 span two and three of MatMul's L1 blocks at width 64.
+	inners := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15, 17, 31, 33, 97, 201}
+	widths := []int{1, 7, 16, 47, 64}
+	densities := []float64{0, 0.05, 0.25, 0.5, 1}
+	rng := rand.New(rand.NewSource(15))
+	check := func(tag string, rows, k, width int, density float64) {
+		tag = fmt.Sprintf("%s rows=%d inner=%d width=%d density=%g", tag, rows, k, width, density)
+		m := oddOperand(rng, rows, k, density)
+		n := oddOperand(rng, k, width, 0.9)
+		want := refMatMul(m, n)
+		sameBits(t, "MatMul "+tag, m.MatMul(n), want)
+
+		var idx []int32
+		for i := 0; i < rows; i++ {
+			if i%3 != 1 {
+				idx = append(idx, int32(i))
+			} else {
+				copy(want.Row(i), make([]float32, width))
+			}
+		}
+		into := New(rows, width)
+		m.MatMulRowsInto(n, into, idx)
+		sameBits(t, "MatMulRowsInto "+tag, into, want)
+
+		nt := oddOperand(rng, width, k, 0.9)
+		sameBits(t, "MatMulT "+tag, m.MatMulT(nt), refMatMulT(m, nt))
+	}
+	// TMatMul's inner index is the row, its band dimension m's columns.
+	checkT := func(tag string, inner, cols, width int, density float64) {
+		tag = fmt.Sprintf("%s inner=%d m.Cols=%d width=%d density=%g", tag, inner, cols, width, density)
+		m := oddOperand(rng, inner, cols, density)
+		n := oddOperand(rng, inner, width, 0.9)
+		sameBits(t, "TMatMul "+tag, m.TMatMul(n), refTMatMul(m, n))
+	}
+	bandCols := []int{1, 15, 16, 17, 256}
+	for _, density := range densities {
+		for _, width := range widths {
+			for i, k := range inners {
+				for rows := 1; rows <= 5; rows++ {
+					check("inline", rows, k, width, density)
+				}
+				checkT("inline", k, bandCols[i%len(bandCols)], width, density)
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 5} {
+		runtime.GOMAXPROCS(procs)
+		tag := fmt.Sprintf("P=%d", procs)
+		for _, density := range densities {
+			for _, width := range widths {
+				for _, k := range []int{5, 16, 33, 201} {
+					check(tag, max(40, parallelThreshold/(k*width)+3), k, width, density)
+				}
+				for _, cols := range bandCols[1:] {
+					checkT(tag, parallelThreshold/(cols*width)+3, cols, width, density)
+				}
+			}
+		}
+	}
+}
+
+// goldenShapes are the layer shapes (owned rows, input width, output width)
+// of worker 0 in each benchmark workload.
+var goldenShapes = []struct {
+	workload string
+	layers   [][3]int
+	want     uint64
+}{
+	{"train-dense", [][3]int{{10832, 256, 64}, {10832, 64, 64}, {10832, 64, 7}}, 0x950dc1f5543ee0cc},
+	{"train-fold", [][3]int{{1800, 128, 16}, {1800, 16, 8}}, 0xd03a45700ce6fdb4},
+	{"train-wire", [][3]int{{4000, 100, 16}, {4000, 16, 16}}, 0x49b20492e5d83f2f},
+	{"serve-online", [][3]int{{4000, 100, 64}, {4000, 64, 16}}, 0x549559c0a957ca12},
+}
+
+// TestProductsGolden pins the bits of the three products at the workloads'
+// shapes to constants recorded with the one-term loops above in production
+// (commit b55702a), so that "bit-for-bit the parent" is checked here and
+// not only by the benchmark's trajectory checksum.
+func TestProductsGolden(t *testing.T) {
+	for _, g := range goldenShapes {
+		rng := rand.New(rand.NewSource(15))
+		h := fnv.New64a()
+		hash := func(m *Matrix) {
+			var b [4]byte
+			for _, v := range m.Data {
+				u := math.Float32bits(v)
+				b[0], b[1], b[2], b[3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
+				h.Write(b[:])
+			}
+		}
+		for l, s := range g.layers {
+			rows, in, width := s[0], s[1], s[2]
+			density := 0.5 // a ReLU output
+			if l == 0 {
+				density = 0.2 // ÂX
+			}
+			ah := operand(rng, rows, in, density)
+			w := operand(rng, in, width, 1)
+			grad := operand(rng, rows, width, 0.5)
+			hash(ah.MatMul(w))
+			hash(ah.TMatMul(grad))
+			hash(grad.MatMulT(w))
+		}
+		if got := h.Sum64(); got != g.want {
+			t.Errorf("%s: products hash %#016x, want %#016x", g.workload, got, g.want)
+		}
+	}
+}
+
+var benchSink *Matrix
+
+// BenchmarkProducts times the three products of one layer — AH·W, AHᵀ·G and
+// G·Wᵀ — at the workloads' tall-skinny shapes. The left operand AH has the
+// density named: ÂX on cora-shape is about a fifth nonzero, a ReLU output
+// about half, a high-degree aggregate full. GFLOP/s is nominal, 2·rows·in·width
+// per call at any density: a skipped zero term counts as done.
+func BenchmarkProducts(b *testing.B) {
+	shapes := []struct {
+		rows, in, width int
+		density         float64
+	}{
+		{10832, 256, 64, 0.2},
+		{10832, 256, 64, 1},
+		{10832, 64, 64, 0.5},
+		{10832, 64, 7, 0.5},
+		{4000, 100, 16, 1},
+		{1800, 128, 16, 1},
+	}
+	for _, s := range shapes {
+		rng := rand.New(rand.NewSource(1))
+		ah := operand(rng, s.rows, s.in, s.density)
+		w := operand(rng, s.in, s.width, 1)
+		g := operand(rng, s.rows, s.width, 1)
+		products := []struct {
+			name string
+			run  func() *Matrix
+		}{
+			{"MatMul", func() *Matrix { return ah.MatMul(w) }},
+			{"TMatMul", func() *Matrix { return ah.TMatMul(g) }},
+			{"MatMulT", func() *Matrix { return g.MatMulT(w) }},
+		}
+		for _, p := range products {
+			name := fmt.Sprintf("%s/%dx%dx%d/density=%g", p.name, s.rows, s.in, s.width, s.density)
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSink = p.run()
+				}
+				flops := 2 * float64(s.rows) * float64(s.in) * float64(s.width)
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}

@@ -311,12 +311,13 @@ func (m *Matrix) MinMax() (lo, hi float32) {
 }
 
 // Equal reports whether m and n have the same shape and elements within tol.
+// A NaN on either side is unequal to everything, itself included.
 func (m *Matrix) Equal(n *Matrix, tol float64) bool {
 	if !m.SameShape(n) {
 		return false
 	}
 	for i, v := range m.Data {
-		if math.Abs(float64(v)-float64(n.Data[i])) > tol {
+		if diff := math.Abs(float64(v) - float64(n.Data[i])); !(diff <= tol) {
 			return false
 		}
 	}

@@ -125,6 +125,15 @@ func TestShapeMismatchPanics(t *testing.T) {
 	}
 }
 
+// TestEqualRejectsNaN: a NaN is within no tolerance of anything, so a kernel
+// that writes one cannot pass an Equal check.
+func TestEqualRejectsNaN(t *testing.T) {
+	nan := FromSlice(1, 1, []float32{float32(math.NaN())})
+	if nan.Equal(FromSlice(1, 1, []float32{1}), 1e9) || nan.Equal(nan, 1e9) {
+		t.Fatal("Equal accepted a NaN")
+	}
+}
+
 func TestTranspose(t *testing.T) {
 	m := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	want := FromSlice(3, 2, []float32{1, 4, 2, 5, 3, 6})
