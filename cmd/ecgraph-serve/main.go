@@ -25,6 +25,7 @@ import (
 	"ecgraph/internal/obs"
 	"ecgraph/internal/partition"
 	"ecgraph/internal/serve"
+	"ecgraph/internal/tensor"
 )
 
 func main() {
@@ -110,8 +111,8 @@ func main() {
 		fail(err)
 	}
 
-	fmt.Printf("serving %s: %d vertices over %d shards (%s partition)\n",
-		d.Name, d.Graph.N, *shards, p.Name())
+	fmt.Printf("serving %s: %d vertices over %d shards (%s partition), %s kernel\n",
+		d.Name, d.Graph.N, *shards, p.Name(), tensor.Kernel())
 	if err := s.SwapModel(model); err != nil {
 		fail(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"ecgraph/internal/metrics"
 	"ecgraph/internal/nn"
 	"ecgraph/internal/supervise"
+	"ecgraph/internal/tensor"
 	"ecgraph/internal/transport"
 	"ecgraph/internal/worker"
 )
@@ -185,7 +186,7 @@ func main() {
 			*chaosDrop, *chaosErr, *chaosSpike, *chaosLat, *chaosCorrupt, *chaosSeed, *chaosCrash)
 	}
 	stack := transport.NewStack(tcp, opts...)
-	fmt.Printf("transport: %s\n", stack)
+	fmt.Printf("transport: %s; %s kernel\n", stack, tensor.Kernel())
 
 	// Parse -kill-ps into an epoch hook that departs the doomed primary at
 	// the top of its epoch. The hook fires on replays too, so it latches.

@@ -21,6 +21,7 @@ import (
 	"ecgraph/internal/obs"
 	"ecgraph/internal/partition"
 	"ecgraph/internal/profile"
+	"ecgraph/internal/tensor"
 	"ecgraph/internal/trace"
 	"ecgraph/internal/transport"
 	"ecgraph/internal/worker"
@@ -305,8 +306,8 @@ func main() {
 		PSFailover:      common.PSFailover,
 		Supervise:       common.SuperviseOptions(),
 	}
-	fmt.Printf("training %s on %s: %d layers, %d workers, fp=%s(%d bits) bp=%s(%d bits)\n",
-		*model, d.Name, *layers, common.Workers, *fp, *fpBits, *bp, *bpBits)
+	fmt.Printf("training %s on %s: %d layers, %d workers, fp=%s(%d bits) bp=%s(%d bits), %s kernel\n",
+		*model, d.Name, *layers, common.Workers, *fp, *fpBits, *bp, *bpBits, tensor.Kernel())
 	if *resume != "" {
 		fmt.Printf("resuming from %s\n", *resume)
 	}

@@ -19,6 +19,7 @@ import (
 	"ecgraph/internal/datasets"
 	"ecgraph/internal/obs"
 	"ecgraph/internal/supervise"
+	"ecgraph/internal/tensor"
 )
 
 // Groups selects which shared flag groups Register installs.
@@ -223,6 +224,7 @@ func (c *Common) StartTelemetryWith(reg *obs.Registry, mount func(*http.ServeMux
 		if t.Registry == nil {
 			t.Registry = obs.NewRegistry()
 		}
+		t.Registry.BuildInfo(tensor.Kernel())
 		srv, err := obs.ServeWith(c.MetricsAddr, t.Registry, mount)
 		if err != nil {
 			return nil, err

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -218,6 +219,17 @@ type scrapeHook struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byKey: map[string]*family{}}
+}
+
+// BuildInfo exports ecgraph_build_info, a constant 1 whose labels say what
+// this binary computes with: its GOARCH and the loop under the dense
+// products (tensor.Kernel(): "avx2" or "go"; passed in, as this package
+// imports nothing of the repo), so that a slow epoch on a host without the
+// vector kernel explains itself from a scrape.
+func (r *Registry) BuildInfo(kernel string) {
+	r.GaugeVec("ecgraph_build_info",
+		"Constant 1; the labels name the architecture and the arithmetic loop under the dense products.",
+		"goarch", "kernel").With(runtime.GOARCH, kernel).Set(1)
 }
 
 func (r *Registry) family(name, help string, kind metricKind, labels []string, buckets []float64) *family {

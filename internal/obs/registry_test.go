@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -99,6 +100,20 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 	r.Gauge("same_total", "help")
 }
 
+func TestBuildInfo(t *testing.T) {
+	r := NewRegistry()
+	r.BuildInfo("avx2")
+	r.BuildInfo("avx2") // idempotent, like every registration
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`ecgraph_build_info{goarch=%q,kernel="avx2"} 1`, runtime.GOARCH)
+	if strings.Count(b.String(), want) != 1 {
+		t.Fatalf("exposition lacks exactly one %s:\n%s", want, b.String())
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x", "")
@@ -111,6 +126,7 @@ func TestNilSafety(t *testing.T) {
 	r.HistogramVec("u", "", []float64{1}, "l").With("a").Observe(1)
 	r.OnScrape(func() {})
 	r.OnScrapeNamed("n", func() {})
+	r.BuildInfo("go")
 	if err := r.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,49 @@
+package tensor
+
+// haveAVX2 says whether Axpy4 and Axpy run the 8-lane bodies of
+// axpy_amd64.s; set once at start-up (tests flip it to run both loops).
+var haveAVX2 = detectAVX2()
+
+// detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers across context switches (CPUID.1:ECX OSXSAVE and AVX, XCR0 bits
+// 1 and 2, CPUID.7.0:EBX AVX2).
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&6 != 6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax, edx uint32)
+
+//go:noescape
+func axpy4AVX2(o, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
+
+//go:noescape
+func axpyAVX2(o, b *float32, n int, a float32)
+
+// axpy4Lanes runs Axpy4 over the leading multiple of eight elements of o in
+// the vector body and returns how many that was: o has at least eight and
+// the b rows are as long.
+func axpy4Lanes(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) int {
+	n := len(o) &^ 7
+	axpy4AVX2(&o[0], &b0[0], &b1[0], &b2[0], &b3[0], n, a0, a1, a2, a3)
+	return n
+}
+
+// axpyLanes is axpy4Lanes for Axpy.
+func axpyLanes(o []float32, a float32, b []float32) int {
+	n := len(o) &^ 7
+	axpyAVX2(&o[0], &b[0], n, a)
+	return n
+}

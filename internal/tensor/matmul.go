@@ -13,14 +13,26 @@ import (
 // products costs more than it saves.
 const parallelThreshold = 32 * 1024
 
-// Axpy4 is the one arithmetic loop under the dense products (and the owned
-// SpMM): o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], the four
-// terms added left to right. Every product is rounded to float32 by an
-// explicit conversion before its add, so no compiler may fuse the pair on any
-// GOARCH: o ends with exactly the bits of four Axpy passes in the same order,
-// for a quarter of their loads and stores of o. The b rows must be at least
-// as long as o.
+// Axpy4 is the one arithmetic loop under the dense and sparse products (and
+// the owned SpMM): o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j],
+// the four terms added left to right, every product rounded to float32 before
+// its add: o ends with exactly the bits of four Axpy passes in the same
+// order, for a quarter of their loads and stores of o. The b rows must be at
+// least as long as o.
+//
+// On amd64 with AVX2 the leading multiple of eight elements runs eight lanes
+// at a time (axpy_amd64.s), each lane the same multiply-round-add-round
+// sequence. The loop below is the rest: the tail, everything on other CPUs,
+// and — with haveAVX2 off — the reference the vector body is tested against.
+// Its explicit conversions round each product before the add, so no compiler
+// may fuse the pair on any GOARCH.
 func Axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	if haveAVX2 && len(o) >= 8 {
+		n := axpy4Lanes(o, a0, a1, a2, a3, b0, b1, b2, b3)
+		o, b0, b1, b2, b3 = o[n:], b0[n:], b1[n:], b2[n:], b3[n:]
+	}
+	// Again, after the branch: it is what keeps bounds checks out of the loop.
 	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
 	for j := range o {
 		o[j] = o[j] + float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
@@ -31,9 +43,22 @@ func Axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 // a sum leaves over after its groups of four.
 func Axpy(o []float32, a float32, b []float32) {
 	b = b[:len(o)]
+	if haveAVX2 && len(o) >= 8 {
+		n := axpyLanes(o, a, b)
+		o, b = o[n:], b[n:]
+	}
+	b = b[:len(o)]
 	for j := range o {
 		o[j] += float32(a * b[j])
 	}
+}
+
+// Kernel names the loop Axpy4 and Axpy run on this machine: "avx2" or "go".
+func Kernel() string {
+	if haveAVX2 {
+		return "avx2"
+	}
+	return "go"
 }
 
 // terms collects the terms a·b[k] of one output row in the order they must be

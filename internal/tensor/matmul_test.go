@@ -121,6 +121,10 @@ func sameBits(t *testing.T, what string, got, want *Matrix) {
 // from empty to full; the rows above the crossover run inline, on two Ps and
 // on more Ps than some of these shapes have bands.
 func TestProductsMatchReferenceBitwise(t *testing.T) {
+	eachKernel(t, testProductsMatchReferenceBitwise)
+}
+
+func testProductsMatchReferenceBitwise(t *testing.T) {
 	// 97 and 201 span two and three of MatMul's L1 blocks at width 64.
 	inners := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15, 17, 31, 33, 97, 201}
 	widths := []int{1, 7, 16, 47, 64}
@@ -201,6 +205,10 @@ var goldenShapes = []struct {
 // (commit b55702a), so that "bit-for-bit the parent" is checked here and
 // not only by the benchmark's trajectory checksum.
 func TestProductsGolden(t *testing.T) {
+	eachKernel(t, testProductsGolden)
+}
+
+func testProductsGolden(t *testing.T) {
 	for _, g := range goldenShapes {
 		rng := rand.New(rand.NewSource(15))
 		h := fnv.New64a()
@@ -233,35 +241,54 @@ func TestProductsGolden(t *testing.T) {
 
 var benchSink *Matrix
 
-// BenchmarkProducts times the three products of one layer — AH·W, AHᵀ·G and
-// G·Wᵀ — at the workloads' tall-skinny shapes. The left operand AH has the
-// density named: ÂX on cora-shape is about a fifth nonzero, a ReLU output
-// about half, a high-degree aggregate full. GFLOP/s is nominal, 2·rows·in·width
-// per call at any density: a skipped zero term counts as done.
+// BenchmarkProducts times the products a layer runs — AH·W, AHᵀ·G and G·Wᵀ
+// — at the workloads' tall-skinny shapes. The left operand AH has the
+// density named: ÂX on cora-shape is about a sixth nonzero, a ReLU output
+// about half, a high-degree aggregate full. At layer 1's shape, where the
+// left operand is epoch-invariant, its retained forms run too (CSR for AH·W,
+// the CSR of the transpose for AHᵀ·G) and G·Wᵀ does not: layer 1 propagates
+// no gradient, so no workload runs it there. GFLOP/s is nominal,
+// 2·rows·in·width per call at any density; nzGFLOP/s counts only the
+// multiply-adds of nonzero left entries, so a skipped zero is not work done.
 func BenchmarkProducts(b *testing.B) {
 	shapes := []struct {
 		rows, in, width int
 		density         float64
+		layer1          bool
 	}{
-		{10832, 256, 64, 0.2},
-		{10832, 256, 64, 1},
-		{10832, 64, 64, 0.5},
-		{10832, 64, 7, 0.5},
-		{4000, 100, 16, 1},
-		{1800, 128, 16, 1},
+		{10832, 256, 64, 0.16, true},
+		{10832, 256, 64, 0.5, true},
+		{10832, 256, 64, 1, true},
+		{10832, 64, 64, 0.5, false},
+		{10832, 64, 7, 0.5, false},
+		{4000, 100, 16, 1, false},
+		{1800, 128, 16, 1, false},
 	}
 	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(1))
 		ah := operand(rng, s.rows, s.in, s.density)
 		w := operand(rng, s.in, s.width, 1)
 		g := operand(rng, s.rows, s.width, 1)
-		products := []struct {
+		type product struct {
 			name string
+			nz   float64 // floating-point operations on nonzero left entries
 			run  func() *Matrix
-		}{
-			{"MatMul", func() *Matrix { return ah.MatMul(w) }},
-			{"TMatMul", func() *Matrix { return ah.TMatMul(g) }},
-			{"MatMulT", func() *Matrix { return g.MatMulT(w) }},
+		}
+		nominal := 2 * float64(s.rows) * float64(s.in) * float64(s.width)
+		nz := 2 * float64(ah.Nonzeros()) * float64(s.width)
+		products := []product{
+			{"MatMul", nz, func() *Matrix { return ah.MatMul(w) }},
+			{"TMatMul", nz, func() *Matrix { return ah.TMatMul(g) }},
+		}
+		if s.layer1 {
+			if s.density < 1 {
+				csr, csrT := NewSparse(ah), NewSparseT(ah)
+				products = append(products,
+					product{"CSR", nz, func() *Matrix { return csr.MatMul(w) }},
+					product{"CSRT", nz, func() *Matrix { return csrT.MatMul(g) }})
+			}
+		} else {
+			products = append(products, product{"MatMulT", nominal, func() *Matrix { return g.MatMulT(w) }})
 		}
 		for _, p := range products {
 			name := fmt.Sprintf("%s/%dx%dx%d/density=%g", p.name, s.rows, s.in, s.width, s.density)
@@ -269,8 +296,9 @@ func BenchmarkProducts(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					benchSink = p.run()
 				}
-				flops := 2 * float64(s.rows) * float64(s.in) * float64(s.width)
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				perSec := float64(b.N) / b.Elapsed().Seconds() / 1e9
+				b.ReportMetric(nominal*perSec, "GFLOP/s")
+				b.ReportMetric(p.nz*perSec, "nzGFLOP/s")
 			})
 		}
 	}

@@ -3,7 +3,6 @@ package worker
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +15,6 @@ import (
 	"ecgraph/internal/nn"
 	"ecgraph/internal/obs"
 	"ecgraph/internal/ps"
-	"ecgraph/internal/tensor"
 	"ecgraph/internal/transport"
 )
 
@@ -63,7 +61,6 @@ type benchModel struct {
 	kind    nn.Kind
 	hidden  []int // hidden-layer widths; input/output dims come from the dataset
 	opts    Options
-	assign  []int // vertex → worker; nil means round-robin v % nWorkers
 	metrics *obs.Registry
 	tracer  *obs.Tracer
 }
@@ -83,12 +80,9 @@ var defaultBenchModel = benchModel{
 func benchCluster(tb testing.TB, d *datasets.Dataset, net transport.Network, nWorkers, epochs int, m benchModel) time.Duration {
 	tb.Helper()
 	adj := graph.Normalize(d.Graph)
-	assign := m.assign
-	if assign == nil {
-		assign = make([]int, d.Graph.N)
-		for v := range assign {
-			assign[v] = v % nWorkers
-		}
+	assign := make([]int, d.Graph.N)
+	for v := range assign {
+		assign[v] = v % nWorkers
 	}
 	topo := BuildTopology(d.Graph, assign, nWorkers)
 
@@ -222,186 +216,6 @@ func TestExchangeConcurrencySpeedup(t *testing.T) {
 	}
 }
 
-// hubSpokeDataset builds the overlap benchmark's skewed graph: n0 "hub"
-// vertices on a dense ring (each aggregating from its ringDeg nearest
-// neighbours) plus nLight groups of perLight "spoke" vertices that only feed
-// the hubs. The returned assignment puts every hub on worker 0 and each
-// spoke group on one light worker, so worker 0 carries all the compute AND
-// all the ghost fetches while the light workers are pure producers — they
-// publish their handful of rows and answer fetches from already-published
-// stores, never blocking on the wire themselves.
-func hubSpokeDataset(n0, ringDeg, perLight, nLight, feat, classes int) (*datasets.Dataset, []int) {
-	n := n0 + perLight*nLight
-	edges := make([][2]int32, 0, n0*ringDeg+perLight*nLight*3)
-	for i := 0; i < n0; i++ {
-		for off := 1; off <= ringDeg/2; off++ {
-			j := (i + off) % n0
-			edges = append(edges, [2]int32{int32(i), int32(j)})
-			edges = append(edges, [2]int32{int32(j), int32(i)})
-		}
-	}
-	for j := 0; j < perLight*nLight; j++ {
-		v := int32(n0 + j)
-		for k := 0; k < 3; k++ {
-			edges = append(edges, [2]int32{int32((j*37 + k*131) % n0), v})
-		}
-	}
-	g := graph.FromDirectedEdges(n, edges)
-	rng := rand.New(rand.NewSource(9))
-	feats := tensor.New(n, feat)
-	for i := range feats.Data {
-		feats.Data[i] = rng.Float32()*2 - 1
-	}
-	labels := make([]int, n)
-	train := make([]bool, n)
-	for i := range labels {
-		labels[i] = rng.Intn(classes)
-		train[i] = true
-	}
-	d := &datasets.Dataset{
-		Name: "overlap-bench", Graph: g, Features: feats,
-		Labels: labels, NumClasses: classes,
-		TrainMask: train, ValMask: make([]bool, n), TestMask: make([]bool, n),
-	}
-	assign := make([]int, n)
-	for v := n0; v < n; v++ {
-		assign[v] = 1 + (v-n0)%nLight
-	}
-	return d, assign
-}
-
-// calibrateHubSize picks the hub count so each fetch window (one layer's
-// owned SpMM plus its two dim×dim matmuls) costs ~1.5× the injected RTT of
-// wall-clock compute on this machine. The benchmark measures latency hiding,
-// so the compute window must actually cover the round trip: on a faster CPU
-// a fixed-size graph yields sub-RTT windows and the join blocks on the wire
-// in both arms, reporting a pipeline failure that is really a scenario
-// failure. One timed matmul anchors the machine's MAC rate; per hub vertex a
-// window costs ringDeg·dim (SpMM) + 2·dim² (matmuls) multiply-adds.
-func calibrateHubSize(ringDeg, dim int, rtt time.Duration) int {
-	h := tensor.New(1000, dim)
-	w := tensor.New(dim, dim)
-	for i := range h.Data {
-		h.Data[i] = float32(i%7) * 0.25
-	}
-	for i := range w.Data {
-		w.Data[i] = float32(i%5) * 0.125
-	}
-	// Min over many reps: on a noisy shared-CPU box individual reps vary by
-	// 40%+ from steal and frequency scaling, but the minimum converges to
-	// the machine's true peak quickly.
-	best := time.Duration(1 << 62)
-	for rep := 0; rep < 15; rep++ {
-		start := time.Now()
-		_ = h.MatMul(w)
-		if dt := time.Since(start); dt < best {
-			best = dt
-		}
-	}
-	rate := float64(1000*dim*dim) / float64(best.Nanoseconds()) // MACs per ns
-	// The timed matmul runs hot in cache while the real windows stream fresh
-	// activations, so the measured rate overshoots the in-loop one by ~1.4×;
-	// a 1.1×RTT nominal target yields ~1.5×RTT of actual window.
-	target := 1.1 * float64(rtt.Nanoseconds())
-	perVertex := float64(ringDeg*dim + 2*dim*dim)
-	n0 := int(target * rate / perVertex)
-	if n0 < 700 {
-		n0 = 700
-	} else if n0 > 4000 {
-		n0 = 4000
-	}
-	return n0
-}
-
-// TestOverlapSpeedup is the overlap pipeline's acceptance benchmark: 8
-// in-proc workers with 2ms injected per-call latency (the BENCH_exchange
-// harness), both arms on the concurrent transport stack, sequential epoch
-// path vs the overlap pipeline that issues each layer's ghost fetch before
-// the ghost-independent compute. Overlap must cut epoch time by at least
-// 1.4x; the measured numbers land in BENCH_overlap.json at the repo root.
-//
-// The partition is deliberately skewed: one hot worker owns the hub ring
-// (so it has more than an RTT of real matmul/SpMM work per layer) and seven
-// light peers answer its fetches from already-published data. On a
-// shared-CPU box a balanced partition serialises all eight workers' compute,
-// and that serialisation itself hides the injected latency in *both* arms —
-// worker k's sleep overlaps worker k+1's compute — capping any measurable
-// gain near 1x regardless of the pipeline. The skewed partition recreates
-// the deployment-shaped regime the pipeline targets: the critical-path
-// worker has local compute to hide its own round-trips behind, and in the
-// sequential arm those round-trips are pure dead time. An 8-layer SAGE net
-// gives the pipeline fourteen fetch windows per epoch; the dense ring keeps
-// the backward window (two weight-gradient and two input-gradient matmuls
-// around the SpMM) within ~1.5× of the forward one, so both stay just above
-// the RTT instead of the backward window hoarding all the slack.
-func TestOverlapSpeedup(t *testing.T) {
-	skipUnlessBench(t)
-	if raceEnabled {
-		t.Skip("timing benchmark skipped under -race: instrumented compute swamps the injected latency")
-	}
-	const (
-		nWorkers = 8
-		epochs   = 6
-		ringDeg  = 48
-		dim      = 32
-	)
-	n0 := calibrateHubSize(ringDeg, dim, benchLatency)
-	t.Logf("calibrated hub size: %d vertices", n0)
-	d, assign := hubSpokeDataset(n0, ringDeg, 8, nWorkers-1, dim, 8)
-	model := benchModel{
-		kind:   nn.KindSAGE,
-		hidden: []int{dim, dim, dim, dim, dim, dim, dim},
-		opts:   Options{},
-		assign: assign,
-	}
-
-	run := func(overlap bool) time.Duration {
-		net := transport.NewStack(
-			&delayNet{Network: transport.NewInProc(nWorkers + 1), d: benchLatency},
-			transport.WithConcurrency(nWorkers),
-		)
-		m := model
-		m.opts.Overlap = overlap
-		return benchCluster(t, d, net, nWorkers, epochs, m)
-	}
-	// Interleave the arms and keep each arm's minimum: both paths are
-	// deterministic, so spread across reps is scheduler/VM noise, which only
-	// ever adds time — and interleaving stops a noisy stretch of the host
-	// from landing entirely on one arm. If the minimum is still below the
-	// floor after four rounds, keep sampling up to ten: more rounds only
-	// sharpen the minimum, so a transient noise burst cannot fail the gate
-	// but a genuine pipeline regression still does.
-	seqTime := time.Duration(1 << 62)
-	ovlTime := time.Duration(1 << 62)
-	rounds := 0
-	for ; rounds < 10; rounds++ {
-		if rounds >= 4 && float64(seqTime) >= 1.4*float64(ovlTime) {
-			break
-		}
-		if dt := run(false); dt < seqTime {
-			seqTime = dt
-		}
-		if dt := run(true); dt < ovlTime {
-			ovlTime = dt
-		}
-	}
-
-	speedup := writeBenchJSON(t, "BENCH_overlap.json", "overlap-pipeline",
-		nWorkers, epochs, seqTime, ovlTime, 1.4, map[string]any{
-			"hub_vertices": n0,
-			"ring_degree":  ringDeg,
-			"hidden_dim":   dim,
-			"layers":       8,
-			"rounds":       rounds,
-		})
-	t.Logf("sequential %v, overlap %v, speedup %.2fx", seqTime, ovlTime, speedup)
-
-	if speedup < 1.4 {
-		t.Fatalf("overlap speedup %.2fx below the 1.4x floor (sequential %v, overlap %v)",
-			speedup, seqTime, ovlTime)
-	}
-}
-
 // countingSink is a trace sink that only counts, so the overhead test pays
 // the instrumentation cost without buffering thousands of span structs.
 type countingSink struct{ spans atomic.Int64 }
@@ -417,10 +231,9 @@ func (s *countingSink) AddInstant(name, category string, pid, tid int, tsSec flo
 // TestTelemetryOverhead is the observability layer's acceptance benchmark:
 // the fully instrumented path (metrics registry + transport metering + live
 // span tracer) must cost under 2% of epoch time against the bare path on
-// the same cluster. Both arms run interleaved and keep their minimum, the
-// same noise discipline as TestOverlapSpeedup: instrumentation only ever
-// adds time, so the minima converge to the true costs while a noisy stretch
-// of the host cannot land on one arm alone.
+// the same cluster. Both arms run interleaved and keep their minimum: noise
+// only ever adds time, so the minima converge to the true costs while a
+// noisy stretch of the host cannot land on one arm alone.
 func TestTelemetryOverhead(t *testing.T) {
 	skipUnlessBench(t)
 	if raceEnabled {
@@ -449,8 +262,8 @@ func TestTelemetryOverhead(t *testing.T) {
 	instr.metrics = reg
 	instr.tracer = obs.NewTracer(sink)
 
-	// Interleaved minima, same discipline as TestOverlapSpeedup: noise only
-	// ever adds time, so each arm's minimum converges to its true cost. If
+	// Interleaved minima: noise only ever adds time, so each arm's minimum
+	// converges to its true cost. If
 	// the ratio still exceeds the budget after four rounds keep sampling —
 	// more rounds only sharpen the minima, so a noisy stretch of the host
 	// cannot fail the gate but a genuine instrumentation regression does.

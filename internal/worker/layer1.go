@@ -17,16 +17,83 @@ import (
 // row-independent, so their rows of z come straight from ah.
 type layer1Agg struct {
 	// ah is ÂX over the owned rows, owned part plus scattered ghost part:
-	// the weight gradient's left operand (w.ah[1]) and, on interior rows,
-	// the whole of layer 1's aggregation.
-	ah *tensor.Matrix
+	// on interior rows the whole of layer 1's aggregation, and the left
+	// operand of the weight gradient ∇W¹ = ÂXᵀ·g — which is why its sparse
+	// form is two CSRs, its own and its transpose's.
+	ah operand
 	// boundary lists the rows that received a ghost contribution (the
 	// adjacency's BoundaryRows(); nil when there were no ghost features to
 	// fold — a single worker, an uncut partition), interior the rest.
 	boundary, interior []int32
 	// ownedB and ghostB are the owned-column and ghost-column parts of ah's
 	// boundary rows, row k ↔ boundary[k].
-	ownedB, ghostB *tensor.Matrix
+	ownedB, ghostB operand
+}
+
+// operand is one of the aggregate's three left operands. None changes
+// between epochs, so each is held in whichever form takes fewer bytes: the
+// dense matrix, whose products scan it for its nonzeros every epoch, or the
+// CSR that lists them (bit-identical products, tensor.Sparse). Either dense
+// is set or sparse is, never both; sparseT, the CSR of the transpose, goes
+// with sparse on the operand whose transposed product is taken too. The
+// rule is bytes, not speed: the CSR products win at any density, but above
+// the break-even they would buy that with resident memory (DESIGN.md §10).
+type operand struct {
+	dense           *tensor.Matrix
+	sparse, sparseT *tensor.Sparse
+}
+
+// retain puts m in its smaller form. withT asks for the CSR of mᵀ beside
+// m's own, and counts both against m's dense size: under a quarter nonzero
+// the pair is smaller, under a half the single CSR is.
+func retain(m *tensor.Matrix, withT bool) operand {
+	nnz := m.Nonzeros()
+	bytes := tensor.SparseBytes(m.Rows, nnz)
+	if withT {
+		bytes += tensor.SparseBytes(m.Cols, nnz)
+	}
+	if bytes > 4*len(m.Data) {
+		return operand{dense: m}
+	}
+	o := operand{sparse: tensor.NewSparse(m)}
+	if withT {
+		o.sparseT = tensor.NewSparseT(m)
+	}
+	return o
+}
+
+func (o operand) matMul(W *tensor.Matrix) *tensor.Matrix {
+	if o.sparse != nil {
+		return o.sparse.MatMul(W)
+	}
+	return o.dense.MatMul(W)
+}
+
+func (o operand) matMulRowsInto(W, out *tensor.Matrix, rows []int32) {
+	if o.sparse != nil {
+		o.sparse.MatMulRowsInto(W, out, rows)
+	} else {
+		o.dense.MatMulRowsInto(W, out, rows)
+	}
+}
+
+// tMatMul is oᵀ·g, for an operand retained withT.
+func (o operand) tMatMul(g *tensor.Matrix) *tensor.Matrix {
+	if o.sparseT != nil {
+		return o.sparseT.MatMul(g)
+	}
+	return o.dense.TMatMul(g)
+}
+
+// sparseOperands counts the operands held as CSR, 0 to 3.
+func (a *layer1Agg) sparseOperands() int {
+	n := 0
+	for _, o := range []operand{a.ah, a.ownedB, a.ghostB} {
+		if o.sparse != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // buildLayer1 runs layer 1's aggregation at full feature width — the
@@ -35,16 +102,19 @@ type layer1Agg struct {
 // first-hop feature cache is replaced by its consumer's output. The fold
 // reads ghostX as a plain dense matrix through the oracle kernel (bit-equal
 // to the packed kernel over a dense operand, and heap-allocated, so nothing
-// retained here lives in the layer arena).
+// retained here lives in the layer arena). Each operand is then retained in
+// its smaller form and the dense matrix it was counted from dropped.
 func (w *Worker) buildLayer1() *layer1Agg {
-	agg := &layer1Agg{ah: tensor.New(len(w.owned), w.x.Cols)}
-	w.adj.SpMMOwnedInto(w.x, agg.ah)
+	agg := &layer1Agg{}
+	ah := tensor.New(len(w.owned), w.x.Cols)
+	w.adj.SpMMOwnedInto(w.x, ah)
 	if ghostB := w.adj.SpMMGhostCompact(w.ghostX); ghostB != nil {
 		agg.boundary = w.adj.BoundaryRows()
-		agg.ownedB = agg.ah.GatherRows(int32sToInts(agg.boundary))
-		agg.ghostB = ghostB
-		agg.ah.AddRowsAt(agg.boundary, ghostB)
+		agg.ownedB = retain(ah.GatherRows(int32sToInts(agg.boundary)), false)
+		ah.AddRowsAt(agg.boundary, ghostB)
+		agg.ghostB = retain(ghostB, false)
 	}
+	agg.ah = retain(ah, true)
 	agg.interior = make([]int32, 0, len(w.owned)-len(agg.boundary))
 	for i, k := 0, 0; i < len(w.owned); i++ {
 		if k < len(agg.boundary) && int(agg.boundary[k]) == i {
@@ -54,14 +124,15 @@ func (w *Worker) buildLayer1() *layer1Agg {
 		agg.interior = append(agg.interior, int32(i))
 	}
 	w.ghostX = nil
+	w.obs.layer1Sparse.Set(float64(agg.sparseOperands()))
 	return agg
 }
 
 // interiorTimes starts z¹ = ÂX·W: the interior rows, whose aggregation has
 // no ghost term. Boundary rows stay zero until foldBoundary.
 func (a *layer1Agg) interiorTimes(W *tensor.Matrix) *tensor.Matrix {
-	z := tensor.New(a.ah.Rows, W.Cols)
-	a.ah.MatMulRowsInto(W, z, a.interior)
+	z := tensor.New(len(a.interior)+len(a.boundary), W.Cols)
+	a.ah.matMulRowsInto(W, z, a.interior)
 	return z
 }
 
@@ -70,6 +141,6 @@ func (a *layer1Agg) interiorTimes(W *tensor.Matrix) *tensor.Matrix {
 // layer's owned product followed by its AddRowsAt ghost fold performs.
 func (a *layer1Agg) foldBoundary(z, W *tensor.Matrix) {
 	if len(a.boundary) > 0 {
-		z.SetRowsAt(a.boundary, a.ownedB.MatMul(W).AddInPlace(a.ghostB.MatMul(W)))
+		z.SetRowsAt(a.boundary, a.ownedB.matMul(W).AddInPlace(a.ghostB.matMul(W)))
 	}
 }

@@ -26,6 +26,7 @@ import (
 //	ecgraph_worker_comm_seconds_total{worker,kind="wire"|"blocked"}
 //	ecgraph_worker_overlap_utilization{worker}     (wire−blocked)/wire, last epoch
 //	ecgraph_worker_epochs_total{worker}
+//	ecgraph_layer1_sparse_operands{worker}         0–3 of ÂX's retained operands held as CSR
 type workerObs struct {
 	tracer *obs.Tracer
 	// fpSpans/bpSpans hold the per-layer span names, indexed by layer and
@@ -53,6 +54,8 @@ type workerObs struct {
 	commBlocked *obs.Counter
 	overlapUtil *obs.Gauge
 	epochs      *obs.Counter
+
+	layer1Sparse *obs.Gauge
 }
 
 // layerSpans are the names of one layer's compute spans in one pass.
@@ -107,6 +110,8 @@ func newWorkerObs(reg *obs.Registry, tracer *obs.Tracer, id, numLayers int) work
 			"Share of last epoch's ghost-exchange wire time hidden behind compute.", "worker").With(w),
 		epochs: reg.CounterVec("ecgraph_worker_epochs_total",
 			"Epochs this worker completed.", "worker").With(w),
+		layer1Sparse: reg.GaugeVec("ecgraph_layer1_sparse_operands",
+			"How many of layer 1's three epoch-invariant left operands (ÂX, its boundary rows' owned and ghost parts) are retained as CSR rather than dense; each is whichever takes fewer bytes.", "worker").With(w),
 	}
 	o.residual = make([]*obs.Gauge, numLayers+1)
 	for l := 2; l <= numLayers; l++ {

@@ -194,7 +194,7 @@ type Worker struct {
 	gStore *matStore // owned G rows per layer
 
 	// Per-epoch FP state kept for BP.
-	ah   []*tensor.Matrix // AH^{l-1} per layer l (aggregated pre-weight input)
+	ah   []*tensor.Matrix // AH^{l-1} per layer l ≥ 2 (aggregated pre-weight input; layer 1's is agg1)
 	z    []*tensor.Matrix // Z^l owned pre-activations
 	ownH []*tensor.Matrix // H^l owned rows, ownH[0] = x
 
@@ -777,12 +777,11 @@ func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, err
 	if tr != nil {
 		t0 = time.Now()
 	}
-	var ah, z *tensor.Matrix
+	var ah, z *tensor.Matrix // ah stays nil at layer 1: agg1 holds it
 	if l == 1 {
 		if w.agg1 == nil {
 			w.agg1 = w.buildLayer1()
 		}
-		ah = w.agg1.ah
 		z = w.agg1.interiorTimes(layer.W)
 	} else {
 		ah = tensor.New(len(w.owned), h.Cols)
@@ -895,7 +894,11 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 	if tr != nil {
 		t0 = time.Now()
 	}
-	grads.Layers[l-1].W = w.ah[l].TMatMul(g)
+	if l == 1 {
+		grads.Layers[0].W = w.agg1.ah.tMatMul(g)
+	} else {
+		grads.Layers[l-1].W = w.ah[l].TMatMul(g)
+	}
 	if layer.WSelf != nil {
 		grads.Layers[l-1].WSelf = w.ownH[l-1].TMatMul(g)
 	}
