@@ -15,8 +15,12 @@ import (
 // oscillates instead of vanishing — at 2 bits it can destroy convergence.
 // CompressZeroCentered therefore quantises onto 2^B−1 uniformly spaced
 // levels over the symmetric domain [−max|x|, +max|x|]; the level count is
-// odd, so exactly one level is 0 and zeros round-trip losslessly (the
-// standard QSGD-style gradient grid). Level ids still pack into B bits.
+// odd, so the middle level mid = 2^(B−1)−1 is 0 (the standard QSGD-style
+// gradient grid). Level ids still pack into B bits. Zeros round-trip
+// losslessly at every B ≥ 2 by construction: a zero element encodes to mid,
+// and level id decodes as (id − mid)·step, which is +0 at id = mid whatever
+// the scale — not as Lo + id·step, which rounds back to 0 only at B = 2.
+// B = 1 has no zero level at all (see below): a zero comes back as ±a.
 
 // CompressZeroCentered quantises m onto the zero-centred level grid. At
 // B = 1 the grid degenerates to sign quantisation {−a, +a}; there the scale
@@ -40,7 +44,7 @@ func CompressZeroCentered(m *tensor.Matrix, bits int) *Quantized {
 	}
 	recordCompress(q)
 	if n == 0 || mx == 0 {
-		// All zeros: every id is 0, which decodes to level −mx = 0.
+		// All zeros: every id is 0, which decodes to 0 (Hi ≤ Lo).
 		return q
 	}
 	levels := (1 << bits) - 1 // odd ⇒ the middle level is exactly 0
@@ -75,15 +79,17 @@ func CompressZeroCentered(m *tensor.Matrix, bits int) *Quantized {
 }
 
 // zeroCenteredValue returns the representative of level id for a
-// zero-centred Quantized.
+// zero-centred Quantized — the one decode site (BucketValue, and through it
+// DecompressInto's table and the Blocked LUTs). Levels count from the
+// middle so that level mid is exactly +0 at every width.
 func (q *Quantized) zeroCenteredValue(id int) float32 {
-	levels := (1 << q.Bits) - 1
-	if q.Bits == 1 {
-		levels = 2
-	}
 	if q.Hi <= q.Lo {
 		return 0
 	}
+	if q.Bits == 1 {
+		return q.Lo + float32(id)*(q.Hi-q.Lo) // {−a, +a}: no zero level
+	}
+	levels := (1 << q.Bits) - 1
 	step := (q.Hi - q.Lo) / float32(levels-1)
-	return q.Lo + float32(id)*step
+	return float32(id-levels/2) * step
 }

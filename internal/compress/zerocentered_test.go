@@ -127,3 +127,29 @@ func TestZeroCenteredHigherBitsLowerError(t *testing.T) {
 		prev = err
 	}
 }
+
+// TestZeroLevelExactEveryWidth: at every B ≥ 2 and any scale, a zero
+// element encodes to the middle level and decodes to +0 bit for bit — the
+// property the top-layer getG relies on to leave rows it does not ship with
+// zero residual (DESIGN.md §10). Decoding as Lo + id·step missed it for
+// ~10 % of scales at B = 4.
+func TestZeroLevelExactEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := tensor.New(1, 3)
+	for _, bits := range []int{2, 4, 8, 16} {
+		mid := (1<<bits - 1) / 2
+		for trial := 0; trial < 100000; trial++ {
+			mx := float32(math.Exp(rng.NormFloat64() * 4))
+			m.Data[0], m.Data[1], m.Data[2] = mx, 0, -mx*rng.Float32()
+			q := CompressZeroCentered(m, bits)
+			if id := q.BucketID(1); id != mid {
+				t.Fatalf("bits=%d scale %v: zero encoded to level %d, want %d", bits, mx, id, mid)
+			}
+			if v := q.BucketValue(mid); math.Float32bits(v) != 0 {
+				t.Fatalf("bits=%d scale %v: level %d decodes to %v (bits %#x), want +0",
+					bits, mx, mid, v, math.Float32bits(v))
+			}
+			q.Release()
+		}
+	}
+}

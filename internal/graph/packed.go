@@ -10,8 +10,11 @@ import (
 // GhostOperand is the ghost half of a layer's aggregation input in hybrid
 // form: each ghost row is either a float32 row (raw payloads, EC-selected
 // rows, degraded fallbacks) or a row of a packed compress.Blocked — the
-// wire format itself, never decoded. The packed SpMM kernels consume it
-// directly, dequantising on register through the block LUTs.
+// wire format itself, never decoded — or unset, which means a zero row (the
+// top-layer gradient rows nobody ships, DESIGN.md §10). The packed SpMM
+// kernels consume it directly, dequantising on register through the block
+// LUTs and skipping unset slots: every accumulator starts at +0 and is only
+// ever added to, so it is never −0, and acc + w·(+0) is the identity on it.
 //
 // Bitwise contract: a kernel walking a GhostOperand reads, per element,
 // exactly the float32 value a decode pass would have materialised (dense
@@ -26,7 +29,8 @@ type GhostOperand struct {
 	dense *tensor.Matrix
 
 	// Hybrid representation: rowF[r] is row r's float data, or nil when
-	// the row lives in rowB[r] at row rowIx[r] of the packed payload.
+	// the row lives in rowB[r] at row rowIx[r] of the packed payload; both
+	// nil is an unset slot.
 	rowF    [][]float32
 	rowB    []*compress.Blocked
 	rowIx   []int32
@@ -127,7 +131,9 @@ func (g *GhostOperand) accumRow(dst []float32, w float32, r int) {
 		}
 		return
 	}
-	g.rowB[r].AccumRow(dst, w, int(g.rowIx[r]))
+	if b := g.rowB[r]; b != nil {
+		b.AccumRow(dst, w, int(g.rowIx[r]))
+	}
 }
 
 // SpMMGhostPacked accumulates the ghost-column contributions into out like

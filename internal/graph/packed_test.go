@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,19 +11,29 @@ import (
 )
 
 // packedFixture builds a nGhost×cols ghost operand the way the exchange
-// layer does — a few per-peer payloads landing at their base offsets, some
+// layer does — a few per-peer payloads landing in their slot ranges, some
 // quantised (kept packed), some dense (installed by reference) — together
 // with the decode oracle: the float matrix the old path would have
 // materialised (Decompress output for packed peers, raw rows for dense
 // ones). denseFrac is the probability a peer's payload stays dense;
 // degenerate forces constant payloads so the lo==hi domain is covered.
+// unsetFrac is the probability a slot is one its peer's payload does not
+// cover (the top-layer getG list, DESIGN.md §10): payload row k lands at the
+// k-th covered slot, the others stay unset in the operand and are explicit
+// +0 rows in the oracle.
 func packedFixture(rng *rand.Rand, nGhost, cols, bits int, zc bool,
-	denseFrac float64, degenerate bool) (*tensor.Matrix, *GhostOperand) {
+	denseFrac, unsetFrac float64, degenerate bool) (*tensor.Matrix, *GhostOperand) {
 	oracle := tensor.New(nGhost, cols)
 	op := NewGhostHybrid(nGhost, cols)
 	for base := 0; base < nGhost; {
 		n := 1 + rng.Intn(nGhost-base)
-		m := tensor.New(n, cols)
+		var slots []int
+		for r := 0; r < n; r++ {
+			if unsetFrac == 0 || rng.Float64() >= unsetFrac {
+				slots = append(slots, base+r)
+			}
+		}
+		m := tensor.New(len(slots), cols)
 		if degenerate {
 			m.Fill(rng.Float32()*4 - 2)
 		} else {
@@ -31,9 +42,9 @@ func packedFixture(rng *rand.Rand, nGhost, cols, bits int, zc bool,
 			}
 		}
 		if rng.Float64() < denseFrac {
-			copy(oracle.Data[base*cols:(base+n)*cols], m.Data)
-			for r := 0; r < n; r++ {
-				op.SetRowDense(base+r, oracle.Row(base+r))
+			for k, slot := range slots {
+				copy(oracle.Row(slot), m.Row(k))
+				op.SetRowDense(slot, oracle.Row(slot))
 			}
 		} else {
 			var q *compress.Quantized
@@ -42,8 +53,11 @@ func packedFixture(rng *rand.Rand, nGhost, cols, bits int, zc bool,
 			} else {
 				q = compress.Compress(m, bits)
 			}
-			copy(oracle.Data[base*cols:(base+n)*cols], q.Decompress().Data)
-			op.SetRowsPacked(base, q.Block())
+			dec, blk := q.Decompress(), q.Block()
+			for k, slot := range slots {
+				copy(oracle.Row(slot), dec.Row(k))
+				op.SetRowPacked(slot, blk, k)
+			}
 		}
 		base += n
 	}
@@ -63,17 +77,18 @@ func packedBitwiseTrial(t testing.TB, rng *rand.Rand) {
 	zc := rng.Intn(2) == 0
 	denseFrac := []float64{0, 0.35, 1}[rng.Intn(3)]
 	degenerate := rng.Intn(10) == 0
+	unsetFrac := []float64{0, 0.5, 0.92}[rng.Intn(3)]
 
 	a := randomLocalCSR(rng, nOwned, nGhost, deg)
 	var oracle *tensor.Matrix
 	var op *GhostOperand
 	if nGhost > 0 {
-		oracle, op = packedFixture(rng, nGhost, cols, bits, zc, denseFrac, degenerate)
+		oracle, op = packedFixture(rng, nGhost, cols, bits, zc, denseFrac, unsetFrac, degenerate)
 	} else {
 		op = NewGhostHybrid(0, cols)
 	}
-	label := fmt.Sprintf("owned=%d ghost=%d deg=%d cols=%d bits=%d zc=%v dense=%v degen=%v",
-		nOwned, nGhost, deg, cols, bits, zc, denseFrac, degenerate)
+	label := fmt.Sprintf("owned=%d ghost=%d deg=%d cols=%d bits=%d zc=%v dense=%v unset=%v degen=%v",
+		nOwned, nGhost, deg, cols, bits, zc, denseFrac, unsetFrac, degenerate)
 
 	// Full-output kernel vs SpMMGhostInto.
 	want := tensor.New(nOwned, cols)
@@ -81,7 +96,7 @@ func packedBitwiseTrial(t testing.TB, rng *rand.Rand) {
 	got := tensor.New(nOwned, cols)
 	a.SpMMGhostPacked(op, got)
 	for i, w := range want.Data {
-		if got.Data[i] != w {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
 			t.Fatalf("%s: SpMMGhostPacked[%d]=%v want %v", label, i, got.Data[i], w)
 		}
 	}
@@ -100,7 +115,7 @@ func packedBitwiseTrial(t testing.TB, rng *rand.Rand) {
 				continue
 			}
 			for i, w := range wantC.Data {
-				if gotC.Data[i] != w {
+				if math.Float32bits(gotC.Data[i]) != math.Float32bits(w) {
 					t.Fatalf("%s mode=%d arena=%v: compact[%d]=%v want %v",
 						label, mode, ar != nil, i, gotC.Data[i], w)
 				}
@@ -111,8 +126,8 @@ func packedBitwiseTrial(t testing.TB, rng *rand.Rand) {
 
 // TestSpMMGhostPackedBitwise is the property test behind the packed-domain
 // SpMM: across random bit widths, shapes, degenerate domains, zero-centred
-// grids, and dense/packed peer mixes, computing on the wire format is
-// bit-for-bit equal to decode-then-SpMM.
+// grids, dense/packed peer mixes and unset slots, computing on the wire
+// format is bit-for-bit (−0 ≠ +0) equal to decode-then-SpMM.
 func TestSpMMGhostPackedBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240803))
 	for trial := 0; trial < 120; trial++ {
@@ -129,6 +144,56 @@ func FuzzSpMMGhostPackedBitwise(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		packedBitwiseTrial(t, rand.New(rand.NewSource(seed)))
 	})
+}
+
+// TestSpMMGhostUnsetSlotsAreZeroRows pins the unset-slot rule under both
+// forced schedules: an operand whose uncovered slots are unset folds to the
+// same bits as one carrying explicit zero rows there — dense +0 rows, and
+// −0 rows, which the skipped terms w·(−0) = ∓0 would equally leave alone.
+func TestSpMMGhostUnsetSlotsAreZeroRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	negZero := float32(math.Copysign(0, -1))
+	defer func() { tileMode = 0 }()
+	for trial := 0; trial < 40; trial++ {
+		nGhost, cols := 8+rng.Intn(120), 1+rng.Intn(24)
+		a := randomLocalCSR(rng, 1+rng.Intn(90), nGhost, 1+rng.Intn(8))
+		bits := []int{2, 4, 8, 16}[rng.Intn(4)]
+		_, unset := packedFixture(rng, nGhost, cols, bits, true, 0.3, 0.8, false)
+		for _, zero := range []float32{0, negZero} {
+			explicit := NewGhostHybrid(nGhost, cols)
+			zrow := make([]float32, cols)
+			for j := range zrow {
+				zrow[j] = zero
+			}
+			for r := 0; r < nGhost; r++ {
+				switch {
+				case unset.rowF[r] != nil:
+					explicit.SetRowDense(r, unset.rowF[r])
+				case unset.rowB[r] != nil:
+					explicit.SetRowPacked(r, unset.rowB[r], int(unset.rowIx[r]))
+				default:
+					explicit.SetRowDense(r, zrow)
+				}
+			}
+			for _, mode := range []int{1, 2} {
+				tileMode = mode
+				want := a.SpMMGhostCompactPacked(explicit, nil)
+				got := a.SpMMGhostCompactPacked(unset, tensor.NewArena(16))
+				if (got == nil) != (want == nil) {
+					t.Fatalf("trial %d mode %d: nil mismatch", trial, mode)
+				}
+				if want == nil {
+					continue
+				}
+				for i, w := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
+						t.Fatalf("trial %d mode %d zero=%v: [%d]=%v (%#x) want %v (%#x)", trial, mode, zero,
+							i, got.Data[i], math.Float32bits(got.Data[i]), w, math.Float32bits(w))
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestSpMMGhostDenseOperandMatchesKernel pins the oracle wrapper: a

@@ -115,12 +115,14 @@ func tileScratch(ar *tensor.Arena, n int) []float32 {
 }
 
 // tileDecodeRange decodes the packed rows among ghost rows [rlo, rhi) into
-// the strip scratch, which is based at ghost row stripLo.
+// the strip scratch, which is based at ghost row stripLo. Dense and unset
+// slots leave their scratch rows untouched (stale): tileAccumRange never
+// reads them.
 func (g *GhostOperand) tileDecodeRange(scratch []float32, stripLo, rlo, rhi int) {
 	cols := g.Cols
 	for r := rlo; r < rhi; r++ {
-		if g.rowF[r] == nil {
-			g.rowB[r].DequantRowInto(int(g.rowIx[r]), scratch[(r-stripLo)*cols:(r-stripLo+1)*cols])
+		if b := g.rowB[r]; b != nil {
+			b.DequantRowInto(int(g.rowIx[r]), scratch[(r-stripLo)*cols:(r-stripLo+1)*cols])
 		}
 	}
 }
@@ -154,8 +156,10 @@ func (a *LocalCSR) tileAccumRange(g *GhostOperand, out *tensor.Matrix, scratch [
 			var hrow []float32
 			if f := g.rowF[r]; f != nil {
 				hrow = f
-			} else {
+			} else if g.rowB[r] != nil {
 				hrow = scratch[(r-lo)*cols : (r-lo+1)*cols]
+			} else {
+				continue // unset slot: a zero row
 			}
 			for j, x := range hrow {
 				orow[j] += w * x

@@ -533,7 +533,10 @@ func (w *Worker) collectGhostG(p *pendingGhost, l, t int) (*graph.GhostOperand, 
 // mergeGhostG decodes the batch results in ghostOwner order and assembles
 // the ghost gradient operand. Epoch goroutine only. The packed/dense split
 // mirrors mergeGhostH: quantised payloads (Cp-bp, ResEC-BP) stay in wire
-// form, raw/TopK payloads and degraded fallbacks land dense.
+// form, raw/TopK payloads and degraded fallbacks land dense. Payload row k
+// of peer j lands at slot k of the pair's list (w.fetch[l][j]); at l == L
+// the list covers training vertices only and every other slot stays unset —
+// a zero row the fold kernels skip.
 func (w *Worker) mergeGhostG(p *pendingGhost, results []transport.Result, l, t int) (*graph.GhostOperand, error) {
 	if !w.cfg.Opts.PackedSpMM {
 		m, err := w.mergeGhostGDense(p, results, l, t)
@@ -544,36 +547,32 @@ func (w *Worker) mergeGhostG(p *pendingGhost, results []transport.Result, l, t i
 	}
 	op := graph.NewGhostHybrid(len(w.ghostIDs), w.cfg.Model.Dims[l])
 	for _, j := range w.ghostOwner {
-		base := w.ghostBase[j]
-		if rows := p.served[j]; rows != nil {
-			opSetDense(op, base, rows)
-			continue
-		}
-		rows, blk, err := w.decodeGPacked(l, t, j, results[p.callIdx[j]])
-		if err != nil {
-			bound := w.cfg.Opts.MaxStaleEpochs
-			last := w.gLastEpoch[l][j]
-			if bound < 0 || last < 0 || t-last > bound {
-				return nil, fmt.Errorf("worker %d: ghost G(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
-					w.id, l, j, t, last, bound, err)
+		rows, blk := p.served[j], (*compress.Blocked)(nil)
+		if rows == nil {
+			var err error
+			if rows, blk, err = w.decodeGPacked(l, t, j, results[p.callIdx[j]]); err != nil {
+				if rows, err = w.degradedG(l, t, j, err); err != nil {
+					return nil, err
+				}
+			} else {
+				w.gLastGood[l][j], w.gLastPacked[l][j] = rows, blk
+				w.gLastEpoch[l][j] = t
 			}
-			w.degraded++
-			opSetDense(op, base, w.lastGoodG(l, j))
-			continue
 		}
-		w.gLastGood[l][j], w.gLastPacked[l][j] = rows, blk
-		w.gLastEpoch[l][j] = t
-		if blk != nil {
-			op.SetRowsPacked(base, blk)
-		} else {
-			opSetDense(op, base, rows)
+		for k, slot := range w.fetch[l][j].loc {
+			if blk != nil {
+				op.SetRowPacked(int(slot), blk, k)
+			} else {
+				op.SetRowDense(int(slot), rows.Row(k))
+			}
 		}
 	}
 	return op, nil
 }
 
 // mergeGhostGDense is the decode-oracle merge for gradients
-// (-packed-spmm=false), the pre-packed behaviour unchanged.
+// (-packed-spmm=false): every payload decoded into one dense ghost matrix
+// whose slots outside the pair lists keep their zeros.
 func (w *Worker) mergeGhostGDense(p *pendingGhost, results []transport.Result, l, t int) (*tensor.Matrix, error) {
 	out := tensor.New(len(w.ghostIDs), w.cfg.Model.Dims[l])
 	for _, j := range w.ghostOwner {
@@ -581,26 +580,33 @@ func (w *Worker) mergeGhostGDense(p *pendingGhost, results []transport.Result, l
 		if rows == nil {
 			var err error
 			if rows, err = w.decodeG(l, t, j, results[p.callIdx[j]]); err != nil {
-				bound := w.cfg.Opts.MaxStaleEpochs
-				last := w.gLastEpoch[l][j]
-				if bound < 0 || last < 0 || t-last > bound {
-					return nil, fmt.Errorf("worker %d: ghost G(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
-						w.id, l, j, t, last, bound, err)
+				if rows, err = w.degradedG(l, t, j, err); err != nil {
+					return nil, err
 				}
-				w.degraded++
-				rows = w.lastGoodG(l, j)
 			} else {
 				w.gLastGood[l][j] = rows
 				w.gLastPacked[l][j] = nil
 				w.gLastEpoch[l][j] = t
 			}
 		}
-		base := w.ghostBase[j]
-		for r := 0; r < rows.Rows; r++ {
-			copy(out.Row(base+r), rows.Row(r))
+		for k, slot := range w.fetch[l][j].loc {
+			copy(out.Row(int(slot)), rows.Row(k))
 		}
 	}
 	return out, nil
+}
+
+// degradedG picks the fallback for a failed G exchange with peer j — the
+// last-good rows — or fails the epoch once the staleness bound is exceeded.
+func (w *Worker) degradedG(l, t, j int, cause error) (*tensor.Matrix, error) {
+	bound := w.cfg.Opts.MaxStaleEpochs
+	last := w.gLastEpoch[l][j]
+	if bound < 0 || last < 0 || t-last > bound {
+		return nil, fmt.Errorf("worker %d: ghost G(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
+			w.id, l, j, t, last, bound, cause)
+	}
+	w.degraded++
+	return w.lastGoodG(l, j), nil
 }
 
 // skipFallbackG is skipFallbackH for gradient rows: the last-good cached
@@ -632,7 +638,19 @@ func (w *Worker) decodeG(l, t, j int, res transport.Result) (rows *tensor.Matrix
 	if res.Err != nil {
 		return nil, fmt.Errorf("worker %d: getG(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
 	}
-	return ec.ParseMatrix(res.Resp), nil
+	rows = ec.ParseMatrix(res.Resp)
+	return rows, w.checkGShape(l, j, rows.Rows, rows.Cols)
+}
+
+// checkGShape rejects a getG payload from peer j that does not cover the
+// pair's list row for row: scattering it would shift every later row onto
+// the wrong vertex, so it is a decode error and takes the degraded path.
+func (w *Worker) checkGShape(l, j, rows, cols int) error {
+	if want := len(w.fetch[l][j].loc); rows != want || cols != w.cfg.Model.Dims[l] {
+		return fmt.Errorf("worker %d: getG(l=%d) from %d is %dx%d, the pair list wants %dx%d",
+			w.id, l, j, rows, cols, want, w.cfg.Model.Dims[l])
+	}
+	return nil
 }
 
 // decodeGPacked is decodeG for the packed merge: quantised payloads come
@@ -647,7 +665,14 @@ func (w *Worker) decodeGPacked(l, t, j int, res transport.Result) (rows *tensor.
 	if res.Err != nil {
 		return nil, nil, fmt.Errorf("worker %d: getG(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
 	}
-	rows, blk = ec.ParsePacked(res.Resp)
+	if rows, blk = ec.ParsePacked(res.Resp); blk != nil {
+		err = w.checkGShape(l, j, blk.Rows, blk.Cols)
+	} else {
+		err = w.checkGShape(l, j, rows.Rows, rows.Cols)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	return rows, blk, nil
 }
 
@@ -737,10 +762,14 @@ func (w *Worker) Handler() transport.Handler {
 			l := int(r.Byte())
 			t := int(r.Uint32())
 			requester := int(r.Int32())
-			rows := w.pairRows[requester]
-			if rows == nil {
+			if w.pairRows[requester] == nil {
 				return nil, fmt.Errorf("worker %d: no pair set for requester %d", w.id, requester)
 			}
+			// At l == L only the pair's training vertices: the rest of G^L
+			// is zero on both ends without being sent.
+			rows := w.serve[l][requester].loc
+			w.obs.getGShipped.Add(float64(len(rows)))
+			w.obs.getGDerived.Add(float64(len(w.pairRows[requester]) - len(rows)))
 			g := w.gStore.Wait(l, t)
 			m := g.GatherRows(int32sToInts(rows))
 			switch w.cfg.Opts.BPScheme {

@@ -38,7 +38,8 @@ const MethodHandoff = "w.handoff"
 
 var ehfMagic = [4]byte{'E', 'H', 'F', '1'}
 
-// needsIndex returns v's position in the sorted Needs list, or -1.
+// needsIndex returns v's position in a sorted pair list (Worker.needsAt),
+// or -1.
 func needsIndex(lst []int32, v int32) int {
 	i := sort.Search(len(lst), func(k int) bool { return lst[k] >= v })
 	if i < len(lst) && lst[i] == v {
@@ -53,7 +54,9 @@ func needsIndex(lst []int32, v int32) int {
 // ownH, falling back to rows this worker itself received by handoff and
 // never recomputed (a double move: A→B→C across consecutive view changes
 // with no epoch between); residual rows cover every (layer, requester) pair
-// whose Needs list contains a moved vertex.
+// whose list (needsAt) contains a moved vertex — at the top layer that is
+// training vertices only, so a moved non-training vertex has no top-layer
+// residual row to export.
 func (w *Worker) ExportHandoff(dst int, moved []int32) []byte {
 	L := w.cfg.Model.NumLayers()
 	out := transport.NewWriter(64 + len(moved)*4*(w.cfg.Feats.Cols+1))
@@ -101,7 +104,7 @@ func (w *Worker) ExportHandoff(dst int, moved []int32) []byte {
 			if r == nil {
 				continue
 			}
-			lst := w.topo.Needs[req][w.id]
+			lst := w.needsAt(l, req, w.id)
 			for _, v := range moved {
 				idx := needsIndex(lst, v)
 				if idx < 0 {
@@ -190,10 +193,10 @@ func (w *Worker) ImportHandoff(payload []byte) (int, error) {
 		if w.bpResp[l] == nil || w.bpResp[l][req] == nil {
 			continue // ResEC off, or the pair does not exist under the new view
 		}
-		lst := w.topo.Needs[req][w.id]
+		lst := w.needsAt(l, req, w.id)
 		idx := needsIndex(lst, v)
 		if idx < 0 {
-			continue // requester no longer needs this vertex from us
+			continue // requester no longer needs this vertex('s layer-l row) from us
 		}
 		w.bpResp[l][req].SeedResidualRow(len(lst), w.cfg.Model.Dims[l], idx, row)
 	}
@@ -227,16 +230,11 @@ func (w *Worker) lastH(l int, v int32) ([]float32, int) {
 		}
 		return nil, -1
 	}
-	if pos, ok := w.ghostPos[v]; ok {
-		// Which owner group is this ghost in? Recover the owner from the
-		// group base offsets.
-		for _, j := range w.ghostOwner {
-			base := w.ghostBase[j]
-			if int(pos) >= base && int(pos) < base+len(w.topo.Needs[w.id][j]) {
-				if m := w.lastGoodH(l, j); m != nil && w.hLastEpoch[l][j] >= 0 {
-					return m.Row(int(pos) - base), w.hLastEpoch[l][j]
-				}
-				break
+	if _, ok := w.ghostPos[v]; ok {
+		j := w.topo.Assign[v]
+		if m := w.lastGoodH(l, j); m != nil && w.hLastEpoch[l][j] >= 0 {
+			if idx := needsIndex(w.needsAt(l, w.id, j), v); idx >= 0 {
+				return m.Row(idx), w.hLastEpoch[l][j]
 			}
 		}
 	}
@@ -244,7 +242,9 @@ func (w *Worker) lastH(l int, v int32) ([]float32, int) {
 }
 
 // lastG is lastH for gradient rows: the published G^l rows for owned
-// vertices, the last-good degraded cache for ghosts.
+// vertices, the last-good degraded cache for ghosts — which at the top
+// layer holds training vertices only; nobody asks for the others
+// (SeedDegradedCaches walks the same list).
 func (w *Worker) lastG(l int, v int32) ([]float32, int) {
 	if pos, ok := w.ownedPos[v]; ok {
 		if m, ep := w.gStore.Peek(l); m != nil && ep >= 0 {
@@ -252,14 +252,11 @@ func (w *Worker) lastG(l int, v int32) ([]float32, int) {
 		}
 		return nil, -1
 	}
-	if pos, ok := w.ghostPos[v]; ok {
-		for _, j := range w.ghostOwner {
-			base := w.ghostBase[j]
-			if int(pos) >= base && int(pos) < base+len(w.topo.Needs[w.id][j]) {
-				if m := w.lastGoodG(l, j); m != nil && w.gLastEpoch[l][j] >= 0 {
-					return m.Row(int(pos) - base), w.gLastEpoch[l][j]
-				}
-				break
+	if _, ok := w.ghostPos[v]; ok {
+		j := w.topo.Assign[v]
+		if m := w.lastGoodG(l, j); m != nil && w.gLastEpoch[l][j] >= 0 {
+			if idx := needsIndex(w.needsAt(l, w.id, j), v); idx >= 0 {
+				return m.Row(idx), w.gLastEpoch[l][j]
 			}
 		}
 	}
@@ -315,15 +312,14 @@ func (w *Worker) SeedDegradedCaches(prev map[int]*Worker) {
 	}
 
 	for _, j := range w.ghostOwner {
-		lst := w.topo.Needs[w.id][j]
 		for l := 1; l < L; l++ {
-			if m, tag := seed(l, lst, handoffSource.lastH); m != nil {
+			if m, tag := seed(l, w.needsAt(l, w.id, j), handoffSource.lastH); m != nil {
 				w.hLastGood[l][j] = m
 				w.hLastEpoch[l][j] = tag
 			}
 		}
 		for l := 2; l <= L; l++ {
-			if m, tag := seed(l, lst, handoffSource.lastG); m != nil {
+			if m, tag := seed(l, w.needsAt(l, w.id, j), handoffSource.lastG); m != nil {
 				w.gLastGood[l][j] = m
 				w.gLastEpoch[l][j] = tag
 			}

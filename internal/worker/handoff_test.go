@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"slices"
 	"testing"
 
 	"ecgraph/internal/datasets"
@@ -24,12 +25,17 @@ type handoffFixture struct {
 }
 
 func newHandoffFixture(t *testing.T) *handoffFixture {
+	return newHandoffFixtureHidden(t, 8)
+}
+
+// newHandoffFixtureHidden is newHandoffFixture with the given hidden widths.
+func newHandoffFixtureHidden(t *testing.T, hidden ...int) *handoffFixture {
 	t.Helper()
 	d := datasets.MustLoad("cora")
 	const nWorkers = 3
 	f := &handoffFixture{
 		d: d, adj: graph.Normalize(d.Graph),
-		dims:   []int{d.NumFeatures(), 8, d.NumClasses},
+		dims:   append(append([]int{d.NumFeatures()}, hidden...), d.NumClasses),
 		epochs: 4,
 		assign: make([]int, d.Graph.N),
 	}
@@ -152,8 +158,10 @@ func TestHandoffRoundTrip(t *testing.T) {
 		// carries its δ row bitwise; pairs that dissolved dropped theirs.
 		reseeded := 0
 		for req := 0; req < 3; req++ {
-			oldList := src.topo.Needs[req][2]
-			newList := newTopo.Needs[req][dst]
+			// Layer 2 is the top layer here: both lists hold training
+			// vertices only, and a row's index is its position among them.
+			oldList := src.needsAt(2, req, 2)
+			newList := nw.needsAt(2, req, dst)
 			for _, v := range moved {
 				oi, ni := needsIndex(oldList, v), needsIndex(newList, v)
 				if oi < 0 || ni < 0 {
@@ -178,6 +186,103 @@ func TestHandoffRoundTrip(t *testing.T) {
 		if reseeded == 0 {
 			t.Fatal("no residual rows crossed the handoff; fixture too small to exercise it")
 		}
+	}
+}
+
+// TestHandoffTopLayerIndex: on a 3-layer model a moved training vertex
+// carries its residual rows of both backward exchanges, each landing at the
+// vertex's index in that layer's own list (all of Needs at layer 2, training
+// vertices only at layer 3), while a moved non-training vertex carries a
+// layer-2 row and no layer-3 row at all — that row is zero on both ends by
+// derivation and has no residual.
+func TestHandoffTopLayerIndex(t *testing.T) {
+	f := newHandoffFixtureHidden(t, 8, 8)
+	const L = 3
+	src := f.old[2]
+	newAssign := f.drainAssign()
+	newTopo := BuildTopology(f.d.Graph, newAssign, 3)
+	const dst = 0
+	moved := movedTo(f.assign, newAssign, 2, dst)
+
+	// One moved vertex of each kind that requester 1 keeps needing.
+	train, other := int32(-1), int32(-1)
+	for _, v := range moved {
+		if needsIndex(src.topo.Needs[1][2], v) < 0 || needsIndex(newTopo.Needs[1][dst], v) < 0 {
+			continue
+		}
+		if f.d.TrainMask[v] && train < 0 {
+			train = v
+		} else if !f.d.TrainMask[v] && other < 0 {
+			other = v
+		}
+	}
+	if train < 0 || other < 0 {
+		t.Fatalf("fixture lacks a moved training (%d) or non-training (%d) vertex on pair (1,2)", train, other)
+	}
+
+	payload := src.ExportHandoff(dst, []int32{min(train, other), max(train, other)})
+	type key struct {
+		layer int
+		v     int32
+	}
+	exported := map[key]bool{}
+	r := transport.NewReader(payload)
+	r.Uint8s()
+	r.Int32()
+	r.Int32()
+	r.Int32()
+	for n := int(r.Int32()); n > 0; n-- {
+		r.Int32()
+		r.Float32s()
+		for l := 1; l <= L; l++ {
+			if r.Byte() == 1 {
+				r.Float32s()
+			}
+		}
+	}
+	for n := int(r.Uint32()); n > 0; n-- {
+		l := int(r.Byte())
+		req := int(r.Int32())
+		v := r.Int32()
+		r.Float32s()
+		if req == 1 {
+			exported[key{l, v}] = true
+		}
+	}
+	for _, k := range []key{{2, train}, {3, train}, {2, other}} {
+		if !exported[k] {
+			t.Errorf("residual row (layer %d, vertex %d) for requester 1 not exported", k.layer, k.v)
+		}
+	}
+	if exported[key{3, other}] {
+		t.Errorf("non-training vertex %d exported a top-layer residual row", other)
+	}
+
+	nw := f.newWorker(dst, newTopo)
+	if _, err := nw.ImportHandoff(payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []key{{2, train}, {3, train}, {2, other}} {
+		oi := needsIndex(src.needsAt(k.layer, 1, 2), k.v)
+		ni := needsIndex(nw.needsAt(k.layer, 1, dst), k.v)
+		want, got := src.bpResp[k.layer][1].ResidualRow(oi), nw.bpResp[k.layer][1].ResidualRow(ni)
+		if want == nil || got == nil {
+			t.Fatalf("layer %d vertex %d: residual row missing (old %v, new %v)", k.layer, k.v, want != nil, got != nil)
+		}
+		for c := range want {
+			if got[c] != want[c] {
+				t.Fatalf("layer %d vertex %d: residual differs at col %d", k.layer, k.v, c)
+			}
+		}
+		if rows := nw.bpResp[k.layer][1].Residual().Rows; rows != len(nw.needsAt(k.layer, 1, dst)) {
+			t.Fatalf("layer %d: seeded residual has %d rows, the pair list %d", k.layer, rows, len(nw.needsAt(k.layer, 1, dst)))
+		}
+	}
+	if top, all := len(nw.needsAt(3, 1, dst)), len(nw.needsAt(2, 1, dst)); top >= all {
+		t.Fatalf("top list (%d) not thinner than Needs (%d); fixture exercises nothing", top, all)
+	}
+	if needsIndex(nw.needsAt(3, 1, dst), other) >= 0 {
+		t.Fatalf("non-training vertex %d is in the top-layer list", other)
 	}
 }
 
@@ -250,9 +355,28 @@ func TestSeedDegradedCaches(t *testing.T) {
 				}
 			}
 		}
-		// G^2 rows were published during the backward pass and must seed too.
-		if nw.gLastGood[2][j] == nil {
-			t.Fatalf("G^2 group for owner %d not seeded", j)
+		// G^2 rows were published during the backward pass and must seed
+		// too — the top layer's, so training vertices only.
+		top := nw.needsAt(2, 0, j)
+		if g := nw.gLastGood[2][j]; g == nil || g.Rows != len(top) {
+			t.Fatalf("G^2 group for owner %d not seeded over its %d training vertices", j, len(top))
+		}
+		for i, u := range top {
+			if !f.d.TrainMask[u] {
+				t.Fatalf("top-layer list of owner %d holds non-training vertex %d", j, u)
+			}
+			// The freshest copy wins and ties go to the lowest old id, so
+			// the row is some previous worker's — the owner's exact one or
+			// a peer's decoded last-good copy at its own thinned index.
+			got, found := nw.gLastGood[2][j].Row(i), false
+			for _, p := range f.old {
+				if row, _ := p.lastG(2, u); row != nil && slices.Equal(row, got) {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("seeded G^2 row for ghost %d matches no previous worker's", u)
+			}
 		}
 	}
 }

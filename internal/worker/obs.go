@@ -27,6 +27,7 @@ import (
 //	ecgraph_worker_overlap_utilization{worker}     (wire−blocked)/wire, last epoch
 //	ecgraph_worker_epochs_total{worker}
 //	ecgraph_layer1_sparse_operands{worker}         0–3 of ÂX's retained operands held as CSR
+//	ecgraph_getg_rows_total{worker,kind="shipped"|"derived"}  getG rows served vs left to the mask
 type workerObs struct {
 	tracer *obs.Tracer
 	// fpSpans/bpSpans hold the per-layer span names, indexed by layer and
@@ -56,6 +57,9 @@ type workerObs struct {
 	epochs      *obs.Counter
 
 	layer1Sparse *obs.Gauge
+
+	getGShipped *obs.Counter
+	getGDerived *obs.Counter
 }
 
 // layerSpans are the names of one layer's compute spans in one pass.
@@ -81,6 +85,9 @@ func newWorkerObs(reg *obs.Registry, tracer *obs.Tracer, id, numLayers int) work
 		"ReqEC-FP selector outcomes per vertex row served.", "worker", "choice")
 	residual := reg.GaugeVec("ecgraph_ec_residual_l2",
 		"ResEC-BP residual norm per layer, summed over requesters.", "worker", "layer")
+	getG := reg.CounterVec("ecgraph_getg_rows_total",
+		"Gradient rows this worker's getG handler served: shipped on the wire, or derived — top-layer rows of non-training vertices, which both ends know are zero from the global train mask and which are never gathered, compensated or sent.",
+		"worker", "kind")
 	comm := reg.CounterVec("ecgraph_worker_comm_seconds_total",
 		"Ghost-exchange wall seconds: wire = batch launch to completion, blocked = epoch goroutine actually waiting.",
 		"worker", "kind")
@@ -112,6 +119,8 @@ func newWorkerObs(reg *obs.Registry, tracer *obs.Tracer, id, numLayers int) work
 			"Epochs this worker completed.", "worker").With(w),
 		layer1Sparse: reg.GaugeVec("ecgraph_layer1_sparse_operands",
 			"How many of layer 1's three epoch-invariant left operands (ÂX, its boundary rows' owned and ghost parts) are retained as CSR rather than dense; each is whichever takes fewer bytes.", "worker").With(w),
+		getGShipped: getG.With(w, "shipped"),
+		getGDerived: getG.With(w, "derived"),
 	}
 	o.residual = make([]*obs.Gauge, numLayers+1)
 	for l := 2; l <= numLayers; l++ {

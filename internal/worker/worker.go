@@ -190,6 +190,18 @@ type Worker struct {
 	// requester i (the rows of Needs[i][id] in owned indexing).
 	pairRows [][]int32
 
+	// The pair lists, derived and never sent (DESIGN.md §10): payload row k
+	// of a reply is vertex ids[k], gathered from owned row loc[k] by the
+	// responder and installed at ghost slot loc[k] by the requester. A
+	// pair's list is all of Needs, except on the top-layer getG (l == L),
+	// where it is the training vertices among them — RunEpoch leaves every
+	// other row of G^L exactly zero and cfg.TrainMask is global, so both
+	// ends derive the same sub-list and those rows are neither gathered,
+	// compensated, shipped nor folded. A pair whose vertices all train
+	// shares one list for both; every layer below L shares one slice.
+	serve [][]pairList // [layer][requester]
+	fetch [][]pairList // [layer][owner]
+
 	hStore *matStore // owned H rows per layer (layer L holds the logits)
 	gStore *matStore // owned G rows per layer
 
@@ -338,8 +350,10 @@ func New(cfg Config) *Worker {
 		}
 	}
 
-	// Responder row lists per requester.
+	// Responder row lists per requester, and the pair lists of both roles.
 	w.pairRows = make([][]int32, cfg.Topo.NumWorkers)
+	serveAll, serveTop := make([]pairList, cfg.Topo.NumWorkers), make([]pairList, cfg.Topo.NumWorkers)
+	fetchAll, fetchTop := make([]pairList, cfg.Topo.NumWorkers), make([]pairList, cfg.Topo.NumWorkers)
 	for i := 0; i < cfg.Topo.NumWorkers; i++ {
 		lst := cfg.Topo.Needs[i][cfg.ID]
 		if len(lst) == 0 {
@@ -350,6 +364,29 @@ func New(cfg Config) *Worker {
 			rows[k] = w.ownedPos[u]
 		}
 		w.pairRows[i] = rows
+		serveAll[i] = pairList{ids: lst, loc: rows}
+		serveTop[i] = serveAll[i].trainingOnly(cfg.TrainMask)
+	}
+	for _, j := range w.ghostOwner {
+		lst := cfg.Topo.Needs[cfg.ID][j]
+		slots := make([]int32, len(lst))
+		for r := range slots {
+			slots[r] = int32(w.ghostBase[j] + r)
+		}
+		fetchAll[j] = pairList{ids: lst, loc: slots}
+		fetchTop[j] = fetchAll[j].trainingOnly(cfg.TrainMask)
+	}
+	w.serve, w.fetch = make([][]pairList, L+1), make([][]pairList, L+1)
+	for l := 0; l < L; l++ {
+		w.serve[l], w.fetch[l] = serveAll, fetchAll
+	}
+	w.serve[L], w.fetch[L] = serveTop, fetchTop
+	if cfg.Tracer != nil {
+		shipped, derived := w.topGRows()
+		cfg.Tracer.Instant("worker start", "setup", 1+w.id, 0, time.Now(), map[string]interface{}{
+			"owned": len(w.owned), "ghosts": len(w.ghostIDs),
+			"getg_top_rows_shipped": shipped, "getg_top_rows_derived": derived,
+		})
 	}
 
 	// EC state. FP responders/requesters cover embedding layers 1..L−1
@@ -421,6 +458,58 @@ func New(cfg Config) *Worker {
 		}
 	}
 	return w
+}
+
+// pairList is one pair's exchange list as this worker sees it: the vertex
+// ids in wire order (ascending) and each one's local position — owned row
+// on the serving side, ghost slot on the fetching side.
+type pairList struct{ ids, loc []int32 }
+
+// trainingOnly returns the sub-list of p's training vertices — p itself
+// when they all are.
+func (p pairList) trainingOnly(mask []bool) pairList {
+	n := 0
+	for _, v := range p.ids {
+		if mask[v] {
+			n++
+		}
+	}
+	if n == len(p.ids) {
+		return p
+	}
+	out := pairList{ids: make([]int32, 0, n), loc: make([]int32, 0, n)}
+	for k, v := range p.ids {
+		if mask[v] {
+			out.ids = append(out.ids, v)
+			out.loc = append(out.loc, p.loc[k])
+		}
+	}
+	return out
+}
+
+// needsAt returns the vertices whose layer-l rows worker owner ships to
+// worker req, in payload order, for a pair this worker is one end of:
+// Needs[req][owner], except on the top-layer getG (l == L: H^L, the logits,
+// is never exchanged), which covers training vertices only. The handler,
+// the merge, the last-good caches and the handoff all index a pair's
+// payload, residual and cache rows through it (needsIndex), so they cannot
+// disagree about which row is whose.
+func (w *Worker) needsAt(l, req, owner int) []int32 {
+	if req == w.id {
+		return w.fetch[l][owner].ids
+	}
+	return w.serve[l][req].ids
+}
+
+// topGRows counts, over this worker's requesters, the top-layer getG rows it
+// ships per epoch and the rows both ends derive as zero instead.
+func (w *Worker) topGRows() (shipped, derived int) {
+	all, top := w.serve[0], w.serve[len(w.serve)-1]
+	for i := range all {
+		shipped += len(top[i].ids)
+		derived += len(all[i].ids) - len(top[i].ids)
+	}
+	return shipped, derived
 }
 
 func int32sToInts(v []int32) []int {
