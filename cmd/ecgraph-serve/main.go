@@ -39,8 +39,7 @@ func main() {
 		part      = flag.String("partitioner", "hash", "partitioner: hash or metis")
 
 		queueDepth = flag.Int("queue-depth", 256, "admission queue bound, in requests; arrivals beyond it get 429")
-		maxBatch   = flag.Int("max-batch", 256, "max vertices coalesced into one SpMM batch")
-		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "how long the batcher waits to fill a batch")
+		maxBatch   = flag.Int("max-batch", 256, "max vertices coalesced into one SpMM batch (while every round slot is busy)")
 		inflight   = flag.Int("inflight-batches", 2, "batch rounds allowed in flight at once")
 
 		cacheTTL      = flag.Duration("cache-ttl", 0, "ghost-row cache freshness bound (0 pins rows for a version's lifetime — exact)")
@@ -91,7 +90,6 @@ func main() {
 		Partitioner:     p,
 		QueueDepth:      *queueDepth,
 		MaxBatch:        *maxBatch,
-		BatchWait:       *batchWait,
 		InflightBatches: *inflight,
 		CacheTTL:        *cacheTTL,
 		CacheMaxStale:   *cacheMaxStale,

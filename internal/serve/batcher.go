@@ -2,41 +2,38 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"ecgraph/internal/transport"
 )
 
-// dispatch is the batcher loop: it pulls the oldest waiting request, keeps
-// coalescing arrivals until the batch reaches MaxBatch vertices or
-// BatchWait elapses, and hands the batch to a bounded pool of in-flight
-// rounds. Coalescing is what turns per-vertex HTTP arrivals into SpMM-sized
-// work: one shard call aggregates the whole batch through the split
-// kernels instead of one sparse row at a time.
+// dispatch is the batcher loop, work-conserving: it takes the oldest
+// waiting request, drains whatever is already queued behind it up to
+// MaxBatch vertices, then waits for whichever comes first — a free round
+// slot, and the batch leaves; or another arrival, and it joins. So a
+// request that finds a slot free never waits, and coalescing happens
+// exactly while every slot is busy: when the service is the bottleneck and
+// SpMM-sized batches pay (one shard call aggregates the whole batch through
+// the split kernels instead of one sparse row at a time). No timer: a batch
+// that cannot get a slot cannot leave anyway. A request that would push the
+// batch past MaxBatch heads the next one, so a request larger than MaxBatch
+// goes alone.
 func (s *Service) dispatch() {
 	defer s.dispatchWG.Done()
-	for r := range s.queue {
-		batch := []*request{r}
-		nv := len(r.ids)
-		timer := time.NewTimer(s.cfg.BatchWait)
-	coalesce:
-		for nv < s.cfg.MaxBatch {
-			select {
-			case r2, ok := <-s.queue:
-				if !ok {
-					break coalesce
-				}
-				batch = append(batch, r2)
-				nv += len(r2.ids)
-			case <-timer.C:
-				break coalesce
+	var next *request
+	for {
+		head := next
+		if head == nil {
+			var ok bool
+			if head, ok = <-s.queue; !ok {
+				return
 			}
 		}
-		timer.Stop()
+		batch, nv, carry := s.coalesce(head)
+		next = carry
+		s.waiting.Add(int64(-len(batch)))
 		s.m.queueDepth.Add(float64(-len(batch)))
 		s.m.batchSize.Observe(float64(nv))
 
-		s.roundSem <- struct{}{}
 		s.roundWG.Add(1)
 		go func(batch []*request) {
 			defer func() {
@@ -46,6 +43,40 @@ func (s *Service) dispatch() {
 			s.runBatch(batch)
 		}(batch)
 	}
+}
+
+// coalesce builds one batch of nv vertices behind head and returns holding
+// a round slot. next is a request taken from the queue that did not fit
+// under MaxBatch; it heads the following batch. A closed queue ends
+// coalescing: what was taken still dispatches.
+func (s *Service) coalesce(head *request) (batch []*request, nv int, next *request) {
+	batch = []*request{head}
+	nv = len(head.ids)
+	queue := s.queue
+	for nv < s.cfg.MaxBatch && queue != nil {
+		var r *request
+		var ok bool
+		select {
+		case r, ok = <-queue: // already queued: drain before racing the slot
+		default:
+			select {
+			case r, ok = <-queue:
+			case s.roundSem <- struct{}{}:
+				return batch, nv, nil
+			}
+		}
+		switch {
+		case !ok:
+			queue = nil
+		case nv+len(r.ids) > s.cfg.MaxBatch:
+			next, queue = r, nil
+		default:
+			batch = append(batch, r)
+			nv += len(r.ids)
+		}
+	}
+	s.roundSem <- struct{}{}
+	return batch, nv, next
 }
 
 // vertexSlot addresses one vertex of one request within a batch round.
@@ -58,6 +89,7 @@ type vertexSlot struct {
 // the vertices by owning shard, fan the per-shard batch calls out over the
 // transport, and scatter the answers back to the waiting requests.
 func (s *Service) runBatch(batch []*request) {
+	start := s.cfg.Clock()
 	v, ref := s.retainActive()
 	defer ref.Add(-1)
 
@@ -120,7 +152,10 @@ func (s *Service) runBatch(batch []*request) {
 		}
 	}
 
+	round := s.cfg.Clock().Sub(start).Seconds()
 	for _, r := range batch {
+		s.m.stageQueue.Observe(start.Sub(r.enq).Seconds())
+		s.m.stageRound.Observe(round)
 		close(r.done)
 	}
 }

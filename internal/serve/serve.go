@@ -62,10 +62,9 @@ type Config struct {
 	// tears down.
 	Net transport.Network
 
-	QueueDepth      int           // admission queue bound, in requests (default 256)
-	MaxBatch        int           // max vertices coalesced into one batch (default 256)
-	BatchWait       time.Duration // how long the batcher waits to fill a batch (default 2ms)
-	InflightBatches int           // batch rounds allowed in flight at once (default 2)
+	QueueDepth      int // admission queue bound, in requests (default 256)
+	MaxBatch        int // max vertices coalesced into one batch (default 256)
+	InflightBatches int // batch rounds allowed in flight at once (default 2)
 
 	// CacheTTL bounds how long a fetched ghost row counts as fresh; 0
 	// pins rows for the version's lifetime (embeddings are immutable per
@@ -115,11 +114,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	if c.BatchWait < 0 {
-		c.BatchWait = 0
-	} else if c.BatchWait == 0 {
-		c.BatchWait = 2 * time.Millisecond
 	}
 	if c.InflightBatches <= 0 {
 		c.InflightBatches = 2
@@ -183,6 +177,7 @@ type Service struct {
 	activeOK atomic.Bool
 
 	queue       chan *request
+	waiting     atomic.Int64 // admitted requests whose batch has not left yet
 	admissionMu sync.RWMutex
 	closed      bool
 	dispatchWG  sync.WaitGroup // the dispatcher goroutine
@@ -200,6 +195,7 @@ type serveMetrics struct {
 	queueDepth                   *obs.Gauge
 	batchSize                    *obs.Histogram
 	latency                      *obs.Histogram
+	stageQueue, stageRound       *obs.Histogram
 	swapOK, swapError            *obs.Counter
 	activeVersion                *obs.Gauge
 	cacheHit, cacheMiss          *obs.Counter
@@ -222,6 +218,11 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	m.latency = reg.Histogram("ecgraph_serve_latency_seconds",
 		"Enqueue-to-answer latency per request.", obs.DefLatencyBuckets)
+	stage := reg.HistogramVec("ecgraph_serve_stage_seconds",
+		"Per-request latency by stage: queue is enqueue to round start, round is round start to answers.",
+		obs.DefLatencyBuckets, "stage")
+	m.stageQueue = stage.With("queue")
+	m.stageRound = stage.With("round")
 	swap := reg.CounterVec("ecgraph_serve_swap_total",
 		"Model swaps by outcome.", "result")
 	m.swapOK = swap.With("ok")
@@ -285,8 +286,9 @@ func (s *Service) ActiveVersion() uint32 {
 	return s.activeV
 }
 
-// QueueDepth reports the requests currently waiting for dispatch.
-func (s *Service) QueueDepth() int { return len(s.queue) }
+// QueueDepth reports the requests currently waiting for dispatch: in the
+// admission queue or in the batch the dispatcher is coalescing.
+func (s *Service) QueueDepth() int { return int(s.waiting.Load()) }
 
 // NumShards returns the serving replica count.
 func (s *Service) NumShards() int { return s.cfg.Shards }
@@ -315,10 +317,12 @@ func (s *Service) Predict(ids []int) ([]Result, error) {
 		s.m.reqError.Inc()
 		return nil, ErrShuttingDown
 	}
+	s.waiting.Add(1) // before the send, so the dispatcher's decrement follows it
 	select {
 	case s.queue <- r:
 		s.m.queueDepth.Add(1)
 	default:
+		s.waiting.Add(-1)
 		s.admissionMu.RUnlock()
 		s.m.reqRejected.Inc()
 		return nil, ErrOverloaded

@@ -239,79 +239,77 @@ func TestHotSwapUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestAdmissionControlRejectsUnderOverload fills the bounded queue while
-// the shard is deliberately slow (injected sv.batch latency, single
-// uncoalesced in-flight round) and checks that surplus arrivals bounce
-// with ErrOverloaded while every admitted request still completes.
+// TestAdmissionControlRejectsUnderOverload holds the only round slot at
+// the shard gate with a one-request queue and a one-vertex batch cap, so
+// the batcher holds one request and the queue the next: every further
+// arrival must bounce with ErrOverloaded, and every admitted request still
+// completes once the gate opens.
 func TestAdmissionControlRejectsUnderOverload(t *testing.T) {
 	d := datasets.MustLoad("cora")
-	m := testModel(d, nn.KindGCN, 3)
-	slow := &failNet{
-		Network:    transport.NewStack(transport.NewInProc(2), transport.WithConcurrency(2)),
-		delayBatch: 40 * time.Millisecond,
-	}
-	svc := newTestService(t, d, Config{
+	svc, fn := newGatedService(t, d, Config{
 		Shards:          1,
-		Net:             slow,
 		QueueDepth:      1,
 		MaxBatch:        1,
 		InflightBatches: 1,
+		Metrics:         obs.NewRegistry(),
 	})
-	if err := svc.SwapModel(m); err != nil {
+	if err := svc.SwapModel(testModel(d, nn.KindGCN, 3)); err != nil {
 		t.Fatal(err)
 	}
 
-	const n = 50
-	var ok, rejected, other atomic.Int64
-	var wg sync.WaitGroup
+	admitted := []*pendingPredict{predictAsync(svc, []int{0})}
+	awaitBatch(t, fn) // the only slot is busy
+	admitted = append(admitted, predictAsync(svc, []int{1}))
+	waitFor(t, "the batcher to take request 1", func() bool { return svc.QueueDepth() == 1 && len(svc.queue) == 0 })
+	admitted = append(admitted, predictAsync(svc, []int{2}))
+	waitFor(t, "request 2 to fill the queue", func() bool { return svc.QueueDepth() == 2 })
+
+	const n = 20
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			_, err := svc.Predict([]int{v})
-			switch {
-			case err == nil:
-				ok.Add(1)
-			case errors.Is(err, ErrOverloaded):
-				rejected.Add(1)
-			default:
-				other.Add(1)
-			}
-		}(i)
+		if _, err := svc.Predict([]int{3 + i}); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("arrival %d with the queue full: %v, want ErrOverloaded", i, err)
+		}
 	}
-	wg.Wait()
-	if other.Load() != 0 {
-		t.Fatalf("%d requests failed with unexpected errors", other.Load())
+	fn.open()
+	for i, p := range admitted {
+		p.requireServed(t, fmt.Sprintf("admitted request %d", i))
 	}
-	if rejected.Load() == 0 {
-		t.Fatal("overload never rejected a request")
-	}
-	if ok.Load() == 0 {
-		t.Fatal("admitted requests should still complete")
-	}
-	if ok.Load()+rejected.Load() != n {
-		t.Fatalf("ok %d + rejected %d != %d", ok.Load(), rejected.Load(), n)
+	if got := svc.m.reqRejected.Value(); got != n {
+		t.Fatalf("rejected counter %v, want %d", got, n)
 	}
 }
 
 // failNet wraps a Network and injects serving-path faults: failRows fails
 // sv.rows calls (a peer that answers control traffic but cannot deliver
-// embedding rows), delayBatch slows sv.batch (an overloaded shard).
+// embedding rows). A gated failNet (newGatedService) also holds every
+// sv.batch call at a gate: the call first reports its vertex ids on
+// entered, then waits until the test sends on gate (releasing one call) or
+// opens it (releasing all) — a shard busy for exactly as long as the test
+// says, with no sleep.
 type failNet struct {
 	transport.Network
-	failRows   atomic.Bool
-	delayBatch time.Duration
+	failRows atomic.Bool
+
+	gate     chan struct{}
+	entered  chan []int32
+	openOnce sync.Once
 }
 
 func (f *failNet) Call(src, dst int, method string, req []byte) ([]byte, error) {
 	if method == methodRows && f.failRows.Load() {
 		return nil, errors.New("injected: peer unavailable")
 	}
-	if method == methodBatch && f.delayBatch > 0 {
-		time.Sleep(f.delayBatch)
+	if method == methodBatch && f.gate != nil {
+		r := transport.NewReader(req)
+		r.Uint32() // version
+		f.entered <- r.Int32s()
+		<-f.gate
 	}
 	return f.Network.Call(src, dst, method, req)
 }
+
+// open releases every held and future sv.batch call.
+func (f *failNet) open() { f.openOnce.Do(func() { close(f.gate) }) }
 
 func (f *failNet) CallMulti(src int, calls []transport.Call) []transport.Result {
 	out := make([]transport.Result, len(calls))
@@ -400,44 +398,43 @@ func TestCacheTTLExpiryAndLastGoodFallback(t *testing.T) {
 	requireBitwise(t, predictAll(t, svc, d.Graph.N, 256), base, "recovered serve")
 }
 
-// TestCloseDrainsQueuedRequests checks shutdown semantics: queued work is
-// answered, not dropped, and post-Close admission reports ErrShuttingDown.
+// TestCloseDrainsQueuedRequests checks shutdown semantics: with both round
+// slots held at the shard gate and k requests queued behind them, Close
+// stops admission at once (ErrShuttingDown) but returns only after every
+// queued request is answered — shutdown drains, it does not drop.
 func TestCloseDrainsQueuedRequests(t *testing.T) {
 	d := datasets.MustLoad("cora")
-	m := testModel(d, nn.KindGCN, 9)
-	svc := newTestService(t, d, Config{Shards: 2, QueueDepth: 128, BatchWait: 20 * time.Millisecond})
-	if err := svc.SwapModel(m); err != nil {
+	svc, fn := newGatedService(t, d, Config{Shards: 2, QueueDepth: 128})
+	if err := svc.SwapModel(testModel(d, nn.KindGCN, 9)); err != nil {
 		t.Fatal(err)
+	}
+	held := holdSlots(t, svc, fn)
+
+	const k = 32
+	queued := make([]*pendingPredict, k)
+	for i := range queued {
+		queued[i] = predictAsync(svc, []int{len(held) + i})
+	}
+	waitFor(t, "k requests queued", func() bool { return svc.QueueDepth() == k })
+
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close() }()
+	waitFor(t, "Close to stop admission", func() bool { return isClosed(svc) })
+	if _, err := svc.Predict([]int{0}); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("Predict during the drain: %v, want ErrShuttingDown", err)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with %d requests unanswered", err, k)
+	default:
 	}
 
-	const n = 32
-	var wg sync.WaitGroup
-	var ok, shutdown, other atomic.Int64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			_, err := svc.Predict([]int{v})
-			switch {
-			case err == nil:
-				ok.Add(1)
-			case errors.Is(err, ErrShuttingDown):
-				shutdown.Add(1)
-			default:
-				other.Add(1)
-			}
-		}(i)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if err := svc.Close(); err != nil {
+	fn.open()
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
-	if other.Load() != 0 {
-		t.Fatalf("%d unexpected errors during drain", other.Load())
-	}
-	if ok.Load() == 0 {
-		t.Fatal("requests admitted before Close must be answered")
+	for i, p := range append(held, queued...) {
+		p.requireServed(t, fmt.Sprintf("request %d", i))
 	}
 	if _, err := svc.Predict([]int{0}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-Close Predict: %v, want ErrShuttingDown", err)

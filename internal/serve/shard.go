@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -84,7 +85,8 @@ type shard struct {
 
 	// prepCSR is the shard's slice of the global operator in compact
 	// columns (owned rows local-indexed, ghosts NOwned+slot), built once
-	// and reused by every layer of every version's preparation.
+	// and reused by every layer of every version's preparation; request
+	// batches copy their rows out of it.
 	prepCSR *graph.LocalCSR
 
 	cache   *ghostCache
@@ -370,17 +372,19 @@ func (sh *shard) batchLogits(v uint32, st *versionState, ids []int32) (*tensor.M
 		return nil, nil, fmt.Errorf("serve: shard %d: version %d not prepared", sh.id, v)
 	}
 
-	// First pass: assign batch-compact column slots. Owned columns get
-	// their first-seen order (encoded as-is), ghosts theirs (encoded as
-	// ^slot until the owned count is final).
+	// First pass: copy the batch's rows out of the preparation CSR and
+	// assign batch-compact column slots. Owned columns get their first-seen
+	// order (encoded as-is); ghosts are encoded ^(static ghost slot) until
+	// the owned count is final and their batch slots are numbered.
+	prep := sh.prepCSR
 	nBatch := len(ids)
 	rowPtr := make([]int32, nBatch+1)
 	var colIdx []int32
 	var val []float32
 	ownedSlot := map[int32]int32{}
-	var ownedRows []int // batch owned slot → local row in src
-	ghostSlot := map[int32]int32{}
-	var ghostIDs []int32
+	var ownedRows []int                           // batch owned slot → local row in src
+	batchGhost := make([]int32, len(sh.ghostIDs)) // static ghost slot → 1 once seen, then its batch slot
+	var usedGhosts []int32                        // static ghost slots in the batch
 	selfRows := make([]int, nBatch)
 	for bi, id := range ids {
 		li, ok := sh.localIdx[id]
@@ -388,33 +392,41 @@ func (sh *shard) batchLogits(v uint32, st *versionState, ids []int32) (*tensor.M
 			return nil, nil, fmt.Errorf("serve: shard %d: vertex %d not owned", sh.id, id)
 		}
 		selfRows[bi] = int(li)
-		for p := sh.adj.RowPtr[id]; p < sh.adj.RowPtr[id+1]; p++ {
-			c := sh.adj.ColIdx[p]
-			if sh.owner[c] == int32(sh.id) {
+		for p := prep.RowPtr[li]; p < prep.RowPtr[li+1]; p++ {
+			c := prep.ColIdx[p]
+			if g := c - int32(prep.NOwned); g < 0 {
 				slot, ok := ownedSlot[c]
 				if !ok {
 					slot = int32(len(ownedRows))
 					ownedSlot[c] = slot
-					ownedRows = append(ownedRows, int(sh.localIdx[c]))
+					ownedRows = append(ownedRows, int(c))
 				}
 				colIdx = append(colIdx, slot)
 			} else {
-				slot, ok := ghostSlot[c]
-				if !ok {
-					slot = int32(len(ghostIDs))
-					ghostSlot[c] = slot
-					ghostIDs = append(ghostIDs, c)
+				if batchGhost[g] == 0 {
+					batchGhost[g] = 1
+					usedGhosts = append(usedGhosts, g)
 				}
-				colIdx = append(colIdx, ^slot)
+				colIdx = append(colIdx, ^g)
 			}
-			val = append(val, sh.adj.Val[p])
+			val = append(val, prep.Val[p])
 		}
 		rowPtr[bi+1] = int32(len(colIdx))
+	}
+	// Batch ghost slots in static-slot order, which is ascending global id:
+	// the ghost fold sums a row's terms in slot order, so this keeps every
+	// row's sum — owned terms in adjacency order, then ghosts by id, as in
+	// the preparation CSR — independent of which vertices share its batch.
+	slices.Sort(usedGhosts)
+	ghostIDs := make([]int32, len(usedGhosts))
+	for slot, g := range usedGhosts {
+		batchGhost[g] = int32(slot)
+		ghostIDs[slot] = sh.ghostIDs[g]
 	}
 	nOwned := int32(len(ownedRows))
 	for i, c := range colIdx {
 		if c < 0 {
-			colIdx[i] = nOwned + ^c
+			colIdx[i] = nOwned + batchGhost[^c]
 		}
 	}
 
