@@ -144,13 +144,15 @@ func (b *Blocked) accumGeneric(dst []float32, w float32, e int, lut []float32) {
 }
 
 // DequantRowInto decodes row r into dst (len ≥ Cols) — the row-gather
-// accessor and the tile scheduler's strip decode. dst[j] is exactly what
-// Decompress would have written; whole words decode through the unrolled
-// constant-shift kernels.
+// accessor. dst[j] is exactly what Decompress would have written.
 func (b *Blocked) DequantRowInto(r int, dst []float32) {
-	dst = dst[:b.Cols]
-	lut := b.luts[r/BlockRows]
-	e := r * b.Cols
+	b.dequantSpan(dst[:b.Cols], r*b.Cols, b.luts[r/BlockRows])
+}
+
+// dequantSpan decodes global elements [e, e+len(dst)) into dst, all under
+// one LUT: whole words through the unrolled constant-shift kernels, the
+// unaligned head and tail (and Bits = 16) one id at a time.
+func (b *Blocked) dequantSpan(dst []float32, e int, lut []float32) {
 	if b.Bits == 16 {
 		b.dequantGeneric(dst, e, lut)
 		return
@@ -158,10 +160,7 @@ func (b *Blocked) DequantRowInto(r int, dst []float32) {
 	perWord := 64 / b.Bits
 	j := 0
 	if h := e % perWord; h != 0 {
-		j = perWord - h
-		if j > len(dst) {
-			j = len(dst)
-		}
+		j = min(perWord-h, len(dst))
 		b.dequantGeneric(dst[:j], e, lut)
 	}
 	wi := (e + j) / perWord
@@ -213,10 +212,14 @@ func (b *Blocked) dequantGeneric(dst []float32, e int, lut []float32) {
 }
 
 // DequantRowsInto decodes rows [lo, hi) contiguously into dst
-// (len ≥ (hi−lo)·Cols) — the strip decode of the tile scheduler.
+// (len ≥ (hi−lo)·Cols), each block's rows as one span of elements, so rows
+// narrower than a packed word still decode a whole word at a time.
 func (b *Blocked) DequantRowsInto(lo, hi int, dst []float32) {
-	for r := lo; r < hi; r++ {
-		b.DequantRowInto(r, dst[(r-lo)*b.Cols:])
+	for lo < hi {
+		end := min(hi, (lo/BlockRows+1)*BlockRows)
+		n := (end - lo) * b.Cols
+		b.dequantSpan(dst[:n], lo*b.Cols, b.luts[lo/BlockRows])
+		dst, lo = dst[n:], end
 	}
 }
 

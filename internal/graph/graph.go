@@ -189,66 +189,46 @@ func Normalize(g *Graph) *NormAdjacency {
 	return &NormAdjacency{N: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
-// SpMM computes Â·H (sparse × dense), parallelised over row bands.
-// H must have Â.N rows. All rows are produced in order, so the kernel
-// iterates the CSR directly — no index slice is materialised (this runs
-// once per layer per epoch; the old allRows(N) indirection allocated an
-// N-length slice every call).
+// SpMM computes Â·H (sparse × dense), parallelised over row bands. H must
+// have Â.N rows. Each output row is one tensor.AxpyGather over the row's
+// entries in CSR order, every product rounded before its add — the one
+// summation contract the workers' split products keep, on every GOARCH.
 func (a *NormAdjacency) SpMM(h *tensor.Matrix) *tensor.Matrix {
 	if h.Rows != a.N {
 		panic(fmt.Sprintf("graph: SpMM dimension mismatch: adjacency %d vs H rows %d", a.N, h.Rows))
 	}
 	out := tensor.New(a.N, h.Cols)
 	cols := h.Cols
-	spmmBands(a.N, len(a.Val)*cols, func(lo, hi int) {
+	tensor.ParallelRows(a.N, len(a.Val)*cols, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			orow := out.Data[v*cols : (v+1)*cols]
-			for p := a.RowPtr[v]; p < a.RowPtr[v+1]; p++ {
-				u, w := a.ColIdx[p], a.Val[p]
-				hrow := h.Data[int(u)*cols : (int(u)+1)*cols]
-				for j, x := range hrow {
-					orow[j] += w * x
-				}
-			}
+			p, q := a.RowPtr[v], a.RowPtr[v+1]
+			tensor.AxpyGather(out.Data[v*cols:(v+1)*cols], a.Val[p:q], a.ColIdx[p:q], h.Data, 0, cols)
 		}
 	})
 	return out
 }
 
 // SpMMRows computes rows `rows` of Â·H into a len(rows)×Cols(H) matrix,
-// where H is indexed by global vertex id. Used by workers that own only a
-// slice of the vertex set but have gathered the needed neighbour rows of H.
+// where H is indexed by global vertex id (Â.N rows). Used by workers that
+// own only a slice of the vertex set but have gathered the needed neighbour
+// rows of H.
 func (a *NormAdjacency) SpMMRows(h *tensor.Matrix, rows []int32) *tensor.Matrix {
+	if h.Rows != a.N {
+		panic(fmt.Sprintf("graph: SpMMRows dimension mismatch: adjacency %d vs H rows %d", a.N, h.Rows))
+	}
 	out := tensor.New(len(rows), h.Cols)
 	cols := h.Cols
 	avgDeg := 1
 	if a.N > 0 {
 		avgDeg = max(1, len(a.Val)/a.N)
 	}
-	spmmBands(len(rows), len(rows)*avgDeg*cols, func(lo, hi int) {
+	tensor.ParallelRows(len(rows), len(rows)*avgDeg*cols, func(lo, hi int) {
 		for oi := lo; oi < hi; oi++ {
-			v := rows[oi]
-			orow := out.Data[oi*cols : (oi+1)*cols]
-			for p := a.RowPtr[v]; p < a.RowPtr[v+1]; p++ {
-				u, w := a.ColIdx[p], a.Val[p]
-				hrow := h.Data[int(u)*cols : (int(u)+1)*cols]
-				for j, x := range hrow {
-					orow[j] += w * x
-				}
-			}
+			p, q := a.RowPtr[rows[oi]], a.RowPtr[rows[oi]+1]
+			tensor.AxpyGather(out.Data[oi*cols:(oi+1)*cols], a.Val[p:q], a.ColIdx[p:q], h.Data, 0, cols)
 		}
 	})
 	return out
-}
-
-// spmmBands runs work over [0,nRows) with tensor.ParallelRows' banding
-// policy: inline for small products, row-disjoint bands otherwise, with
-// cooperative yields on a single-P runtime so in-flight ghost exchanges are
-// serviced mid-kernel. size approximates the total multiply-add work. Each
-// output row is written by exactly one band in CSR order, so the result is
-// independent of the split.
-func spmmBands(nRows, size int, work func(lo, hi int)) {
-	tensor.ParallelRows(nRows, size, work)
 }
 
 // Dense materialises Â as a dense matrix; only for tests on small graphs.

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"ecgraph/internal/tensor"
 )
@@ -41,16 +42,24 @@ type LocalCSR struct {
 	// nnzOwned/nnzGhost count the entries in each column group, sizing the
 	// split kernels' banding work estimates.
 	nnzOwned, nnzGhost int
+
+	// ownedRows and ghostRows are how many rows the owned and ghost operands
+	// must have to cover every column. Each product checks its operand
+	// against them once, before the kernel reads a row.
+	ownedRows, ghostRows int
+
+	// strips caches stripOffsets, one table per strip height met.
+	stripMu sync.Mutex
+	strips  []stripTable
 }
 
 // NewLocalCSR builds a LocalCSR over nOwned output rows from row-major
 // entries whose columns may interleave owned and ghost positions; the
 // constructor partitions each row owned-first (stable within the owned
 // group). Each row's ghost columns are stored in ascending compact index:
-// the tile scheduler walks ghost-row strips in ascending order, and only a
-// sorted layout makes strip order equal storage order — the property that
-// keeps the tiled packed kernels bit-for-bit identical to the direct ones.
-// The inputs are not retained.
+// the ghost fold walks the ghost rows in ascending strips, and only a sorted
+// layout makes strip order equal storage order. Negative columns panic. The
+// inputs are not retained.
 func NewLocalCSR(nOwned int, rowPtr, colIdx []int32, val []float32) *LocalCSR {
 	if len(rowPtr) == 0 || len(colIdx) != len(val) {
 		panic(fmt.Sprintf("graph: LocalCSR inputs inconsistent: %d rowPtr, %d colIdx, %d val",
@@ -67,17 +76,21 @@ func NewLocalCSR(nOwned int, rowPtr, colIdx []int32, val []float32) *LocalCSR {
 	for i := 0; i < nRows; i++ {
 		out := rowPtr[i]
 		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			if int(colIdx[p]) < nOwned {
+			if c := int(colIdx[p]); c < 0 {
+				panic(fmt.Sprintf("graph: LocalCSR row %d has column %d", i, c))
+			} else if c < nOwned {
 				a.ColIdx[out] = colIdx[p]
 				a.Val[out] = val[p]
+				a.ownedRows = max(a.ownedRows, c+1)
 				out++
 			}
 		}
 		a.ghostStart[i] = out
 		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			if int(colIdx[p]) >= nOwned {
+			if c := int(colIdx[p]); c >= nOwned {
 				a.ColIdx[out] = colIdx[p]
 				a.Val[out] = val[p]
+				a.ghostRows = max(a.ghostRows, c-nOwned+1)
 				out++
 			}
 		}
@@ -127,25 +140,17 @@ func (a *LocalCSR) BoundaryRows() []int32 { return a.boundary }
 // (they are stored first), then ghost entries, so the result is bit-for-bit
 // identical to SpMMOwnedInto followed by SpMMGhostInto.
 func (a *LocalCSR) SpMM(hcat *tensor.Matrix) *tensor.Matrix {
+	need := a.ownedRows
+	if a.ghostRows > 0 {
+		need = a.NOwned + a.ghostRows
+	}
+	checkOperand("SpMM", hcat.Rows, need)
 	out := tensor.New(a.NumRows(), hcat.Cols)
 	cols := hcat.Cols
 	tensor.ParallelRows(a.NumRows(), len(a.Val)*cols, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			orow := out.Data[i*cols : (i+1)*cols]
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				c, w := a.ColIdx[p], a.Val[p]
-				hrow := hcat.Data[int(c)*cols : (int(c)+1)*cols]
-				if p < a.ghostStart[i] {
-					// The owned half rounds each product before its add
-					// (tensor.Axpy4's contract); the ghost loops leave that
-					// to the compiler, which fuses the pair on arm64.
-					tensor.Axpy(orow, w, hrow)
-					continue
-				}
-				for j, x := range hrow {
-					orow[j] += w * x
-				}
-			}
+			p, q := a.RowPtr[i], a.RowPtr[i+1]
+			tensor.AxpyGather(out.Data[i*cols:(i+1)*cols], a.Val[p:q], a.ColIdx[p:q], hcat.Data, 0, cols)
 		}
 	})
 	return out
@@ -162,22 +167,12 @@ func (a *LocalCSR) SpMMOwnedInto(owned, out *tensor.Matrix) {
 		panic(fmt.Sprintf("graph: SpMMOwnedInto output %dx%d, want %dx%d",
 			out.Rows, out.Cols, a.NumRows(), owned.Cols))
 	}
-	cols, h := owned.Cols, owned.Data
+	checkOperand("SpMMOwnedInto", owned.Rows, a.ownedRows)
+	cols := owned.Cols
 	tensor.ParallelRows(a.NumRows(), a.nnzOwned*cols, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			orow := out.Data[i*cols : (i+1)*cols]
-			// Four neighbours per pass over the output row, in storage
-			// order: the sum a neighbour at a time would give.
-			p, end := a.RowPtr[i], a.ghostStart[i]
-			for ; p+4 <= end; p += 4 {
-				v, c := a.Val[p:p+4], a.ColIdx[p:p+4]
-				c0, c1, c2, c3 := int(c[0])*cols, int(c[1])*cols, int(c[2])*cols, int(c[3])*cols
-				tensor.Axpy4(orow, v[0], v[1], v[2], v[3], h[c0:c0+cols], h[c1:c1+cols], h[c2:c2+cols], h[c3:c3+cols])
-			}
-			for ; p < end; p++ {
-				c0 := int(a.ColIdx[p]) * cols
-				tensor.Axpy(orow, a.Val[p], h[c0:c0+cols])
-			}
+			p, q := a.RowPtr[i], a.ghostStart[i]
+			tensor.AxpyGather(out.Data[i*cols:(i+1)*cols], a.Val[p:q], a.ColIdx[p:q], owned.Data, 0, cols)
 		}
 	})
 }
@@ -188,26 +183,7 @@ func (a *LocalCSR) SpMMOwnedInto(owned, out *tensor.Matrix) {
 // SpMMOwnedInto on the same output it completes the product exactly as the
 // fused SpMM would have.
 func (a *LocalCSR) SpMMGhostInto(ghost, out *tensor.Matrix) {
-	if ghost == nil || ghost.Rows == 0 {
-		return
-	}
-	if out.Rows != a.NumRows() || out.Cols != ghost.Cols {
-		panic(fmt.Sprintf("graph: SpMMGhostInto output %dx%d, want %dx%d",
-			out.Rows, out.Cols, a.NumRows(), ghost.Cols))
-	}
-	cols := ghost.Cols
-	tensor.ParallelRows(a.NumRows(), a.nnzGhost*cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Data[i*cols : (i+1)*cols]
-			for p := a.ghostStart[i]; p < a.RowPtr[i+1]; p++ {
-				c, w := a.ColIdx[p], a.Val[p]
-				hrow := ghost.Data[(int(c)-a.NOwned)*cols : (int(c)-a.NOwned+1)*cols]
-				for j, x := range hrow {
-					orow[j] += w * x
-				}
-			}
-		}
-	})
+	a.SpMMGhostPacked(NewGhostDense(ghost), out)
 }
 
 // SpMMGhostCompact computes the ghost-column contributions for the boundary
@@ -219,23 +195,13 @@ func (a *LocalCSR) SpMMGhostInto(ghost, out *tensor.Matrix) {
 // transform of the ghost contribution (its matmul against the layer weights)
 // costs O(boundary) rather than O(owned) rows.
 func (a *LocalCSR) SpMMGhostCompact(ghost *tensor.Matrix) *tensor.Matrix {
-	if ghost == nil || ghost.Rows == 0 || len(a.boundary) == 0 {
-		return nil
+	return a.SpMMGhostCompactPacked(NewGhostDense(ghost), nil)
+}
+
+// checkOperand panics unless an operand of rows rows covers the need rows a
+// product's columns address.
+func checkOperand(op string, rows, need int) {
+	if rows < need {
+		panic(fmt.Sprintf("graph: %s operand has %d rows, the CSR's columns address %d", op, rows, need))
 	}
-	cols := ghost.Cols
-	out := tensor.New(len(a.boundary), cols)
-	tensor.ParallelRows(len(a.boundary), a.nnzGhost*cols, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := int(a.boundary[k])
-			orow := out.Data[k*cols : (k+1)*cols]
-			for p := a.ghostStart[i]; p < a.RowPtr[i+1]; p++ {
-				c, w := a.ColIdx[p], a.Val[p]
-				hrow := ghost.Data[(int(c)-a.NOwned)*cols : (int(c)-a.NOwned+1)*cols]
-				for j, x := range hrow {
-					orow[j] += w * x
-				}
-			}
-		}
-	})
-	return out
 }

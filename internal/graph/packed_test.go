@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ecgraph/internal/compress"
@@ -64,15 +65,20 @@ func packedFixture(rng *rand.Rand, nGhost, cols, bits int, zc bool,
 	return oracle, op
 }
 
-// packedBitwiseTrial asserts, for one random scenario, that every packed
-// kernel schedule — full-output, compact direct, compact tiled, with and
-// without an arena — produces bit-identical float32 output to the decode
-// oracle (Decompress + the dense kernels).
+// packedBitwiseTrial asserts, for one random scenario, that both packed
+// folds — full-output, and compact with and without an arena — produce
+// bit-identical float32 output to the decode oracle (Decompress + the dense
+// folds), and that the oracle is the plain sum: each row's terms in storage
+// order, one rounded product at a time. Widths reach 136 and a third of the
+// trials have more ghost rows than one strip of decode scratch holds.
 func packedBitwiseTrial(t testing.TB, rng *rand.Rand) {
 	nOwned := 1 + rng.Intn(80)
+	cols := 1 + rng.Intn(136)
 	nGhost := rng.Intn(61)
+	if rng.Intn(3) == 0 {
+		nGhost = stripRows(cols) + rng.Intn(2*stripRows(cols))
+	}
 	deg := 1 + rng.Intn(6)
-	cols := 1 + rng.Intn(40)
 	bits := compress.ValidBits[rng.Intn(len(compress.ValidBits))]
 	zc := rng.Intn(2) == 0
 	denseFrac := []float64{0, 0.35, 1}[rng.Intn(3)]
@@ -90,36 +96,51 @@ func packedBitwiseTrial(t testing.TB, rng *rand.Rand) {
 	label := fmt.Sprintf("owned=%d ghost=%d deg=%d cols=%d bits=%d zc=%v dense=%v unset=%v degen=%v",
 		nOwned, nGhost, deg, cols, bits, zc, denseFrac, unsetFrac, degenerate)
 
-	// Full-output kernel vs SpMMGhostInto.
+	// Full-output fold vs SpMMGhostInto, and that vs the plain sum.
 	want := tensor.New(nOwned, cols)
 	a.SpMMGhostInto(oracle, want)
+	if nGhost > 0 {
+		sameBits(t, label+": SpMMGhostInto vs the plain sum", want.Data, plainGhostSum(a, oracle).Data)
+	}
 	got := tensor.New(nOwned, cols)
 	a.SpMMGhostPacked(op, got)
-	for i, w := range want.Data {
-		if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
-			t.Fatalf("%s: SpMMGhostPacked[%d]=%v want %v", label, i, got.Data[i], w)
+	sameBits(t, label+": SpMMGhostPacked", got.Data, want.Data)
+
+	// Compact fold vs SpMMGhostCompact.
+	wantC := a.SpMMGhostCompact(oracle)
+	for _, ar := range []*tensor.Arena{nil, tensor.NewArena(16)} {
+		gotC := a.SpMMGhostCompactPacked(op, ar)
+		if (gotC == nil) != (wantC == nil) {
+			t.Fatalf("%s: compact nil mismatch: got %v want %v", label, gotC == nil, wantC == nil)
+		}
+		if wantC != nil {
+			sameBits(t, fmt.Sprintf("%s arena=%v: compact", label, ar != nil), gotC.Data, wantC.Data)
 		}
 	}
+}
 
-	// Compact kernel under every schedule vs SpMMGhostCompact.
-	wantC := a.SpMMGhostCompact(oracle)
-	defer func() { tileMode = 0 }()
-	for _, mode := range []int{0, 1, 2} {
-		tileMode = mode
-		for _, ar := range []*tensor.Arena{nil, tensor.NewArena(16)} {
-			gotC := a.SpMMGhostCompactPacked(op, ar)
-			if (gotC == nil) != (wantC == nil) {
-				t.Fatalf("%s mode=%d: compact nil mismatch: got %v want %v", label, mode, gotC == nil, wantC == nil)
+// plainGhostSum is the ghost half of A·[·;ghost] written out: per owned row,
+// its ghost terms in storage order, each product rounded before its add.
+func plainGhostSum(a *LocalCSR, ghost *tensor.Matrix) *tensor.Matrix {
+	cols := ghost.Cols
+	out := tensor.New(a.NumRows(), cols)
+	for i := 0; i < a.NumRows(); i++ {
+		for p := a.ghostStart[i]; p < a.RowPtr[i+1]; p++ {
+			h := ghost.Row(int(a.ColIdx[p]) - a.NOwned)
+			for j := range h {
+				out.Data[i*cols+j] += float32(a.Val[p] * h[j])
 			}
-			if wantC == nil {
-				continue
-			}
-			for i, w := range wantC.Data {
-				if math.Float32bits(gotC.Data[i]) != math.Float32bits(w) {
-					t.Fatalf("%s mode=%d arena=%v: compact[%d]=%v want %v",
-						label, mode, ar != nil, i, gotC.Data[i], w)
-				}
-			}
+		}
+	}
+	return out
+}
+
+// sameBits fails unless got and want hold the same float32 bits (−0 ≠ +0).
+func sameBits(t testing.TB, what string, got, want []float32) {
+	t.Helper()
+	for i, w := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(w) {
+			t.Fatalf("%s: [%d]=%v (%#x) want %v (%#x)", what, i, got[i], math.Float32bits(got[i]), w, math.Float32bits(w))
 		}
 	}
 }
@@ -146,14 +167,13 @@ func FuzzSpMMGhostPackedBitwise(f *testing.F) {
 	})
 }
 
-// TestSpMMGhostUnsetSlotsAreZeroRows pins the unset-slot rule under both
-// forced schedules: an operand whose uncovered slots are unset folds to the
-// same bits as one carrying explicit zero rows there — dense +0 rows, and
-// −0 rows, which the skipped terms w·(−0) = ∓0 would equally leave alone.
+// TestSpMMGhostUnsetSlotsAreZeroRows pins the unset-slot rule: an operand
+// whose uncovered slots are unset folds to the same bits as one carrying
+// explicit zero rows there — dense +0 rows, and −0 rows, whose terms
+// w·(−0) = ∓0 leave an accumulator that started at +0 alone.
 func TestSpMMGhostUnsetSlotsAreZeroRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	negZero := float32(math.Copysign(0, -1))
-	defer func() { tileMode = 0 }()
 	for trial := 0; trial < 40; trial++ {
 		nGhost, cols := 8+rng.Intn(120), 1+rng.Intn(24)
 		a := randomLocalCSR(rng, 1+rng.Intn(90), nGhost, 1+rng.Intn(8))
@@ -175,22 +195,13 @@ func TestSpMMGhostUnsetSlotsAreZeroRows(t *testing.T) {
 					explicit.SetRowDense(r, zrow)
 				}
 			}
-			for _, mode := range []int{1, 2} {
-				tileMode = mode
-				want := a.SpMMGhostCompactPacked(explicit, nil)
-				got := a.SpMMGhostCompactPacked(unset, tensor.NewArena(16))
-				if (got == nil) != (want == nil) {
-					t.Fatalf("trial %d mode %d: nil mismatch", trial, mode)
-				}
-				if want == nil {
-					continue
-				}
-				for i, w := range want.Data {
-					if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
-						t.Fatalf("trial %d mode %d zero=%v: [%d]=%v (%#x) want %v (%#x)", trial, mode, zero,
-							i, got.Data[i], math.Float32bits(got.Data[i]), w, math.Float32bits(w))
-					}
-				}
+			want := a.SpMMGhostCompactPacked(explicit, nil)
+			got := a.SpMMGhostCompactPacked(unset, tensor.NewArena(16))
+			if (got == nil) != (want == nil) {
+				t.Fatalf("trial %d: nil mismatch", trial)
+			}
+			if want != nil {
+				sameBits(t, fmt.Sprintf("trial %d zero=%v", trial, zero), got.Data, want.Data)
 			}
 		}
 	}
@@ -234,25 +245,85 @@ func steadyFixture(rng *rand.Rand) (*LocalCSR, *GhostOperand, *tensor.Arena) {
 }
 
 // TestSpMMGhostPackedZeroAlloc is the allocation gate: once the arena is
-// warm, the packed compact kernel performs zero heap allocations per call
-// under both the direct and the tiled schedule.
+// warm, the packed compact fold performs zero heap allocations per call.
 func TestSpMMGhostPackedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting skipped under -race: instrumentation allocates")
 	}
 	rng := rand.New(rand.NewSource(9))
 	a, op, ar := steadyFixture(rng)
-	defer func() { tileMode = 0 }()
-	for _, mode := range []int{1, 2} {
-		tileMode = mode
+	allocs := testing.AllocsPerRun(200, func() {
 		ar.Reset()
-		a.SpMMGhostCompactPacked(op, ar) // first call under this mode may grow the arena
-		allocs := testing.AllocsPerRun(200, func() {
-			ar.Reset()
-			a.SpMMGhostCompactPacked(op, ar)
-		})
-		if allocs != 0 {
-			t.Fatalf("tileMode=%d: %v allocs/op on the packed steady-state path, want 0", mode, allocs)
-		}
+		a.SpMMGhostCompactPacked(op, ar)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs/op on the packed steady-state path, want 0", allocs)
+	}
+}
+
+// TestSpMMGhostConcurrentFolds folds one multi-strip operand through one
+// LocalCSR from several goroutines at once, the first calls racing to build
+// its strip-offset table, and holds every result to a serial fold's bits.
+func TestSpMMGhostConcurrentFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const cols = 64
+	nGhost := 3*stripRows(cols) + 5
+	_, op := packedFixture(rng, nGhost, cols, 2, false, 0.2, 0.3, false)
+	build := func() *LocalCSR { return randomLocalCSR(rand.New(rand.NewSource(32)), 60, nGhost, 6) }
+	want := build().SpMMGhostCompactPacked(op, nil)
+	a := build()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				got := a.SpMMGhostCompactPacked(op, tensor.NewArena(0))
+				for j, w := range want.Data {
+					if math.Float32bits(got.Data[j]) != math.Float32bits(w) {
+						t.Errorf("concurrent fold [%d]=%v want %v", j, got.Data[j], w)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestColumnBeyondOperandPanics checks that every product in the package
+// refuses an operand its CSR's columns run past with a panic instead of
+// reading past it: the LocalCSR products before the kernel runs, the
+// NormAdjacency ones, whose exported columns nothing records, in the kernel.
+func TestColumnBeyondOperandPanics(t *testing.T) {
+	// Row 0 reads owned column 2 and ghost slot 3; row 1 only owned ones.
+	a := NewLocalCSR(3, []int32{0, 2, 3}, []int32{2, 6, 0}, []float32{1, 1, 1})
+	short := tensor.New(2, 8) // one row short of either half
+	full := tensor.New(3, 8)  // the owned half, and the output
+	hybrid := NewGhostHybrid(3, 8)
+	hybrid.SetRowsPacked(0, compress.Compress(short, 2).Block())
+	adj := Normalize(FromEdges(4, [][2]int32{{0, 1}, {2, 3}}))
+	bad := &NormAdjacency{N: 2, RowPtr: []int32{0, 1, 2}, ColIdx: []int32{1, 5}, Val: []float32{1, 1}}
+	cases := map[string]func(){
+		"LocalCSR.SpMM":                    func() { a.SpMM(tensor.New(6, 8)) },
+		"SpMMOwnedInto":                    func() { a.SpMMOwnedInto(short, tensor.New(2, 8)) },
+		"SpMMGhostInto":                    func() { a.SpMMGhostInto(full, tensor.New(2, 8)) },
+		"SpMMGhostCompact":                 func() { a.SpMMGhostCompact(full) },
+		"SpMMGhostPacked":                  func() { a.SpMMGhostPacked(hybrid, tensor.New(2, 8)) },
+		"SpMMGhostCompactPacked":           func() { a.SpMMGhostCompactPacked(hybrid, tensor.NewArena(0)) },
+		"SpMMGhostCompactPacked (dense)":   func() { a.SpMMGhostCompactPacked(NewGhostDense(full), nil) },
+		"NormAdjacency.SpMM":               func() { bad.SpMM(tensor.New(2, 8)) },
+		"NormAdjacency.SpMMRows":           func() { bad.SpMMRows(tensor.New(2, 8), []int32{1}) },
+		"NormAdjacency.SpMMRows (short H)": func() { adj.SpMMRows(tensor.New(3, 8), []int32{3}) },
+	}
+	for name, call := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

@@ -1,6 +1,8 @@
 package tensor
 
-// haveAVX2 says whether Axpy4 and Axpy run the 8-lane bodies of
+import "unsafe"
+
+// haveAVX2 says whether Axpy4, Axpy and AxpyGather run the 8-lane bodies of
 // axpy_amd64.s; set once at start-up (tests flip it to run both loops).
 var haveAVX2 = detectAVX2()
 
@@ -31,6 +33,19 @@ func axpy4AVX2(o, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
 
 //go:noescape
 func axpyAVX2(o, b *float32, n int, a float32)
+
+//go:noescape
+func axpyGatherAVX2(o *float32, n int, w *float32, idx *int32, terms int, base *float32, bias, stride, last int) (applied int)
+
+// axpyGatherLanes runs AxpyGather over the leading multiple of eight
+// elements of o (it has at least eight) in the vector body. It returns how
+// many terms it applied: all of w's (at least one), or the index of the
+// first whose row would start past offset last ≥ 0 of base, in which case o
+// is untouched. The slices are non-empty, so SliceData is their first
+// element, without the bounds checks that would keep this from inlining.
+func axpyGatherLanes(o, w []float32, idx []int32, base []float32, bias, stride, last int) int {
+	return axpyGatherAVX2(unsafe.SliceData(o), len(o), unsafe.SliceData(w), unsafe.SliceData(idx), len(w), unsafe.SliceData(base), bias, stride, last)
+}
 
 // axpy4Lanes runs Axpy4 over the leading multiple of eight elements of o in
 // the vector body and returns how many that was: o has at least eight and

@@ -107,13 +107,12 @@ func (s *Sparse) matmulInto(out, n *Matrix, rows []int32, count int) {
 }
 
 // matmulUnit accumulates the at most matmulRows rows [lo,hi) of s·n (or rows
-// rows[lo:hi]) into out: four listed entries of a row per Axpy4 pass, the up
-// to three left at the row's end one Axpy each. Like matmulRange it takes
-// all its rows through one L1-sized block of n's rows before the next —
-// what keeps the transposed product (n as tall as a layer's gradient) from
-// streaming n from memory once per output row — except that a group of four
-// goes to the block its first entry falls in: closing the groups at block
-// ends would leave a tail per block instead of one per row.
+// rows[lo:hi]) into out, one AxpyGather per row over the row's entries that
+// fall in one L1-sized block of n's rows. Like matmulRange it takes all its
+// rows through a block before the next — what keeps the transposed product
+// (n as tall as a layer's gradient) from streaming n from memory once per
+// output row. A product whose n is one block (layer 1's ÂX·W) is one call
+// per row.
 func (s *Sparse) matmulUnit(out, n *Matrix, rows []int32, lo, hi int) {
 	N := n.Cols
 	kb := max(4, matmulL1/(4*max(N, 1)))
@@ -128,24 +127,20 @@ func (s *Sparse) matmulUnit(out, n *Matrix, rows []int32, lo, hi int) {
 		cur[i-lo] = s.RowPtr[row(i)]
 	}
 	for blockEnd := kb; ; blockEnd += kb {
+		last := blockEnd >= s.Cols
 		for i := lo; i < hi; i++ {
 			r := row(i)
-			p, end := int(cur[i-lo]), int(s.RowPtr[r+1])
-			orow := out.Data[r*N : (r+1)*N]
-			for ; p+4 <= end && int(s.Idx[p]) < blockEnd; p += 4 {
-				k0, k1, k2, k3 := int(s.Idx[p])*N, int(s.Idx[p+1])*N, int(s.Idx[p+2])*N, int(s.Idx[p+3])*N
-				Axpy4(orow, s.Val[p], s.Val[p+1], s.Val[p+2], s.Val[p+3],
-					n.Data[k0:k0+N], n.Data[k1:k1+N], n.Data[k2:k2+N], n.Data[k3:k3+N])
-			}
-			if p+4 > end {
-				for ; p < end; p++ {
-					k := int(s.Idx[p]) * N
-					Axpy(orow, s.Val[p], n.Data[k:k+N])
+			p, q := int(cur[i-lo]), int(s.RowPtr[r+1])
+			if !last {
+				q = p
+				for q < int(s.RowPtr[r+1]) && int(s.Idx[q]) < blockEnd {
+					q++
 				}
 			}
-			cur[i-lo] = int32(p)
+			AxpyGather(out.Data[r*N:(r+1)*N], s.Val[p:q], s.Idx[p:q], n.Data, 0, N)
+			cur[i-lo] = int32(q)
 		}
-		if blockEnd >= s.Cols {
+		if last {
 			return
 		}
 	}

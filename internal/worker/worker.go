@@ -260,8 +260,8 @@ type Worker struct {
 	skips       int // degraded fetches served proactively (suspect/straggling peer)
 
 	// scratch is the epoch goroutine's arena for layer-transient compute
-	// scratch: the packed fold's compact output and the tile scheduler's
-	// strip decode buffers. Reset at every layer entry; per the arena
+	// scratch: the packed fold's compact output and its strip decode
+	// buffer. Reset at every layer entry; per the arena
 	// ownership rule (DESIGN.md §15) nothing retained across a layer may
 	// come from it.
 	scratch *tensor.Arena
@@ -1035,10 +1035,10 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 }
 
 // ghostFold computes the compact boundary-row ghost aggregation for a layer
-// fold. With PackedSpMM the hybrid operand feeds the packed kernel directly
-// — packed rows dequantise on register, the compact output comes from the
-// layer arena. Without it the operand is decoded into a dense matrix first
-// and the oracle kernel runs; the two paths are bit-for-bit identical by
+// fold. With PackedSpMM the hybrid operand goes to the fold as it arrived —
+// packed rows are decoded once into strip scratch, which comes from the
+// layer arena with the compact output. Without it the operand is decoded
+// into a dense matrix first; the two paths are bit-for-bit identical by
 // construction (see internal/graph's packed bitwise tests). Nil when there
 // is nothing to fold.
 func (w *Worker) ghostFold(ghost *graph.GhostOperand) *tensor.Matrix {
