@@ -38,15 +38,10 @@ func main() {
 		shards    = flag.Int("shards", 2, "serving replicas the graph is sharded across")
 		part      = flag.String("partitioner", "hash", "partitioner: hash or metis")
 
-		queueDepth = flag.Int("queue-depth", 256, "admission queue bound, in requests; arrivals beyond it get 429")
-		maxBatch   = flag.Int("max-batch", 256, "max vertices coalesced into one SpMM batch (while every round slot is busy)")
-		inflight   = flag.Int("inflight-batches", 2, "batch rounds allowed in flight at once")
-
-		cacheTTL      = flag.Duration("cache-ttl", 0, "ghost-row cache freshness bound (0 pins rows for a version's lifetime — exact)")
-		cacheMaxStale = flag.Duration("cache-max-stale", 0, "serve last-good ghost rows up to this old when a refetch fails (-1s = any age, 0 = never)")
-		wireBits      = flag.Int("wire-bits", 32, "quantisation bits for serve-time ghost fetches (32 = raw float32, exact)")
-		packedSpMM    = flag.Bool("packed-spmm", true, "aggregate quantised cached ghost rows in their packed wire form (false = decode-first oracle, bitwise identical)")
-		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "bound on waiting out old-version batches during a swap")
+		queueDepth   = flag.Int("queue-depth", 256, "admission queue bound, in requests; arrivals beyond it get 429")
+		maxBatch     = flag.Int("max-batch", 256, "max vertices coalesced into one SpMM batch (while every round slot is busy)")
+		inflight     = flag.Int("inflight-batches", 2, "batch rounds allowed in flight at once")
+		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "bound on waiting out old-version batches during a swap")
 	)
 	flag.Parse()
 
@@ -91,10 +86,6 @@ func main() {
 		QueueDepth:      *queueDepth,
 		MaxBatch:        *maxBatch,
 		InflightBatches: *inflight,
-		CacheTTL:        *cacheTTL,
-		CacheMaxStale:   *cacheMaxStale,
-		WireBits:        *wireBits,
-		PackedSpMM:      *packedSpMM,
 		DrainTimeout:    *drainTimeout,
 		Metrics:         reg,
 	}

@@ -143,12 +143,6 @@ func (b *Blocked) accumGeneric(dst []float32, w float32, e int, lut []float32) {
 	}
 }
 
-// DequantRowInto decodes row r into dst (len ≥ Cols) — the row-gather
-// accessor. dst[j] is exactly what Decompress would have written.
-func (b *Blocked) DequantRowInto(r int, dst []float32) {
-	b.dequantSpan(dst[:b.Cols], r*b.Cols, b.luts[r/BlockRows])
-}
-
 // dequantSpan decodes global elements [e, e+len(dst)) into dst, all under
 // one LUT: whole words through the unrolled constant-shift kernels, the
 // unaligned head and tail (and Bits = 16) one id at a time.

@@ -43,17 +43,12 @@ func TestBlockedBitwiseDecode(t *testing.T) {
 						t.Fatalf("bits=%d zc=%v shape=%v: Dense[%d]=%v want %v", bits, zc, sh, i, got.Data[i], v)
 					}
 				}
-				// Row gather and register-dequant accumulation.
-				row := make([]float32, sh[1])
+				// Register-dequant accumulation.
 				acc := make([]float32, sh[1])
 				ref := make([]float32, sh[1])
 				for r := 0; r < sh[0]; r++ {
-					b.DequantRowInto(r, row)
 					w := float32(rng.Float64()*2 - 1)
 					for j := 0; j < sh[1]; j++ {
-						if row[j] != want.Row(r)[j] {
-							t.Fatalf("bits=%d: DequantRowInto row %d col %d: %v want %v", bits, r, j, row[j], want.Row(r)[j])
-						}
 						ref[j] = acc[j] + w*want.Row(r)[j]
 					}
 					b.AccumRow(acc, w, r)

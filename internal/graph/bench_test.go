@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -76,6 +77,51 @@ func TestLocalCSRSplitMatchesFusedBitwise(t *testing.T) {
 				if split.Data[i] != want {
 					t.Fatalf("element %d: split %v != fused %v (bit-for-bit required)",
 						i, split.Data[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestLocalCSRSpMMRowsMatchesSpMM pins SpMMRows to the fused product: each
+// requested row is SpMM's row bit for bit, whatever else is asked for —
+// repeated rows, unsorted lists, one row alone, none at all — on the
+// inline and the parallel paths.
+func TestLocalCSRSpMMRowsMatchesSpMM(t *testing.T) {
+	cases := []struct{ nOwned, nGhost, deg, cols int }{
+		{7, 5, 3, 4},
+		{300, 90, 6, 32},
+		{128, 0, 4, 16},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("owned%d-ghost%d-cols%d", tc.nOwned, tc.nGhost, tc.cols), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(43))
+			a := randomLocalCSR(rng, tc.nOwned, tc.nGhost, tc.deg)
+			hcat := randomMatrix(rng, tc.nOwned+tc.nGhost, tc.cols)
+			full := a.SpMM(hcat)
+			shuffled := rng.Perm(tc.nOwned)
+			lists := [][]int{
+				shuffled,
+				append(shuffled[:tc.nOwned/2:tc.nOwned/2], shuffled[:tc.nOwned/3]...),
+				{tc.nOwned - 1, 0, tc.nOwned - 1, tc.nOwned / 2, 0},
+				{tc.nOwned / 2},
+				{},
+			}
+			for li, list := range lists {
+				rows := make([]int32, len(list))
+				for k, r := range list {
+					rows[k] = int32(r)
+				}
+				got := a.SpMMRows(hcat, rows)
+				if got.Rows != len(rows) || got.Cols != tc.cols {
+					t.Fatalf("list %d: shape %dx%d, want %dx%d", li, got.Rows, got.Cols, len(rows), tc.cols)
+				}
+				for k, r := range list {
+					for j, x := range got.Row(k) {
+						if want := full.At(r, j); math.Float32bits(x) != math.Float32bits(want) {
+							t.Fatalf("list %d: row %d (CSR row %d) col %d: %v, SpMM %v", li, k, r, j, x, want)
+						}
+					}
 				}
 			}
 		})

@@ -140,11 +140,7 @@ func (a *LocalCSR) BoundaryRows() []int32 { return a.boundary }
 // (they are stored first), then ghost entries, so the result is bit-for-bit
 // identical to SpMMOwnedInto followed by SpMMGhostInto.
 func (a *LocalCSR) SpMM(hcat *tensor.Matrix) *tensor.Matrix {
-	need := a.ownedRows
-	if a.ghostRows > 0 {
-		need = a.NOwned + a.ghostRows
-	}
-	checkOperand("SpMM", hcat.Rows, need)
+	checkOperand("SpMM", hcat.Rows, a.hcatRows())
 	out := tensor.New(a.NumRows(), hcat.Cols)
 	cols := hcat.Cols
 	tensor.ParallelRows(a.NumRows(), len(a.Val)*cols, func(lo, hi int) {
@@ -154,6 +150,32 @@ func (a *LocalCSR) SpMM(hcat *tensor.Matrix) *tensor.Matrix {
 		}
 	})
 	return out
+}
+
+// SpMMRows computes rows `rows` of A·Hcat into a len(rows)×Cols(Hcat)
+// matrix, Hcat stacked as for SpMM. Row k is SpMM's row rows[k] bit for
+// bit — one tensor.AxpyGather over that CSR row — so it does not depend on
+// which other rows are asked for. Rows may repeat and come in any order.
+func (a *LocalCSR) SpMMRows(hcat *tensor.Matrix, rows []int32) *tensor.Matrix {
+	checkOperand("SpMMRows", hcat.Rows, a.hcatRows())
+	out := tensor.New(len(rows), hcat.Cols)
+	cols := hcat.Cols
+	avgDeg := max(1, len(a.Val)/max(1, a.NumRows()))
+	tensor.ParallelRows(len(rows), len(rows)*avgDeg*cols, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			p, q := a.RowPtr[rows[k]], a.RowPtr[rows[k]+1]
+			tensor.AxpyGather(out.Data[k*cols:(k+1)*cols], a.Val[p:q], a.ColIdx[p:q], hcat.Data, 0, cols)
+		}
+	})
+	return out
+}
+
+// hcatRows is how many rows a stacked operand needs to cover every column.
+func (a *LocalCSR) hcatRows() int {
+	if a.ghostRows > 0 {
+		return a.NOwned + a.ghostRows
+	}
+	return a.ownedRows
 }
 
 // SpMMOwnedInto accumulates the owned-column contributions of A·[owned;·]

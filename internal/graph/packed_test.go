@@ -306,6 +306,7 @@ func TestColumnBeyondOperandPanics(t *testing.T) {
 	bad := &NormAdjacency{N: 2, RowPtr: []int32{0, 1, 2}, ColIdx: []int32{1, 5}, Val: []float32{1, 1}}
 	cases := map[string]func(){
 		"LocalCSR.SpMM":                    func() { a.SpMM(tensor.New(6, 8)) },
+		"LocalCSR.SpMMRows":                func() { a.SpMMRows(tensor.New(6, 8), []int32{1}) },
 		"SpMMOwnedInto":                    func() { a.SpMMOwnedInto(short, tensor.New(2, 8)) },
 		"SpMMGhostInto":                    func() { a.SpMMGhostInto(full, tensor.New(2, 8)) },
 		"SpMMGhostCompact":                 func() { a.SpMMGhostCompact(full) },

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"time"
 
 	"ecgraph/internal/transport"
 )
@@ -89,7 +90,7 @@ type vertexSlot struct {
 // the vertices by owning shard, fan the per-shard batch calls out over the
 // transport, and scatter the answers back to the waiting requests.
 func (s *Service) runBatch(batch []*request) {
-	start := s.cfg.Clock()
+	start := time.Now()
 	v, ref := s.retainActive()
 	defer ref.Add(-1)
 
@@ -135,16 +136,9 @@ func (s *Service) runBatch(batch []*request) {
 			}
 			continue
 		}
-		r := transport.NewReader(res.Resp)
-		flags := r.Uint8s()
-		logits := r.Matrix()
+		logits := transport.NewReader(res.Resp).Matrix()
 		for k, slot := range slots[sh] {
 			out := &batch[slot.req].results[slot.pos]
-			if k >= len(flags) || flags[k] == 0 {
-				out.Err = "ghost row unavailable past staleness bound"
-				s.m.vertexFailed.Inc()
-				continue
-			}
 			row := logits.Row(k)
 			out.Logits = append([]float32(nil), row...)
 			out.OK = true
@@ -152,7 +146,7 @@ func (s *Service) runBatch(batch []*request) {
 		}
 	}
 
-	round := s.cfg.Clock().Sub(start).Seconds()
+	round := time.Since(start).Seconds()
 	for _, r := range batch {
 		s.m.stageQueue.Observe(start.Sub(r.enq).Seconds())
 		s.m.stageRound.Observe(round)

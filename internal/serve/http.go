@@ -8,6 +8,9 @@ import (
 	"ecgraph/internal/nn"
 )
 
+// maxBodyBytes bounds a request body: 1 MiB holds ~100k vertex ids.
+const maxBodyBytes = 1 << 20
+
 // ModelLoader loads a model file for the /v1/swap endpoint. The serving
 // binary wires in the checkpoint-aware loader (core.LoadModelFile); a nil
 // loader disables HTTP-initiated swaps.
@@ -52,8 +55,8 @@ func handlePredict(svc *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+	if status, err := readJSON(w, r, &req); err != nil {
+		httpError(w, status, "bad body: "+err.Error())
 		return
 	}
 	if len(req.Vertices) == 0 {
@@ -106,8 +109,8 @@ func handleSwap(svc *Service, loader ModelLoader, w http.ResponseWriter, r *http
 	var req struct {
 		Model string `json:"model"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Model == "" {
-		httpError(w, http.StatusBadRequest, "body must be {\"model\":\"path\"}")
+	if status, err := readJSON(w, r, &req); err != nil || req.Model == "" {
+		httpError(w, status, "body must be {\"model\":\"path\"}")
 		return
 	}
 	m, err := loader(req.Model)
@@ -120,6 +123,17 @@ func handleSwap(svc *Service, loader ModelLoader, w http.ResponseWriter, r *http
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"version": svc.ActiveVersion()})
+}
+
+// readJSON decodes r's body into v, reading at most maxBodyBytes of it. It
+// returns the status that rejects the body: 413 past the bound, else 400.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 func statusFor(err error) int {

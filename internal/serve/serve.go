@@ -6,21 +6,21 @@
 // master/worker split): a front node owns admission, batching and version
 // control; shard nodes own a partition of the vertices and answer batch
 // inference and embedding-row fetches over the existing transport. The
-// data-plane reuses the training kernels directly — per-batch aggregation
-// runs through the split owned/ghost LocalCSR kernels (DESIGN.md §10), and
-// cross-shard neighbour rows ride the same ec wire format the training
-// exchange uses, so a serving replica tolerates slow peers with the same
-// staleness-bounded last-good fallback the degraded-fetch path established.
+// data-plane reuses the training kernels directly — aggregation runs each
+// shard's compact LocalCSR rows through the training row kernel
+// (DESIGN.md §10), and cross-shard neighbour rows ride the ec wire format
+// the training exchange uses, raw.
 //
 // Serving is layer-wise precomputed: when a model version is installed,
 // every shard computes its owned vertices' penultimate aggregation source
 // S^L (the input to the final layer's SpMM) through a coordinator-driven
-// transform/aggregate barrier protocol. A request for vertex v then costs
-// one sparse row aggregation over S^L plus the final dense transform —
-// milliseconds, not a full-graph forward pass. Hot model swap installs the
-// next version alongside the current one and atomically flips the active
-// pointer; in-flight batches drain on the version they started on, so a
-// swap never fails a request.
+// transform/aggregate barrier protocol, and fetches the S^L rows of its
+// ghost set from their owners once. A request for vertex v then costs one
+// sparse row aggregation over S^L plus the final dense transform, with no
+// peer call — milliseconds, not a full-graph forward pass. Hot model swap
+// installs the next version alongside the current one and atomically flips
+// the active pointer; in-flight batches drain on the version they started
+// on, so a swap never fails a request.
 package serve
 
 import (
@@ -66,31 +66,9 @@ type Config struct {
 	MaxBatch        int // max vertices coalesced into one batch (default 256)
 	InflightBatches int // batch rounds allowed in flight at once (default 2)
 
-	// CacheTTL bounds how long a fetched ghost row counts as fresh; 0
-	// pins rows for the version's lifetime (embeddings are immutable per
-	// version, so 0 is the exact default). CacheMaxStale bounds the
-	// last-good fallback when a refetch fails: expired entries no older
-	// than this still serve (degraded); < 0 means serve any last-good
-	// row; 0 disables the fallback.
-	CacheTTL      time.Duration
-	CacheMaxStale time.Duration
-
-	// WireBits quantises serve-time ghost-row fetches through the ec
-	// wire format (AdaQP-style); 32 (the default) ships raw float32 and
-	// keeps served logits exact. Version preparation always exchanges
-	// raw rows regardless.
-	WireBits int
-
-	// PackedSpMM keeps quantised ghost rows (WireBits < 32) packed in the
-	// cache and aggregates them in the quantised domain (DESIGN.md §15).
-	// Off, every fetched row is decoded to float32 first — the bitwise
-	// oracle. With WireBits 32 both paths handle dense rows identically.
-	PackedSpMM bool
-
 	DrainTimeout time.Duration // bound on waiting out old-version batches during swap (default 10s)
 
-	Metrics *obs.Registry    // nil disables telemetry
-	Clock   func() time.Time // test seam for cache ages (default time.Now)
+	Metrics *obs.Registry // nil disables telemetry
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -118,23 +96,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.InflightBatches <= 0 {
 		c.InflightBatches = 2
 	}
-	if c.WireBits == 0 {
-		c.WireBits = 32
-	}
-	if c.WireBits < 1 || c.WireBits > 32 {
-		return c, fmt.Errorf("serve: WireBits %d outside [1,32]", c.WireBits)
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c, nil
 }
 
-// Result is one vertex's answer. Failed vertices (a ghost row past every
-// staleness bound, a shard call error) carry OK=false and Err; the rest of
+// Result is one vertex's answer. OK means its shard answered; a failed shard
+// call leaves its vertices OK=false with the error in Err, and the rest of
 // the batch still succeeds.
 type Result struct {
 	Vertex  int
@@ -198,8 +167,6 @@ type serveMetrics struct {
 	stageQueue, stageRound       *obs.Histogram
 	swapOK, swapError            *obs.Counter
 	activeVersion                *obs.Gauge
-	cacheHit, cacheMiss          *obs.Counter
-	cacheStale, cacheDegraded    *obs.Counter
 }
 
 func newServeMetrics(reg *obs.Registry) *serveMetrics {
@@ -229,12 +196,6 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	m.swapError = swap.With("error")
 	m.activeVersion = reg.Gauge("ecgraph_serve_active_version",
 		"Currently served model version (0 before the first install).")
-	cache := reg.CounterVec("ecgraph_serve_cache_total",
-		"Ghost-row cache events.", "event")
-	m.cacheHit = cache.With("hit")
-	m.cacheMiss = cache.With("miss")
-	m.cacheStale = cache.With("stale_served")
-	m.cacheDegraded = cache.With("degraded_fetch")
 	return m
 }
 
@@ -269,7 +230,6 @@ func New(cfg Config) (*Service, error) {
 	adj := graph.Normalize(cfg.Graph)
 	for i := 0; i < cfg.Shards; i++ {
 		sh := newShard(i, cfg, adj, s.owner, s.net)
-		sh.metrics = s.m
 		s.net.Register(i, sh.handle)
 		s.shards = append(s.shards, sh)
 	}
@@ -310,7 +270,7 @@ func (s *Service) Predict(ids []int) ([]Result, error) {
 		s.m.reqError.Inc()
 		return nil, ErrNotReady
 	}
-	r := &request{ids: ids, enq: s.cfg.Clock(), done: make(chan struct{})}
+	r := &request{ids: ids, enq: time.Now(), done: make(chan struct{})}
 	s.admissionMu.RLock()
 	if s.closed {
 		s.admissionMu.RUnlock()
@@ -334,7 +294,7 @@ func (s *Service) Predict(ids []int) ([]Result, error) {
 		return nil, r.err
 	}
 	s.m.reqOK.Inc()
-	s.m.latency.Observe(s.cfg.Clock().Sub(r.enq).Seconds())
+	s.m.latency.Observe(time.Since(r.enq).Seconds())
 	return r.results, nil
 }
 
@@ -376,14 +336,12 @@ func (s *Service) swapModel(m *nn.Model) error {
 	// Layer-wise preparation with a barrier between phases: transform
 	// needs only local rows, aggregate fetches peers' freshly
 	// transformed rows, so every shard must finish transform(l) before
-	// any shard may aggregate(l).
+	// any shard may aggregate(l). At the final layer aggregate only
+	// installs the ghost rows requests will read.
 	for l := 1; l <= m.NumLayers(); l++ {
 		if err := s.broadcast(methodPrep, prepReq(v, l, phaseTransform)); err != nil {
 			s.abortVersion(v)
 			return fmt.Errorf("serve: version %d transform layer %d: %w", v, l, err)
-		}
-		if l == m.NumLayers() {
-			break // the final aggregation happens per request
 		}
 		if err := s.broadcast(methodPrep, prepReq(v, l, phaseAggregate)); err != nil {
 			s.abortVersion(v)
@@ -490,10 +448,15 @@ func (s *Service) Close() error {
 	return nil
 }
 
-// CacheStats sums the shards' ghost-cache entry counts (test hook).
+// CacheStats returns how many ghost rows the active version holds resident,
+// summed over the shards: every shard's whole ghost set, installed with the
+// version (0 before the first swap).
 func (s *Service) CacheStats() (entries int) {
+	if s.ActiveVersion() == 0 {
+		return 0
+	}
 	for _, sh := range s.shards {
-		entries += sh.cache.size()
+		entries += len(sh.ghostIDs)
 	}
 	return entries
 }

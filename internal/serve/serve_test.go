@@ -1,14 +1,15 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ecgraph/internal/datasets"
 	"ecgraph/internal/graph"
@@ -103,6 +104,61 @@ func TestServedLogitsBitwiseEqualEval(t *testing.T) {
 			got := predictAll(t, svc, d.Graph.N, 128)
 			requireBitwise(t, got, want, "served logits")
 		})
+	}
+}
+
+// TestServedLogitsGolden pins the bits of served logits: FNV-1a over every
+// cora vertex's logits in vertex order, served through a seeded random
+// partition of the vertices into batches of 1 … MaxBatch (64), for GCN and
+// SAGE on 1, 2 and 4 shards. The constants were recorded at a279aee, where
+// the final layer's ghost rows were still fetched per request through a TTL
+// cache; never re-record them to make this pass.
+func TestServedLogitsGolden(t *testing.T) {
+	d := datasets.MustLoad("cora")
+	const maxBatch = 64
+	want := map[string]string{
+		"gcn/S1": "f6de4583bde8bd94", "gcn/S2": "9de120aa45280ef2", "gcn/S4": "fa05e8a6f6ae2d17",
+		"sage/S1": "9c6dac263fc989a4", "sage/S2": "df2bfd35b8df5387", "sage/S4": "8733255a63fdfab7",
+	}
+	for _, kind := range []nn.Kind{nn.KindGCN, nn.KindSAGE} {
+		m := testModel(d, kind, 29)
+		for _, shards := range []int{1, 2, 4} {
+			name := fmt.Sprintf("%s/S%d", kind, shards)
+			t.Run(name, func(t *testing.T) {
+				svc := newTestService(t, d, Config{Shards: shards, MaxBatch: maxBatch})
+				if err := svc.SwapModel(m); err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(shards)))
+				order := rng.Perm(d.Graph.N)
+				logits := make([][]float32, d.Graph.N)
+				for lo := 0; lo < len(order); {
+					hi := min(lo+1+rng.Intn(maxBatch), len(order))
+					results, err := svc.Predict(order[lo:hi])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range results {
+						if !r.OK {
+							t.Fatalf("vertex %d failed: %s", r.Vertex, r.Err)
+						}
+						logits[r.Vertex] = r.Logits
+					}
+					lo = hi
+				}
+				h := fnv.New64a()
+				var b [4]byte
+				for _, row := range logits {
+					for _, x := range row {
+						binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+						h.Write(b[:])
+					}
+				}
+				if got := fmt.Sprintf("%016x", h.Sum64()); got != want[name] {
+					t.Errorf("served logits hash %s, recorded %s", got, want[name])
+				}
+			})
+		}
 	}
 }
 
@@ -281,14 +337,15 @@ func TestAdmissionControlRejectsUnderOverload(t *testing.T) {
 
 // failNet wraps a Network and injects serving-path faults: failRows fails
 // sv.rows calls (a peer that answers control traffic but cannot deliver
-// embedding rows). A gated failNet (newGatedService) also holds every
+// embedding rows), and rowsCalls counts every sv.rows call. A gated failNet (newGatedService) also holds every
 // sv.batch call at a gate: the call first reports its vertex ids on
 // entered, then waits until the test sends on gate (releasing one call) or
 // opens it (releasing all) — a shard busy for exactly as long as the test
 // says, with no sleep.
 type failNet struct {
 	transport.Network
-	failRows atomic.Bool
+	failRows  atomic.Bool
+	rowsCalls atomic.Int64
 
 	gate     chan struct{}
 	entered  chan []int32
@@ -296,8 +353,11 @@ type failNet struct {
 }
 
 func (f *failNet) Call(src, dst int, method string, req []byte) ([]byte, error) {
-	if method == methodRows && f.failRows.Load() {
-		return nil, errors.New("injected: peer unavailable")
+	if method == methodRows {
+		f.rowsCalls.Add(1)
+		if f.failRows.Load() {
+			return nil, errors.New("injected: peer unavailable")
+		}
 	}
 	if method == methodBatch && f.gate != nil {
 		r := transport.NewReader(req)
@@ -320,82 +380,63 @@ func (f *failNet) CallMulti(src int, calls []transport.Call) []transport.Result 
 	return out
 }
 
-// TestCacheTTLExpiryAndLastGoodFallback drives the serving cache through
-// its whole staleness ladder with a fake clock and an injectable-failure
-// network: fresh hit → expired-but-refetchable → expired with the peer
-// down (last-good degraded serve, bitwise-identical logits) → past the
-// staleness bound (per-vertex failure) → peer recovers.
-func TestCacheTTLExpiryAndLastGoodFallback(t *testing.T) {
+// TestGhostRowsInstalledWithVersion pins the serving contract: a version's
+// ghost rows are fetched once, by SwapModel, so request time asks no peer
+// for a row. After a swap, answers make no sv.rows call and keep their bits
+// with every peer refusing rows; a swap that cannot fetch its rows fails,
+// leaving the old version active and answering the same bits; and
+// CacheStats counts every shard's whole ghost set. It runs for GCN and SAGE
+// on 2 and 4 shards.
+func TestGhostRowsInstalledWithVersion(t *testing.T) {
 	d := datasets.MustLoad("cora")
-	m := testModel(d, nn.KindGCN, 5)
-	clk := newFakeClock()
-	fn := &failNet{Network: transport.NewStack(transport.NewInProc(3), transport.WithConcurrency(2))}
-	reg := obs.NewRegistry()
-	svc := newTestService(t, d, Config{
-		Shards:        2,
-		Net:           fn,
-		CacheTTL:      time.Second,
-		CacheMaxStale: 10 * time.Second,
-		Clock:         clk.Now,
-		Metrics:       reg,
-	})
-	if err := svc.SwapModel(m); err != nil {
-		t.Fatal(err)
-	}
+	adj := graph.Normalize(d.Graph)
+	for _, kind := range []nn.Kind{nn.KindGCN, nn.KindSAGE} {
+		for _, shards := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/S%d", kind, shards), func(t *testing.T) {
+				fn := &failNet{Network: transport.NewStack(transport.NewInProc(shards+1), transport.WithConcurrency(4))}
+				svc := newTestService(t, d, Config{Shards: shards, Net: fn})
+				if err := svc.SwapModel(testModel(d, kind, 5)); err != nil {
+					t.Fatal(err)
+				}
+				v := svc.ActiveVersion()
 
-	base := predictAll(t, svc, d.Graph.N, 256) // warms every ghost row
-	if svc.CacheStats() == 0 {
-		t.Fatal("serving a 2-shard graph must populate the ghost cache")
-	}
+				installed := fn.rowsCalls.Load()
+				base := predictAll(t, svc, d.Graph.N, 256)
+				if n := fn.rowsCalls.Load() - installed; n != 0 {
+					t.Fatalf("serving every vertex made %d sv.rows calls, want 0", n)
+				}
+				fn.failRows.Store(true)
+				requireBitwise(t, predictAll(t, svc, d.Graph.N, 256), base, "serve with every peer refusing rows")
 
-	// Rows are fresh: the peer being down is invisible.
-	fn.failRows.Store(true)
-	requireBitwise(t, predictAll(t, svc, d.Graph.N, 256), base, "fresh-cache serve with peer down")
+				if err := svc.SwapModel(testModel(d, kind, 6)); err == nil {
+					t.Fatal("a swap whose ghost rows cannot be fetched must fail")
+				}
+				if got := svc.ActiveVersion(); got != v {
+					t.Fatalf("active version %d after a failed swap, want %d", got, v)
+				}
+				requireBitwise(t, predictAll(t, svc, d.Graph.N, 256), base, "old version after a failed swap")
 
-	// Expired but within the staleness bound: last-good rows serve, and
-	// since per-version embeddings are immutable the answers are still
-	// bitwise exact.
-	clk.Advance(2 * time.Second)
-	requireBitwise(t, predictAll(t, svc, d.Graph.N, 256), base, "last-good degraded serve")
-	if svc.m.cacheStale.Value() == 0 {
-		t.Fatal("degraded serve should count stale_served cache events")
-	}
-
-	// Past the staleness bound: boundary vertices must fail per-vertex,
-	// interior vertices still answer.
-	clk.Advance(20 * time.Second)
-	var failed, served int
-	for lo := 0; lo < d.Graph.N; lo += 256 {
-		hi := lo + 256
-		if hi > d.Graph.N {
-			hi = d.Graph.N
-		}
-		ids := make([]int, hi-lo)
-		for i := range ids {
-			ids[i] = lo + i
-		}
-		results, err := svc.Predict(ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range results {
-			if r.OK {
-				served++
-			} else {
-				failed++
-			}
+				want := 0
+				for i := 0; i < svc.NumShards(); i++ {
+					ghosts := map[int32]bool{}
+					for u := 0; u < d.Graph.N; u++ {
+						if svc.owner[u] != int32(i) {
+							continue
+						}
+						for p := adj.RowPtr[u]; p < adj.RowPtr[u+1]; p++ {
+							if c := adj.ColIdx[p]; svc.owner[c] != int32(i) {
+								ghosts[c] = true
+							}
+						}
+					}
+					want += len(ghosts)
+				}
+				if got := svc.CacheStats(); got != want || want == 0 {
+					t.Fatalf("CacheStats %d, the shards' ghost sets hold %d rows", got, want)
+				}
+			})
 		}
 	}
-	if failed == 0 {
-		t.Fatal("rows past the staleness bound must fail their dependent vertices")
-	}
-	if served == 0 {
-		t.Fatal("vertices with no remote neighbours must keep serving")
-	}
-
-	// Peer recovers: refetch repopulates and answers are exact again.
-	fn.failRows.Store(false)
-	requireBitwise(t, predictAll(t, svc, d.Graph.N, 256), base, "recovered serve")
 }
 
 // TestCloseDrainsQueuedRequests checks shutdown semantics: with both round
@@ -468,56 +509,5 @@ func TestServiceValidation(t *testing.T) {
 	}
 	if svc.ActiveVersion() == 0 {
 		t.Fatal("successful swap must activate")
-	}
-}
-
-// TestWireBitsQuantizedServing runs a sharded service with 8-bit ghost
-// rows on the wire (the AdaQP-style serving compression) and checks the
-// predictions still match the oracle's classes.
-func TestWireBitsQuantizedServing(t *testing.T) {
-	d := datasets.MustLoad("cora")
-	m := testModel(d, nn.KindGCN, 13)
-	want := evalLogits(d, m).ArgMaxRows()
-
-	svc := newTestService(t, d, Config{Shards: 4, WireBits: 8})
-	if err := svc.SwapModel(m); err != nil {
-		t.Fatal(err)
-	}
-	got := predictAll(t, svc, d.Graph.N, 256).ArgMaxRows()
-	agree := 0
-	for i := range got {
-		if got[i] == want[i] {
-			agree++
-		}
-	}
-	if frac := float64(agree) / float64(len(got)); frac < 0.99 {
-		t.Fatalf("8-bit wire serving agrees on %.3f of classes, want ≥ 0.99", frac)
-	}
-}
-
-// TestPackedSpMMServingBitwiseEqualOracle is the serve half of the
-// quantised-domain SpMM determinism contract (DESIGN.md §15): with
-// quantised ghost fetches (WireBits < 32), a service aggregating packed
-// cached rows directly must serve logits bitwise equal to the decode-first
-// oracle — at every wire width the packed kernels support, and again on a
-// second pass when every ghost row comes from the packed cache.
-func TestPackedSpMMServingBitwiseEqualOracle(t *testing.T) {
-	d := datasets.MustLoad("cora")
-	m := testModel(d, nn.KindGCN, 17)
-	for _, bits := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("B%d", bits), func(t *testing.T) {
-			oracle := newTestService(t, d, Config{Shards: 4, WireBits: bits})
-			if err := oracle.SwapModel(m); err != nil {
-				t.Fatal(err)
-			}
-			want := predictAll(t, oracle, d.Graph.N, 256)
-
-			packed := newTestService(t, d, Config{Shards: 4, WireBits: bits, PackedSpMM: true})
-			if err := packed.SwapModel(m); err != nil {
-				t.Fatal(err)
-			}
-			requireBitwise(t, predictAll(t, packed, d.Graph.N, 256), want, "packed serving (cold cache)")
-			requireBitwise(t, predictAll(t, packed, d.Graph.N, 256), want, "packed serving (warm cache)")
-		})
 	}
 }
