@@ -2,8 +2,8 @@ package tensor
 
 import "unsafe"
 
-// haveAVX2 says whether Axpy4, Axpy and AxpyGather run the 8-lane bodies of
-// axpy_amd64.s; set once at start-up (tests flip it to run both loops).
+// haveAVX2 says whether AxpyGather runs the 8-lane body of axpy_amd64.s; set
+// once at start-up (tests flip it to run both loops).
 var haveAVX2 = detectAVX2()
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
@@ -29,12 +29,6 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func axpy4AVX2(o, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-
-//go:noescape
-func axpyAVX2(o, b *float32, n int, a float32)
-
-//go:noescape
 func axpyGatherAVX2(o *float32, n int, w *float32, idx *int32, terms int, base *float32, bias, stride, last int) (applied int)
 
 // axpyGatherLanes runs AxpyGather over the leading multiple of eight
@@ -45,20 +39,4 @@ func axpyGatherAVX2(o *float32, n int, w *float32, idx *int32, terms int, base *
 // element, without the bounds checks that would keep this from inlining.
 func axpyGatherLanes(o, w []float32, idx []int32, base []float32, bias, stride, last int) int {
 	return axpyGatherAVX2(unsafe.SliceData(o), len(o), unsafe.SliceData(w), unsafe.SliceData(idx), len(w), unsafe.SliceData(base), bias, stride, last)
-}
-
-// axpy4Lanes runs Axpy4 over the leading multiple of eight elements of o in
-// the vector body and returns how many that was: o has at least eight and
-// the b rows are as long.
-func axpy4Lanes(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) int {
-	n := len(o) &^ 7
-	axpy4AVX2(&o[0], &b0[0], &b1[0], &b2[0], &b3[0], n, a0, a1, a2, a3)
-	return n
-}
-
-// axpyLanes is axpy4Lanes for Axpy.
-func axpyLanes(o []float32, a float32, b []float32) int {
-	n := len(o) &^ 7
-	axpyAVX2(&o[0], &b[0], n, a)
-	return n
 }

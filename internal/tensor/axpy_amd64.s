@@ -1,74 +1,20 @@
 #include "textflag.h"
 
-// The 8-lane bodies of Axpy4 and Axpy (matmul.go). Per lane they perform the
-// scalar loop's IEEE-754 operations in its order: each product is rounded to
-// float32 by VMULPS before VADDPS adds it, term 0 first. VFMADD would round
-// once where the scalar loop rounds twice, so it is never used. Loads and
-// stores are unaligned (VMOVUPS; a VEX memory operand has no alignment
-// requirement either). n is a positive multiple of 8.
-
-// func axpy4AVX2(o, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-64
-	MOVQ         o+0(FP), DI
-	MOVQ         b0+8(FP), R8
-	MOVQ         b1+16(FP), R9
-	MOVQ         b2+24(FP), R10
-	MOVQ         b3+32(FP), R11
-	MOVQ         n+40(FP), CX
-	VBROADCASTSS a0+48(FP), Y4
-	VBROADCASTSS a1+52(FP), Y5
-	VBROADCASTSS a2+56(FP), Y6
-	VBROADCASTSS a3+60(FP), Y7
-	SHLQ         $2, CX // bytes
-	XORQ         AX, AX
-
-loop4:
-	VMOVUPS (DI)(AX*1), Y0
-	VMULPS  (R8)(AX*1), Y4, Y1
-	VMULPS  (R9)(AX*1), Y5, Y2
-	VMULPS  (R10)(AX*1), Y6, Y3
-	VMULPS  (R11)(AX*1), Y7, Y8
-	VADDPS  Y1, Y0, Y0
-	VADDPS  Y2, Y0, Y0
-	VADDPS  Y3, Y0, Y0
-	VADDPS  Y8, Y0, Y0
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     loop4
-	VZEROUPPER
-	RET
-
-// func axpyAVX2(o, b *float32, n int, a float32)
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-28
-	MOVQ         o+0(FP), DI
-	MOVQ         b+8(FP), R8
-	MOVQ         n+16(FP), CX
-	VBROADCASTSS a+24(FP), Y4
-	SHLQ         $2, CX
-	XORQ         AX, AX
-
-loop1:
-	VMULPS  (R8)(AX*1), Y4, Y1
-	VADDPS  (DI)(AX*1), Y1, Y0
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     loop1
-	VZEROUPPER
-	RET
-
 // The 8-lane body of AxpyGather (gather.go): o[0:n] += Σ_t w[t]·row_t, t
 // ascending, where row_t starts at base + (idx[t]−bias)·stride floats. The
 // lanes go in panels of 64, then one each of 32, 16 and 8, each panel held in
 // Y0–Y7 for the whole term list, so o is loaded and stored once per panel.
-// Per lane the sequence is Axpy's: VMULPS rounds the product, VADDPS adds it.
-// Every term's row offset is checked against last, the highest offset at
-// which n floats still fit in base, before the row is read: the row number
-// must be unsigned ≤ last, its product with the stride must not overflow and
-// must be ≤ last. The first panel meets every term, so the first that fails
-// ends the call with o untouched and returns its index (terms when all
-// passed). n ≥ 8, of which the leading multiple of 8 is done; terms ≥ 1.
+// Per lane the sequence is the pure-Go loop's IEEE-754 operations in its
+// order: VMULPS rounds the product to float32, then VADDPS adds it. VFMADD
+// would round once where the loop rounds twice, so it is never used. Loads
+// and stores are unaligned (VMOVUPS; a VEX memory operand has no alignment
+// requirement either), and VZEROUPPER precedes every return. Every term's
+// row offset is checked against last, the highest offset at which n floats
+// still fit in base, before the row is read: the row number must be unsigned
+// ≤ last, its product with the stride must not overflow and must be ≤ last.
+// The first panel meets every term, so the first that fails ends the call
+// with o untouched and returns its index (terms when all passed). n ≥ 8, of
+// which the leading multiple of 8 is done; terms ≥ 1.
 //
 // Register use: DI o, CX lanes left, SI w, DX idx, BX terms, R8 base (moved
 // along with the panel), R9 bias, R10 stride, R11 last, AX the term, R12 its

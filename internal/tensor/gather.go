@@ -5,18 +5,21 @@ import (
 	"math/bits"
 )
 
-// AxpyGather is the row kernel under every CSR product: it adds to o the
-// terms w[t]·base[(idx[t]−bias)·stride : +len(o)], t ascending, each product
-// rounded to float32 before its add. That is bit for bit the chain of Axpy
-// calls it replaces, one per term in order, for one load and store of o per
-// row instead of one per term. idx and w are a CSR row's own column and
-// value sub-slices; nothing is copied.
+// AxpyGather is the one arithmetic loop under every product, dense and CSR:
+// it adds to o the terms w[t]·base[(idx[t]−bias)·stride : +len(o)], t
+// ascending, each product rounded to float32 before its add — per element
+// the chain o[j] += float32(w[t]·row_t[j]), one term after another, for one
+// load and store of o per call instead of one per term. A CSR product passes
+// a row's own column and value sub-slices, the dense products a term list
+// compacted on the stack; nothing is copied.
 //
 // On amd64 with AVX2 the leading multiple of eight elements run in the
 // vector body (axpy_amd64.s), which keeps them in registers for the whole
 // term list. The loop below is the rest: the tail, everything on other CPUs,
 // and — with haveAVX2 off — the reference the vector body is tested against.
-// It takes the terms four at a time, as Axpy4 does.
+// It takes the terms four at a time, added left to right; its explicit
+// conversions round each product before the add, so no compiler may fuse
+// the pair on any GOARCH.
 //
 // AxpyGather checks its own inputs: it panics, instead of reading the row,
 // on a term whose row does not lie wholly inside base, and on a stride below
@@ -68,6 +71,14 @@ func AxpyGather(o, w []float32, idx []int32, base []float32, bias, stride int) {
 			o[j] += float32(a * b[j])
 		}
 	}
+}
+
+// Kernel names the loop AxpyGather runs on this machine: "avx2" or "go".
+func Kernel() string {
+	if haveAVX2 {
+		return "avx2"
+	}
+	return "go"
 }
 
 // gatherRow returns the n floats of base at row int(c)−bias, which must

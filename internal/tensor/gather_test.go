@@ -9,29 +9,76 @@ import (
 	"testing"
 )
 
+// eachKernel runs f under every loop AxpyGather can dispatch to on this
+// machine: the vector body where there is one, and the pure-Go loop.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	defer func(was bool) { haveAVX2 = was }(haveAVX2)
+	for _, on := range []bool{haveAVX2, false} {
+		haveAVX2 = on
+		t.Run(Kernel(), f)
+		if !on {
+			break
+		}
+	}
+}
+
+// sameLanes compares two results of the one loop lane by lane: the same bits,
+// except that a NaN need only meet a NaN. IEEE 754 leaves the payload of a
+// NaN made from two NaNs to the implementation; x86 takes the operand the
+// instruction names first, and which that is in the compiled scalar loop is
+// the register allocator's choice (it differs between the four terms of
+// AxpyGather's pure-Go pass).
+func sameLanes(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for j, v := range got {
+		if math.Float32bits(v) != math.Float32bits(want[j]) && !(v != v && want[j] != want[j]) {
+			t.Fatalf("%s over %d elements: lane %d = %v (%#08x), want %v (%#08x)", what, len(got), j, v, math.Float32bits(v), want[j], math.Float32bits(want[j]))
+		}
+	}
+}
+
+// oddValues are the operands a lane must treat as the scalar loop does: both
+// zeros, the smallest and largest denormals, the smallest normal, values
+// whose products overflow or underflow, both infinities (Inf·0 and Inf−Inf
+// make NaNs mid-sum) and NaN itself.
+var oddValues = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.Float32frombits(1), math.Float32frombits(0x807fffff), math.Float32frombits(0x00800000),
+	math.MaxFloat32, -math.MaxFloat32, 1e-30, -1e-30, 1e30,
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+}
+
+// oddFloat draws an ordinary value three times in four, else an odd one.
+func oddFloat(rng *rand.Rand) float32 {
+	if rng.Intn(4) == 0 {
+		return oddValues[rng.Intn(len(oddValues))]
+	}
+	return float32(rng.NormFloat64())
+}
+
 // checkGather runs AxpyGather on a copy of o under the current kernel and
-// holds it, lane by lane, to the same terms applied one pure-Go Axpy at a
-// time in order.
+// holds it, lane by lane, to the same terms written out as one scalar chain
+// per element: o[j] += float32(w·b[j]), term after term.
 func checkGather(t *testing.T, o, w []float32, idx []int32, base []float32, bias, stride int) {
 	t.Helper()
 	got := append([]float32(nil), o...)
 	AxpyGather(got, w, idx, base, bias, stride)
 	want := append([]float32(nil), o...)
-	defer func(was bool) { haveAVX2 = was }(haveAVX2)
-	haveAVX2 = false
 	for k, c := range idx {
 		r := (int(c) - bias) * stride
-		Axpy(want, w[k], base[r:r+len(o)])
+		for j, b := range base[r : r+len(o)] {
+			want[j] += float32(w[k] * b)
+		}
 	}
 	sameLanes(t, "AxpyGather", got, want)
 }
 
-// TestAxpyGatherMatchesAxpyChain holds the row kernel to the Axpy chain at
-// every width through the 64/32/16/8 panels and the pure-Go tail (1…136),
+// TestAxpyGatherMatchesScalarChain holds the row kernel to the scalar chain
+// at every width through the 64/32/16/8 panels and the pure-Go tail (1…136),
 // every term count up to 40 with rows repeated, over odd values — both
 // zeros, denormals, magnitudes whose products overflow, infinities, NaN —
 // with a bias, a stride wider than the row and o at every alignment.
-func TestAxpyGatherMatchesAxpyChain(t *testing.T) {
+func TestAxpyGatherMatchesScalarChain(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(26))
 		for width := 1; width <= 136; width++ {

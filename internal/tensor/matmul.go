@@ -13,89 +13,19 @@ import (
 // products costs more than it saves.
 const parallelThreshold = 32 * 1024
 
-// Axpy4 is the one arithmetic loop under the dense and sparse products (and
-// the owned SpMM): o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j],
-// the four terms added left to right, every product rounded to float32 before
-// its add: o ends with exactly the bits of four Axpy passes in the same
-// order, for a quarter of their loads and stores of o. The b rows must be at
-// least as long as o.
-//
-// On amd64 with AVX2 the leading multiple of eight elements runs eight lanes
-// at a time (axpy_amd64.s), each lane the same multiply-round-add-round
-// sequence. The loop below is the rest: the tail, everything on other CPUs,
-// and — with haveAVX2 off — the reference the vector body is tested against.
-// Its explicit conversions round each product before the add, so no compiler
-// may fuse the pair on any GOARCH.
-func Axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
-	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
-	if haveAVX2 && len(o) >= 8 {
-		n := axpy4Lanes(o, a0, a1, a2, a3, b0, b1, b2, b3)
-		o, b0, b1, b2, b3 = o[n:], b0[n:], b1[n:], b2[n:], b3[n:]
-	}
-	// Again, after the branch: it is what keeps bounds checks out of the loop.
-	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
-	for j := range o {
-		o[j] = o[j] + float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
-	}
-}
+// gatherTerms is the longest term list a dense product hands AxpyGather in
+// one call: the length of the stack arrays MatMul compacts a row's nonzero
+// entries into, and of the ascending index MatMulT reads. A longer list is
+// split into successive calls, which add the same terms in the same order.
+const gatherTerms = 256
 
-// Axpy is the one-term form, o[j] = o[j] + a·b[j], for the up to three terms
-// a sum leaves over after its groups of four.
-func Axpy(o []float32, a float32, b []float32) {
-	b = b[:len(o)]
-	if haveAVX2 && len(o) >= 8 {
-		n := axpyLanes(o, a, b)
-		o, b = o[n:], b[n:]
-	}
-	b = b[:len(o)]
-	for j := range o {
-		o[j] += float32(a * b[j])
-	}
-}
-
-// Kernel names the loop Axpy4 and Axpy run on this machine: "avx2" or "go".
-func Kernel() string {
-	if haveAVX2 {
-		return "avx2"
-	}
-	return "go"
-}
-
-// terms collects the terms a·b[k] of one output row in the order they must be
-// added, so that they can be applied four at a time. k is the row of the
-// right operand the term reads.
-type terms struct {
-	a [4]float32
-	k [4]int32
-	n int
-}
-
-// add appends a·b[k] unless a is zero (either sign) and reports whether four
-// terms are pending, which the caller must then apply. It does not branch on
-// a: at the densities of ÂX and of ReLU outputs that branch is a coin toss
-// the predictor loses.
-func (t *terms) add(a float32, k int) bool {
-	t.a[t.n&3], t.k[t.n&3] = a, int32(k)
+// nonzero is 0 for a zero of either sign and 1 for anything else, NaN
+// included: what a compacting loop advances its term count by. It does not
+// branch on a: at the densities of ÂX and of ReLU outputs that branch is a
+// coin toss the predictor loses.
+func nonzero(a float32) int {
 	bits := math.Float32bits(a) << 1 // drops the sign: zero iff a == 0
-	t.n += int((bits | -bits) >> 31)
-	return t.n == 4
-}
-
-// apply adds the four pending terms to o; b is the right operand's data, N
-// its row length.
-func (t *terms) apply(o, b []float32, N int) {
-	k0, k1, k2, k3 := int(t.k[0])*N, int(t.k[1])*N, int(t.k[2])*N, int(t.k[3])*N
-	Axpy4(o, t.a[0], t.a[1], t.a[2], t.a[3], b[k0:k0+N], b[k1:k1+N], b[k2:k2+N], b[k3:k3+N])
-	t.n = 0
-}
-
-// flush adds the up to three terms still pending to o, in order; t is done
-// with afterwards.
-func (t *terms) flush(o, b []float32, N int) {
-	for i := 0; i < t.n; i++ {
-		k := int(t.k[i]) * N
-		Axpy(o, t.a[i], b[k:k+N])
-	}
+	return int((bits | -bits) >> 31)
 }
 
 // matmulRows is how many rows of the left operand one unit of MatMul's
@@ -136,21 +66,29 @@ func (m *Matrix) MatMulRowsInto(n, out *Matrix, rows []int32) {
 // — in parallel units of matmulRows.
 func matmulInto(out, m, n *Matrix, rows []int32, count int) {
 	units := (count + matmulRows - 1) / matmulRows
-	parallelRows(units, count*m.Cols*n.Cols, func(lo, hi int) {
+	size := count * m.Cols * n.Cols
+	if InlineRows(units, size) {
+		matmulRange(out, m, n, rows, 0, count)
+		return
+	}
+	parallelRows(units, size, func(lo, hi int) {
 		matmulRange(out, m, n, rows, lo*matmulRows, min(hi*matmulRows, count))
 	})
 }
 
 // matmulRange accumulates rows [lo,hi) of m·n into out, or rows rows[lo:hi]
-// when a row list is given. Each output row gets one pass per four nonzero
-// entries of m's row, a pass streaming the four rows of n they select; zero
-// entries (ÂX is a fifth nonzero, a ReLU output half) cost a few integer
-// operations. The inner index advances in blocks of n that fit L1, all rows
-// of the range going through a block before the next, which leaves every
-// output element its ascending order.
+// when a row list is given. Per output row and block of n it compacts the
+// row's nonzero entries, ascending, into a term list on the stack and hands
+// the list to AxpyGather, which holds the output row in registers for all of
+// it; a zero entry (ÂX is a fifth nonzero, a ReLU output half) costs a store
+// that the next entry overwrites. The inner index advances in blocks of n
+// that fit L1, all rows of the range going through a block before the next,
+// which leaves every output element its ascending order.
 func matmulRange(out, m, n *Matrix, rows []int32, lo, hi int) {
 	K, N := m.Cols, n.Cols
 	kb := max(4, matmulL1/(4*max(N, 1)))
+	var w [gatherTerms]float32
+	var idx [gatherTerms]int32
 	for k0 := 0; k0 < K; k0 += kb {
 		k1 := min(k0+kb, K)
 		for i := lo; i < hi; i++ {
@@ -159,49 +97,74 @@ func matmulRange(out, m, n *Matrix, rows []int32, lo, hi int) {
 				r = int(rows[i])
 			}
 			orow := out.Data[r*N : (r+1)*N]
-			var t terms
-			for k, a := range m.Data[r*K+k0 : r*K+k1] {
-				if t.add(a, k0+k) {
-					t.apply(orow, n.Data, N)
+			for c0 := k0; c0 < k1; c0 += gatherTerms {
+				t := 0
+				for k, a := range m.Data[r*K+c0 : r*K+min(c0+gatherTerms, k1)] {
+					w[t], idx[t] = a, int32(c0+k)
+					t += nonzero(a)
 				}
+				AxpyGather(orow, w[:t], idx[:t], n.Data, 0, N)
 			}
-			t.flush(orow, n.Data, N)
 		}
 	}
 }
 
 // MatMulT returns m · nᵀ: out[i][j] is the float32 sum, in ascending k, of
 // the rounded products m[i][k]·n[j][k], zero terms included. The right
-// operand here is a weight matrix — small — so it is transposed once and each
-// output row is then a sum over contiguous rows, four k per pass, rather
-// than one serial add chain per output element.
+// operand here is a weight matrix — small — so it is transposed once, and
+// each output row is then one AxpyGather over m's row as it stands: the
+// weights are the row, the indices 0…K−1, the rows those of the transpose.
 func (m *Matrix) MatMulT(n *Matrix) *Matrix {
 	if m.Cols != n.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT inner dimension mismatch %dx%d · (%dx%d)ᵀ", m.Rows, m.Cols, n.Rows, n.Cols))
 	}
 	out := New(m.Rows, n.Rows)
-	nt := n.T().Data
-	K, N := m.Cols, n.Rows
-	parallelRows(m.Rows, m.Rows*K*N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Data[i*N : (i+1)*N]
-			mrow := m.Data[i*K : (i+1)*K]
-			k := 0
-			for ; k+4 <= K; k += 4 {
-				Axpy4(orow, mrow[k], mrow[k+1], mrow[k+2], mrow[k+3],
-					nt[k*N:(k+1)*N], nt[(k+1)*N:(k+2)*N], nt[(k+2)*N:(k+3)*N], nt[(k+3)*N:(k+4)*N])
-			}
-			for ; k < K; k++ {
-				Axpy(orow, mrow[k], nt[k*N:(k+1)*N])
-			}
-		}
-	})
+	nt := n.T()
+	if size := m.Rows * m.Cols * n.Rows; InlineRows(m.Rows, size) {
+		matmulTRange(out, m, nt, 0, m.Rows)
+	} else {
+		parallelRows(m.Rows, size, func(lo, hi int) { matmulTRange(out, m, nt, lo, hi) })
+	}
 	return out
 }
 
+// ascending is the index list of a MatMulT term list: term t reads row t of
+// the transposed weight from where the list starts.
+var ascending = func() (a [gatherTerms]int32) {
+	for t := range a {
+		a[t] = int32(t)
+	}
+	return a
+}()
+
+// matmulTRange computes rows [lo,hi) of m·ntᵀ into out, nt the transposed
+// right operand, in lists of at most gatherTerms consecutive k.
+func matmulTRange(out, m, nt *Matrix, lo, hi int) {
+	K, N := m.Cols, nt.Cols
+	for i := lo; i < hi; i++ {
+		orow := out.Data[i*N : (i+1)*N]
+		for k0 := 0; k0 < K; k0 += gatherTerms {
+			k1 := min(k0+gatherTerms, K)
+			AxpyGather(orow, m.Data[i*K+k0:i*K+k1], ascending[:k1-k0], nt.Data[k0*N:], 0, N)
+		}
+	}
+}
+
 // tmatmulBand is how many columns of m one TMatMul band covers: one 64-byte
-// cache line of each of m's rows.
-const tmatmulBand = 16
+// cache line of each of m's rows. tmatmulChunk bounds how many rows of m a
+// band collects terms from before applying them, so that a band's term lists
+// fit on the stack: 8 bytes a term, 16 KiB in all.
+const (
+	tmatmulBand  = 16
+	tmatmulChunk = 128
+)
+
+// tmatmulRows is the height of TMatMul's row chunks for an n of width N: the
+// rows of n a chunk's term lists read, which every column of the band reads
+// again, fit matmulL1.
+func tmatmulRows(N int) int {
+	return min(tmatmulChunk, max(1, matmulL1/(4*max(N, 1))))
+}
 
 // TMatMul returns mᵀ · n without materialising the transpose. The result is
 // Cols(m) × Cols(n); used for weight gradients Y = Hᵀ(AG). out[c][j] is the
@@ -210,47 +173,59 @@ const tmatmulBand = 16
 //
 // The product is parallelised over bands of output rows (columns of m); each
 // worker owns a disjoint band so no synchronisation is needed. A band sweeps
-// m and n top to bottom once, reading one cache line of each of m's rows, and
-// keeps per column the terms not yet applied, so that each output row is
-// passed over once per four nonzero entries of its column.
+// m and n top to bottom once, reading one cache line of each of m's rows. It
+// goes in chunks of rows: per chunk, each column's nonzero entries are
+// compacted into a term list, and each output row is then one AxpyGather
+// over its column's list, loaded and stored once per chunk.
 func (m *Matrix) TMatMul(n *Matrix) *Matrix {
 	if m.Rows != n.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul inner dimension mismatch (%dx%d)ᵀ · %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
 	}
 	out := New(m.Cols, n.Cols)
-	C, N := m.Cols, n.Cols
+	C := m.Cols
 	// Narrower bands only when m has too few columns to give every P one.
 	procs := runtime.GOMAXPROCS(0)
 	width := min(tmatmulBand, max(1, C/procs))
 	bands := (C + width - 1) / width
 	// A band runs the whole height of m, many times bandWork. On a single P it
-	// therefore yields inside the sweep, as often as parallelRows does between
-	// bands of other kernels.
-	yieldRows := 0
-	if procs == 1 {
-		yieldRows = max(1, bandWork/(width*max(N, 1)))
+	// therefore yields inside the sweep, after every chunk.
+	yield := procs == 1
+	if size := m.Rows * C * n.Cols; InlineRows(bands, size) {
+		tmatmulBands(out, m, n, width, 0, bands, yield)
+	} else {
+		parallelRows(bands, size, func(lo, hi int) { tmatmulBands(out, m, n, width, lo, hi, yield) })
 	}
-	parallelRows(bands, m.Rows*C*N, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			c0 := b * width
-			c1 := min(c0+width, C)
-			var pending [tmatmulBand]terms
-			for r := 0; r < m.Rows; r++ {
+	return out
+}
+
+// tmatmulBands accumulates bands [lo,hi) of mᵀ·n, width columns of m each,
+// into out.
+func tmatmulBands(out, m, n *Matrix, width, lo, hi int, yield bool) {
+	C, N := m.Cols, n.Cols
+	h := tmatmulRows(N)
+	var w [tmatmulBand][tmatmulChunk]float32
+	var idx [tmatmulBand][tmatmulChunk]int32
+	for b := lo; b < hi; b++ {
+		c0 := b * width
+		c1 := min(c0+width, C)
+		for r0 := 0; r0 < m.Rows; r0 += h {
+			var count [tmatmulBand]int
+			for r := r0; r < min(r0+h, m.Rows); r++ {
 				for c, a := range m.Data[r*C+c0 : r*C+c1] {
-					if pending[c].add(a, r) {
-						pending[c].apply(out.Data[(c0+c)*N:(c0+c+1)*N], n.Data, N)
-					}
-				}
-				if yieldRows > 0 && r%yieldRows == yieldRows-1 {
-					runtime.Gosched()
+					t := count[c]
+					w[c][t], idx[c][t] = a, int32(r)
+					count[c] = t + nonzero(a)
 				}
 			}
 			for c := c0; c < c1; c++ {
-				pending[c-c0].flush(out.Data[c*N:(c+1)*N], n.Data, N)
+				t := count[c-c0]
+				AxpyGather(out.Data[c*N:(c+1)*N], w[c-c0][:t], idx[c-c0][:t], n.Data, 0, N)
+			}
+			if yield {
+				runtime.Gosched()
 			}
 		}
-	})
-	return out
+	}
 }
 
 // bandWork bounds the scalar work one band covers (~tens of microseconds of

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -115,19 +116,23 @@ func sameBits(t *testing.T, what string, got, want *Matrix) {
 }
 
 // TestProductsMatchReferenceBitwise sweeps the shapes at which the kernels
-// change path — inner sizes around the four-term group, output widths around
-// the unroll, band dimensions around TMatMul's 16-column band, row counts
-// below and above the parallel crossover — at every left-operand density
-// from empty to full; the rows above the crossover run inline, on two Ps and
-// on more Ps than some of these shapes have bands.
+// change path — inner sizes around the pure-Go loop's four-term pass and
+// around gatherTerms, where a term list is split; output widths around the
+// 8-lane split and the panels; band dimensions around TMatMul's 16-column
+// band and heights around its row chunk; row counts below and above the
+// parallel crossover — at every left-operand density from empty to full,
+// with MatMulRowsInto's row list out of order; the rows above the crossover
+// run inline, on two Ps and on more Ps than some of these shapes have bands.
 func TestProductsMatchReferenceBitwise(t *testing.T) {
 	eachKernel(t, testProductsMatchReferenceBitwise)
 }
 
 func testProductsMatchReferenceBitwise(t *testing.T) {
-	// 97 and 201 span two and three of MatMul's L1 blocks at width 64.
-	inners := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15, 17, 31, 33, 97, 201}
-	widths := []int{1, 7, 16, 47, 64}
+	// 97 and 201 span two and three of MatMul's L1 blocks at width 64; below
+	// width 24 a block is longer than gatherTerms, which splits its lists.
+	lists := []int{gatherTerms - 1, gatherTerms, gatherTerms + 1, 2*gatherTerms + 1}
+	inners := append([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15, 17, 31, 33, 97, 201}, lists...)
+	widths := []int{1, 7, 8, 9, 16, 47, 64}
 	densities := []float64{0, 0.05, 0.25, 0.5, 1}
 	rng := rand.New(rand.NewSource(15))
 	check := func(tag string, rows, k, width int, density float64) {
@@ -145,6 +150,7 @@ func testProductsMatchReferenceBitwise(t *testing.T) {
 				copy(want.Row(i), make([]float32, width))
 			}
 		}
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		into := New(rows, width)
 		m.MatMulRowsInto(n, into, idx)
 		sameBits(t, "MatMulRowsInto "+tag, into, want)
@@ -168,6 +174,10 @@ func testProductsMatchReferenceBitwise(t *testing.T) {
 				}
 				checkT("inline", k, bandCols[i%len(bandCols)], width, density)
 			}
+			h := tmatmulRows(width)
+			for i, inner := range []int{h - 1, h, h + 1, 2*h + 1} {
+				checkT("inline", inner, bandCols[i%3+1], width, density)
+			}
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -176,15 +186,69 @@ func testProductsMatchReferenceBitwise(t *testing.T) {
 		tag := fmt.Sprintf("P=%d", procs)
 		for _, density := range densities {
 			for _, width := range widths {
-				for _, k := range []int{5, 16, 33, 201} {
+				for _, k := range append([]int{5, 16, 33, 201}, lists[:3]...) {
 					check(tag, max(40, parallelThreshold/(k*width)+3), k, width, density)
 				}
-				for _, cols := range bandCols[1:] {
-					checkT(tag, parallelThreshold/(cols*width)+3, cols, width, density)
+				// Heights one either side of a whole number of row chunks.
+				h := tmatmulRows(width)
+				for i, cols := range bandCols[1:] {
+					chunks := parallelThreshold/(cols*width*h) + 2
+					checkT(tag, chunks*h+i%3-1, cols, width, density)
 				}
 			}
 		}
 	}
+}
+
+// FuzzProductsMatchReference holds the three dense products, under both
+// kernels, to the one-term loops over arbitrary bit patterns — infinities
+// and NaN included, which the sweep above leaves out: a NaN entry of the
+// left operand is a term, Inf·0 makes one mid-sum. The first four bytes
+// pick the rows, inner size (past two term lists and several TMatMul row
+// chunks) and width; the floats after them fill the operands, repeated as
+// needed.
+func FuzzProductsMatchReference(f *testing.F) {
+	seed := make([]byte, 4+4*61)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	seed[0], seed[3] = 4, 8
+	binary.LittleEndian.PutUint16(seed[1:], 2*gatherTerms+1)
+	f.Add(seed)
+	// Nothing ordinary: +Inf, NaN, the smallest denormal and -0.
+	f.Add([]byte{2, 9, 0, 15, 0, 0, 0x80, 0x7f, 0, 0, 0xc0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			return
+		}
+		rows := 1 + int(data[0])%17
+		inner := int(binary.LittleEndian.Uint16(data[1:])) % (2*gatherTerms + 2)
+		width := 1 + int(data[3])%17
+		vals := make([]float32, (len(data)-4)/4)
+		for j := range vals {
+			vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(data[4+4*j:]))
+		}
+		next := 0
+		fill := func(r, c int) *Matrix {
+			m := New(r, c)
+			for j := range m.Data {
+				m.Data[j] = vals[next%len(vals)]
+				next++
+			}
+			return m
+		}
+		m, n, w := fill(rows, inner), fill(inner, width), fill(width, inner)
+		tall := m.T()
+		for _, on := range []bool{haveAVX2, false} {
+			func() {
+				defer func(was bool) { haveAVX2 = was }(haveAVX2)
+				haveAVX2 = on
+				sameLanes(t, "MatMul", m.MatMul(n).Data, refMatMul(m, n).Data)
+				sameLanes(t, "TMatMul", tall.TMatMul(n).Data, refTMatMul(tall, n).Data)
+				sameLanes(t, "MatMulT", m.MatMulT(w).Data, refMatMulT(m, w).Data)
+			}()
+		}
+	})
 }
 
 // goldenShapes are the layer shapes (owned rows, input width, output width)
@@ -239,10 +303,49 @@ func testProductsGolden(t *testing.T) {
 	}
 }
 
+// TestProductsAllocateOnlyTheirResult holds the dense products to the heap
+// allocations of what they return: their term lists live in stack arrays,
+// and below the parallel crossover they make no closure for the parallel
+// loop. Every shape here splits its lists — MatMul's and MatMulT's at
+// gatherTerms, TMatMul's at its row chunk — so the split is on the path
+// measured.
+func TestProductsAllocateOnlyTheirResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const rows, inner, width = 12, 2*gatherTerms + 1, 5
+	m := operand(rng, rows, inner, 0.5)
+	n := operand(rng, inner, width, 1)
+	w := operand(rng, width, inner, 1)
+	tall := operand(rng, 2*tmatmulRows(8)+1, 8, 0.5)
+	g := operand(rng, tall.Rows, 8, 1)
+	into, list := New(rows, width), []int32{7, 2, 11}
+	if rows*inner*width >= parallelThreshold || tall.Rows*tall.Cols*g.Cols >= parallelThreshold {
+		t.Fatal("a shape is past the parallel crossover")
+	}
+	result := testing.AllocsPerRun(20, func() { benchSink = New(rows, width) })
+	for _, c := range []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"MatMulRowsInto", 0, func() { m.MatMulRowsInto(n, into, list) }},
+		{"MatMul", result, func() { benchSink = m.MatMul(n) }},
+		{"TMatMul", result, func() { benchSink = tall.TMatMul(g) }},
+		{"MatMulT", 2 * result, func() { benchSink = m.MatMulT(w) }}, // and the transposed weight
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(20, c.run); got != c.want {
+				t.Errorf("%v allocations per call, want %v", got, c.want)
+			}
+		})
+	}
+}
+
 var benchSink *Matrix
 
 // BenchmarkProducts times the products a layer runs — AH·W, AHᵀ·G and G·Wᵀ
-// — at the workloads' tall-skinny shapes. The left operand AH has the
+// — at the shapes of every layer the benchmark workloads run (worker 0's
+// owned rows: train-dense 10832, train-wire and serve-online 4000,
+// train-fold 1800). The left operand AH has the
 // density named: ÂX on cora-shape is about a sixth nonzero, a ReLU output
 // about half, a high-degree aggregate full. At layer 1's shape, where the
 // left operand is epoch-invariant, its retained forms run too (CSR for AH·W,
@@ -262,7 +365,11 @@ func BenchmarkProducts(b *testing.B) {
 		{10832, 64, 64, 0.5, false},
 		{10832, 64, 7, 0.5, false},
 		{4000, 100, 16, 1, false},
+		{4000, 16, 16, 0.5, false},
+		{4000, 100, 64, 1, false},
+		{4000, 64, 16, 0.5, false},
 		{1800, 128, 16, 1, false},
+		{1800, 16, 8, 0.5, false},
 	}
 	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(1))
