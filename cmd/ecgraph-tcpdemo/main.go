@@ -232,8 +232,6 @@ func main() {
 		Worker: worker.Options{
 			FPScheme: worker.SchemeEC, BPScheme: worker.SchemeEC,
 			FPBits: *bits, BPBits: *bits, Ttr: 10,
-			Overlap:    common.Overlap,
-			PackedSpMM: common.PackedSpMM,
 		},
 		Supervise: common.SuperviseOptions(),
 	}

@@ -292,8 +292,6 @@ func main() {
 			FPScheme: fpScheme, BPScheme: bpScheme,
 			FPBits: *fpBits, BPBits: *bpBits,
 			AdaptiveBits: *adaptive, Ttr: *ttr, DelayRounds: *delay,
-			Overlap:    common.Overlap,
-			PackedSpMM: common.PackedSpMM,
 		},
 		CheckpointPath:  *checkpoint,
 		CheckpointEvery: *checkpointEvery,

@@ -31,8 +31,7 @@ const (
 	// Files registers -edges/-vertices (custom graph files, an
 	// alternative to -dataset where the CLI supports it).
 	Files
-	// Cluster registers -workers, -servers, -epochs, -net-concurrency
-	// and -overlap.
+	// Cluster registers -workers, -servers, -epochs and -net-concurrency.
 	Cluster
 	// Supervision registers -supervise, -heartbeat, -suspect-after,
 	// -dead-after and -auto-rollback.
@@ -70,8 +69,6 @@ type Common struct {
 	Servers     int
 	Epochs      int
 	Concurrency int
-	Overlap     bool
-	PackedSpMM  bool
 
 	Supervise    bool
 	Heartbeat    time.Duration
@@ -104,10 +101,6 @@ func Register(fs *flag.FlagSet, d Defaults, groups Groups) *Common {
 		fs.IntVar(&c.Epochs, "epochs", d.Epochs, "training epochs")
 		fs.IntVar(&c.Concurrency, "net-concurrency", 4,
 			"max in-flight ghost-exchange calls per worker (1 = sequential)")
-		fs.BoolVar(&c.Overlap, "overlap", true,
-			"overlap ghost communication with local computation in the epoch loop (false = sequential oracle)")
-		fs.BoolVar(&c.PackedSpMM, "packed-spmm", true,
-			"aggregate quantised ghost payloads in their packed wire form (false = decode-first oracle, bitwise identical)")
 	}
 	if groups&Supervision != 0 {
 		fs.BoolVar(&c.Supervise, "supervise", false,

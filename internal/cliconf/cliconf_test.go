@@ -36,7 +36,7 @@ func TestDefaultsFlowThrough(t *testing.T) {
 	if c.Dataset != "cora" || c.Workers != 3 || c.Servers != 1 || c.Epochs != 20 {
 		t.Fatalf("defaults did not flow through: %+v", c)
 	}
-	if c.Concurrency != 4 || !c.Overlap || c.Heartbeat != 25*time.Millisecond {
+	if c.Concurrency != 4 || c.Heartbeat != 25*time.Millisecond {
 		t.Fatalf("fixed defaults wrong: %+v", c)
 	}
 }

@@ -58,10 +58,9 @@ func TestTelemetryEndToEndUnderChaos(t *testing.T) {
 		cfg.Worker = worker.Options{
 			FPScheme: worker.SchemeEC, BPScheme: worker.SchemeEC,
 			FPBits: 2, BPBits: 2, Ttr: 5,
-			Overlap: true,
 		}
 		// Supervision runs for real but with inert thresholds (see
-		// TestOverlapMatchesSequentialUnderChaos): a detector trip on
+		// TestExchangeGoldenUnderChaos): a detector trip on
 		// scheduler timing would fork the arms for reasons that have
 		// nothing to do with telemetry.
 		cfg.Supervise = &supervise.Options{

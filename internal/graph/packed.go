@@ -23,8 +23,8 @@ import (
 type GhostOperand struct {
 	Rows, Cols int
 
-	// dense, when non-nil, holds every row as one matrix — the decode
-	// oracle's representation (and the -packed-spmm=false path).
+	// dense, when non-nil, holds every row as one matrix: a fully decoded
+	// operand, such as the delayed-aggregation ghost cache.
 	dense *tensor.Matrix
 
 	// Hybrid representation: rowF[r] is row r's float data, or nil when
@@ -75,8 +75,8 @@ func (g *GhostOperand) SetRowPacked(i int, b *compress.Blocked, srcRow int) {
 	g.rowIx[i] = int32(srcRow)
 }
 
-// SetRowsPacked installs all of b's rows at slots base..base+b.Rows-1 —
-// one peer's quantised payload landing at its ghostBase offset.
+// SetRowsPacked installs all of b's rows at slots base..base+b.Rows-1 — a
+// quantised payload whose rows land on consecutive slots.
 func (g *GhostOperand) SetRowsPacked(base int, b *compress.Blocked) {
 	for r := 0; r < b.Rows; r++ {
 		g.SetRowPacked(base+r, b, r)
@@ -84,9 +84,8 @@ func (g *GhostOperand) SetRowsPacked(base int, b *compress.Blocked) {
 }
 
 // Dense returns the operand as one decoded float32 matrix: the wrapped
-// matrix for dense operands (no copy), a fresh decode for hybrids — the
-// -packed-spmm=false oracle path and cold consumers that need float rows.
-// Unset hybrid slots stay zero.
+// matrix for dense operands (no copy), a fresh decode for hybrids — for
+// cold consumers that need float rows. Unset hybrid slots stay zero.
 func (g *GhostOperand) Dense() *tensor.Matrix {
 	if g == nil {
 		return nil

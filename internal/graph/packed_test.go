@@ -207,9 +207,9 @@ func TestSpMMGhostUnsetSlotsAreZeroRows(t *testing.T) {
 	}
 }
 
-// TestSpMMGhostDenseOperandMatchesKernel pins the oracle wrapper: a
-// GhostOperand over a fully decoded matrix runs the exact dense loop of
-// SpMMGhostCompact, so -packed-spmm=false stays the bitwise reference.
+// TestSpMMGhostDenseOperandMatchesKernel pins the dense wrapper: a
+// GhostOperand over a fully decoded matrix (the delayed-aggregation cache)
+// folds to exactly what SpMMGhostCompact computes from the matrix itself.
 func TestSpMMGhostDenseOperandMatchesKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomLocalCSR(rng, 50, 30, 4)

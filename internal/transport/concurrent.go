@@ -8,8 +8,9 @@ import (
 
 // Concurrent wraps a Network so CallMulti fans its batch out across a
 // bounded number of goroutines per invocation. Results stay index-aligned
-// with the calls, so callers that merge by call order (the worker's
-// ghostBase offsets) remain deterministic regardless of completion order.
+// with the calls, so callers that merge by call order (the worker installs
+// each owner's rows at its pair list's slots) remain deterministic
+// regardless of completion order.
 // Single Calls pass through untouched.
 //
 // The wrapper requires the inner stack to be goroutine-safe; every Network

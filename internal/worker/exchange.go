@@ -12,10 +12,64 @@ import (
 	"ecgraph/internal/transport"
 )
 
+// direction is one of the two ghost exchanges: getH ships rows of H^l in the
+// forward pass, getG rows of G^l in the backward pass. Both ship a pair's
+// rows of one layer in its list's order (w.fetch[l][owner]) and install
+// payload row k at the list's ghost slot loc[k]; everything else they share
+// except what direction's methods and Worker.trend answer.
+type direction int
+
+const (
+	dirH direction = iota
+	dirG
+)
+
+// String names the exchange in errors and trace labels.
+func (d direction) String() string {
+	if d == dirH {
+		return "getH"
+	}
+	return "getG"
+}
+
+func (d direction) method() string {
+	if d == dirH {
+		return MethodGetH
+	}
+	return MethodGetG
+}
+
+// trend reports whether this requester keeps ReqEC-FP trend state for d's
+// pairs: the state that decodes their payloads and predicts their fallback
+// rows. Only the forward exchange under SchemeEC has it.
+func (w *Worker) trend(d direction) bool {
+	return d == dirH && w.cfg.Opts.FPScheme == SchemeEC
+}
+
+// lastGood is one (direction, layer, owner) pair's degraded-mode record: the
+// rows last fetched successfully and the epoch they arrived (−1: none). A
+// payload that arrived packed is kept as it came (rows nil) until a fallback
+// first needs it dense. Retained payloads are never Released: the words must
+// not return to the pool while a later fallback may still read them.
+type lastGood struct {
+	rows   *tensor.Matrix
+	packed *compress.Blocked
+	epoch  int
+}
+
+// dense returns the record's rows, decoding a retained packed payload on
+// first use; fallbacks are cold paths, so repeated degraded epochs pay the
+// decode once.
+func (g *lastGood) dense() *tensor.Matrix {
+	if g.rows == nil && g.packed != nil {
+		g.rows = g.packed.Dense()
+	}
+	return g.rows
+}
+
 // peerTimeout returns the supervision layer's per-peer straggler deadline
 // for calls to j; zero keeps the transport's default timeout. The deadline
-// travels inside transport.Call so it applies whether the call runs
-// sequentially or inside a concurrent fan-out.
+// travels inside transport.Call so it applies inside the concurrent fan-out.
 func (w *Worker) peerTimeout(j int) time.Duration {
 	if w.cfg.Health != nil {
 		return w.cfg.Health.PeerDeadline(j)
@@ -23,17 +77,8 @@ func (w *Worker) peerTimeout(j int) time.Duration {
 	return 0
 }
 
-// callPeer routes one ghost exchange with peer j through the transport's
-// batch path, so per-peer straggler deadlines apply uniformly.
-func (w *Worker) callPeer(j int, method string, req []byte) ([]byte, error) {
-	res := w.cfg.Net.CallMulti(w.id, []transport.Call{{
-		Dst: j, Method: method, Req: req, Timeout: w.peerTimeout(j),
-	}})
-	return res[0].Resp, res[0].Err
-}
-
 // encodeGhostReq builds the common getH/getG request header into a pooled
-// writer; the caller must Release it after CallMulti returns.
+// writer; the caller must Release it after the call returns.
 func (w *Worker) encodeGhostReq(l, t int) *transport.Writer {
 	req := transport.GetWriter(16)
 	req.Byte(byte(l))
@@ -42,25 +87,20 @@ func (w *Worker) encodeGhostReq(l, t int) *transport.Writer {
 	return req
 }
 
-// pendingGhost is one ghost exchange split into an issue half and a collect
-// half. The issue half resolves proactive skips and encodes the per-peer
-// calls (epoch goroutine — it touches EC prediction state and the
-// degraded-mode counters), then optionally fires the batch on a background
-// goroutine. The collect half joins the batch and runs decode/merge, again
-// on the epoch goroutine: only the transport call itself ever leaves it, so
-// the EC requester state, the degraded bookkeeping and the responder-side
-// compensation it triggers see the exact same single-threaded sequence as a
-// blocking fetch.
+// pendingGhost is one ghost exchange between its issue and its collect.
+// Issue resolves proactive skips and encodes the per-peer calls on the epoch
+// goroutine — it touches EC prediction state and the degraded-mode counters
+// — and fires the batch on a background goroutine. Collect joins the batch
+// and decodes and installs the rows, again on the epoch goroutine: only the
+// transport call itself ever leaves it, so the EC requester state, the
+// degraded bookkeeping and the responder-side compensation it triggers see
+// one deterministic sequence whatever order the replies arrive in.
 type pendingGhost struct {
-	// deferred marks an exchange with nothing to put on the wire early —
-	// no ghosts at all, or the delayed-aggregation cache path — where
-	// collect performs the whole fetch inline instead.
-	deferred bool
-	served   map[int]*tensor.Matrix // peer → skip fallback rows
-	callIdx  map[int]int            // peer → index into calls/results
-	calls    []transport.Call
-	writers  []*transport.Writer
-	done     chan []transport.Result // nil when no calls go out
+	served  map[int]*tensor.Matrix // peer → skip fallback rows
+	callIdx map[int]int            // peer → index into calls/results
+	calls   []transport.Call
+	writers []*transport.Writer
+	done    chan []transport.Result // nil when no calls go out
 	// Overlap-window accounting: firedAt is stamped before the batch
 	// goroutine launches, doneAt by that goroutine just before the channel
 	// send (so the collector's read after the receive is race-free).
@@ -99,299 +139,178 @@ func (p *pendingGhost) fire(w *Worker) {
 	runtime.Gosched()
 }
 
-// callInline runs the batch synchronously on the caller's goroutine — the
-// sequential path's barrier semantics.
-func (p *pendingGhost) callInline(w *Worker) []transport.Result {
-	if len(p.calls) == 0 {
+// issue starts the d exchange of layer l for epoch t (Alg. 3 and Alg. 5 on
+// the requesting end) without waiting for it. Peers the supervision layer
+// flags suspect are served their fallback instead, within the staleness
+// bound; the rest get one call each, in one CallMulti batch that the
+// Concurrent transport fans out across bounded goroutines with per-call
+// straggler deadlines. Pair it with exactly one collect. Nil when there is
+// nothing to put on the wire early — no ghosts, or the delayed-aggregation
+// refresh, which collect runs inline.
+func (w *Worker) issue(d direction, l, t int) *pendingGhost {
+	if len(w.ghostIDs) == 0 || (d == dirH && w.ghostHCache != nil) {
 		return nil
 	}
-	results := w.cfg.Net.CallMulti(w.id, p.calls)
-	for _, wr := range p.writers {
-		wr.Release()
-	}
-	return results
-}
-
-// join blocks until the fired batch completes and returns its results.
-func (p *pendingGhost) join() []transport.Result {
-	if p.done == nil {
-		return nil
-	}
-	return <-p.done
-}
-
-// buildGhostH resolves proactive skips and encodes the getH(l, t) call per
-// remaining peer. Epoch goroutine only: skip resolution reads EC trend
-// state and increments the degraded counters.
-func (w *Worker) buildGhostH(l, t int) *pendingGhost {
 	p := &pendingGhost{
 		served:  make(map[int]*tensor.Matrix, len(w.ghostOwner)),
 		callIdx: make(map[int]int, len(w.ghostOwner)),
 	}
 	for _, j := range w.ghostOwner {
-		if skipped := w.skipFallbackH(l, t, j); skipped != nil {
-			p.served[j] = skipped
+		if w.skip(d, l, t, j) {
+			p.served[j] = w.fallback(d, l, t, j)
 			continue
 		}
 		req := w.encodeGhostReq(l, t)
-		req.Byte(0) // no subset
-		if w.cfg.Opts.FPScheme == SchemeEC {
-			// The boundary this requester's base came from: the responder
-			// re-baselines the pair when it is not the one it holds.
-			req.Uint32(w.fpReq[l][j].Seq())
+		if d == dirH {
+			req.Byte(0) // no subset
+			if w.trend(d) {
+				// The boundary this requester's base came from: the responder
+				// re-baselines the pair when it is not the one it holds.
+				req.Uint32(w.fpReq[l][j].Seq())
+			}
 		}
 		p.callIdx[j] = len(p.calls)
 		p.calls = append(p.calls, transport.Call{
-			Dst: j, Method: MethodGetH, Req: req.Bytes(), Timeout: w.peerTimeout(j),
+			Dst: j, Method: d.method(), Req: req.Bytes(), Timeout: w.peerTimeout(j),
 		})
 		p.writers = append(p.writers, req)
 	}
-	return p
-}
-
-// fetchGhostH gathers the ghost rows of H^l for iteration t from every
-// owning peer (Alg. 3 on the requesting end), decoding per the configured
-// forward scheme. With delayed aggregation only the epoch's refresh subset
-// travels; the rest comes from the stale cache.
-//
-// The exchange runs in two phases. The request phase resolves proactive
-// skips, then hands the remaining peers' calls to the transport's CallMulti
-// in one batch — under the Concurrent wrapper they fan out across bounded
-// goroutines, with per-call straggler deadlines attached. The decode/merge
-// phase then walks ghostOwner order on the epoch goroutine: results are
-// index-aligned with the calls, rows land at fixed ghostBase offsets, and
-// the EC requester state plus degraded-mode bookkeeping stay
-// single-threaded, so the merged matrix is deterministic regardless of
-// completion order. issueGhostH/collectGhostH split the same two phases
-// across an overlap window instead of running them back to back.
-//
-// When an exchange fails even after the transport's own retries, the worker
-// degrades gracefully instead of aborting the epoch: it serves the ReqEC-FP
-// linear prediction when the scheme maintains trend state, or the last
-// successfully fetched rows, subject to the MaxStaleEpochs bound. Peers
-// the supervision layer flags suspect are skipped proactively — the same
-// fallback, without waiting out retries — as long as the bound holds.
-func (w *Worker) fetchGhostH(l, t int) (*graph.GhostOperand, error) {
-	if len(w.ghostIDs) == 0 {
-		return nil, nil
-	}
-	if w.ghostHCache != nil {
-		m, err := w.fetchGhostHDelayed(l, t, w.cfg.Model.Dims[l])
-		if err != nil {
-			return nil, err
-		}
-		return graph.NewGhostDense(m), nil
-	}
-	p := w.buildGhostH(l, t)
-	return w.mergeGhostH(p, w.callInlineTimed(p), l, t)
-}
-
-// issueGhostH starts the ghost H^l exchange without waiting for it: skips
-// are resolved and the remaining calls are fired on a background goroutine.
-// The caller must pair it with exactly one collectGhostH.
-func (w *Worker) issueGhostH(l, t int) *pendingGhost {
-	if len(w.ghostIDs) == 0 || w.ghostHCache != nil {
-		return &pendingGhost{deferred: true}
-	}
-	p := w.buildGhostH(l, t)
 	p.fire(w)
 	if tr := w.obs.tracer; tr != nil {
-		tr.Instant(fmt.Sprintf("issue getH l%d", l), "comm", 1+w.id, 0, time.Now(), nil)
+		tr.Instant(fmt.Sprintf("issue %v l%d", d, l), "comm", 1+w.id, 0, time.Now(), nil)
 	}
 	return p
 }
 
-// collectGhostH joins an issued getH batch and performs the decode/merge
-// phase — identical semantics (and identical EC/degraded state mutation
-// order) to the blocking fetchGhostH.
-func (w *Worker) collectGhostH(p *pendingGhost, l, t int) (*graph.GhostOperand, error) {
-	if p.deferred {
-		return w.fetchGhostH(l, t)
-	}
-	return w.mergeGhostH(p, w.joinTimed(p), l, t)
-}
-
-// mergeGhostH decodes the batch results in ghostOwner order and assembles
-// the ghost operand, applying the degraded fallback per failed peer. Epoch
-// goroutine only. With PackedSpMM, purely quantised payloads keep their
-// packed wire form inside the operand (decoded only by the fold kernels,
-// on register); everything else — raw/sparse payloads, EC trend decodes,
-// skip and degraded fallbacks — lands as dense rows.
-func (w *Worker) mergeGhostH(p *pendingGhost, results []transport.Result, l, t int) (*graph.GhostOperand, error) {
-	if !w.cfg.Opts.PackedSpMM {
-		m, err := w.mergeGhostHDense(p, results, l, t)
+// collect joins an issued exchange and assembles the ghost operand, walking
+// ghostOwner order on the epoch goroutine so the result is deterministic
+// regardless of completion order. Purely quantised payloads keep their
+// packed wire form inside the operand (decoded only by the fold, strip by
+// strip); everything else — raw and sparse payloads, ReqEC-FP decodes, skip
+// and degraded fallbacks — lands as dense rows. At l == L the getG list
+// covers training vertices only and every other slot stays unset: a zero row
+// the fold skips.
+//
+// When an exchange fails even after the transport's own retries, or its
+// reply does not decode to the pair's list, the worker degrades instead of
+// aborting the epoch: it serves the ReqEC-FP linear prediction where the
+// requester keeps trend state, or the last rows fetched successfully, as
+// long as the MaxStaleEpochs bound holds.
+func (w *Worker) collect(d direction, p *pendingGhost, l, t int) (*graph.GhostOperand, error) {
+	switch {
+	case len(w.ghostIDs) == 0:
+		return nil, nil
+	case p == nil:
+		m, err := w.fetchGhostHDelayed(l, t)
 		if err != nil {
 			return nil, err
 		}
 		return graph.NewGhostDense(m), nil
 	}
+	results := w.joinTimed(p)
 	op := graph.NewGhostHybrid(len(w.ghostIDs), w.cfg.Model.Dims[l])
 	for _, j := range w.ghostOwner {
-		base := w.ghostBase[j]
-		if rows := p.served[j]; rows != nil {
-			opSetDense(op, base, rows)
-			continue
-		}
-		rows, blk, err := w.decodeHPacked(l, t, j, results[p.callIdx[j]])
-		if err != nil {
-			if rows, err = w.degradedH(l, t, j, err); err != nil {
-				return nil, err
+		loc := w.fetch[l][j].loc
+		rows, skipped := p.served[j]
+		var blk *compress.Blocked
+		if !skipped {
+			var err error
+			if rows, blk, err = w.decode(d, l, t, j, results[p.callIdx[j]], len(loc)); err != nil {
+				if rows, err = w.degrade(d, l, t, j, err); err != nil {
+					return nil, err
+				}
+			} else {
+				w.last[d][l][j] = lastGood{rows: rows, packed: blk, epoch: t}
 			}
-			opSetDense(op, base, rows)
-			continue
 		}
-		// Record the last-good state in whichever form arrived; the dense
-		// materialisation is deferred to the first fallback that needs it
-		// (lastGoodH). Retained packed payloads are never Released — a
-		// pooled reclaim could hand their words to a later payload while a
-		// degraded epoch still reads them.
-		w.hLastGood[l][j], w.hLastPacked[l][j] = rows, blk
-		w.hLastEpoch[l][j] = t
-		if blk != nil {
-			op.SetRowsPacked(base, blk)
-		} else {
-			opSetDense(op, base, rows)
+		for k, slot := range loc {
+			if blk != nil {
+				op.SetRowPacked(int(slot), blk, k)
+			} else {
+				op.SetRowDense(int(slot), rows.Row(k))
+			}
 		}
 	}
 	return op, nil
 }
 
-// mergeGhostHDense is the decode-oracle merge (-packed-spmm=false): every
-// payload is decoded into one dense ghost matrix, exactly the pre-packed
-// behaviour the packed path is asserted bitwise against.
-func (w *Worker) mergeGhostHDense(p *pendingGhost, results []transport.Result, l, t int) (*tensor.Matrix, error) {
-	out := tensor.New(len(w.ghostIDs), w.cfg.Model.Dims[l])
-	for _, j := range w.ghostOwner {
-		rows := p.served[j]
-		if rows == nil {
-			var err error
-			if rows, err = w.decodeH(l, t, j, results[p.callIdx[j]]); err != nil {
-				if rows, err = w.degradedH(l, t, j, err); err != nil {
-					return nil, err
-				}
-			} else {
-				w.hLastGood[l][j] = rows
-				w.hLastPacked[l][j] = nil
-				w.hLastEpoch[l][j] = t
-			}
+// decode turns owner j's reply into want rows of layer l's width: dense, or
+// a purely quantised payload kept packed (rows nil). The ReqEC-FP requester
+// decodes its own payloads, which maintains the trend state its fallback
+// predicts from. Any panic — e.g. an EC payload whose trend base this
+// requester never received because the boundary message was lost — and any
+// reply of another shape is an error, so the degraded path takes over
+// instead of a scatter that lands rows on the wrong vertices. Epoch
+// goroutine only: the requester state is not goroutine-safe.
+func (w *Worker) decode(d direction, l, t, j int, res transport.Result, want int) (rows *tensor.Matrix, blk *compress.Blocked, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rows, blk = nil, nil
+			err = fmt.Errorf("worker %d: decode %v(l=%d,t=%d) from %d: %v", w.id, d, l, t, j, r)
 		}
-		base := w.ghostBase[j]
-		for r := 0; r < rows.Rows; r++ {
-			copy(out.Row(base+r), rows.Row(r))
-		}
+	}()
+	if res.Err != nil {
+		return nil, nil, fmt.Errorf("worker %d: %v(l=%d,t=%d) from %d: %w", w.id, d, l, t, j, res.Err)
 	}
-	return out, nil
+	if w.trend(d) {
+		rows = w.fpReq[l][j].Parse(res.Resp, t)
+	} else {
+		rows, blk = ec.ParsePacked(res.Resp)
+	}
+	var n, cols int
+	if blk != nil {
+		n, cols = blk.Rows, blk.Cols
+	} else {
+		n, cols = rows.Rows, rows.Cols
+	}
+	if n != want || cols != w.cfg.Model.Dims[l] {
+		return nil, nil, fmt.Errorf("worker %d: %v(l=%d) from %d is %dx%d, the pair list wants %dx%d",
+			w.id, d, l, j, n, cols, want, w.cfg.Model.Dims[l])
+	}
+	return rows, blk, nil
 }
 
-// opSetDense installs all rows of a dense payload into the operand at its
-// ghostBase offset, by reference.
-func opSetDense(op *graph.GhostOperand, base int, rows *tensor.Matrix) {
-	for r := 0; r < rows.Rows; r++ {
-		op.SetRowDense(base+r, rows.Row(r))
-	}
+// fresh reports whether owner j's last good rows may stand in for its d rows
+// of layer l at epoch t: some exist, and they are within MaxStaleEpochs.
+func (w *Worker) fresh(d direction, l, t, j int) bool {
+	bound, last := w.cfg.Opts.MaxStaleEpochs, w.last[d][l][j].epoch
+	return bound >= 0 && last >= 0 && t-last <= bound
 }
 
-// lastGoodH returns peer j's last successfully fetched H rows for layer l,
-// materialising a retained packed payload to dense on first use (fallbacks
-// are cold paths; the dense form is cached back so repeated degraded epochs
-// pay the decode once).
-func (w *Worker) lastGoodH(l, j int) *tensor.Matrix {
-	if w.hLastGood[l][j] == nil && w.hLastPacked[l][j] != nil {
-		w.hLastGood[l][j] = w.hLastPacked[l][j].Dense()
-	}
-	return w.hLastGood[l][j]
-}
-
-// lastGoodG is lastGoodH for gradient rows.
-func (w *Worker) lastGoodG(l, j int) *tensor.Matrix {
-	if w.gLastGood[l][j] == nil && w.gLastPacked[l][j] != nil {
-		w.gLastGood[l][j] = w.gLastPacked[l][j].Dense()
-	}
-	return w.gLastGood[l][j]
-}
-
-// skipFallbackH returns the degraded H rows for peer j when the supervision
-// layer flags it suspect and a fallback within the staleness bound exists;
-// nil means "call the peer normally" (healthy, no supervision, or the bound
-// would be exceeded — the call must then be attempted regardless).
-func (w *Worker) skipFallbackH(l, t, j int) *tensor.Matrix {
-	if w.cfg.Health == nil || !w.cfg.Health.SkipPeer(j) {
-		return nil
-	}
-	bound := w.cfg.Opts.MaxStaleEpochs
-	last := w.hLastEpoch[l][j]
-	if bound < 0 || last < 0 || t-last > bound {
-		return nil
-	}
-	w.degraded++
-	w.skips++
-	if w.cfg.Opts.FPScheme == SchemeEC {
+// fallback returns the degraded rows for owner j: the ReqEC-FP linear
+// prediction where the requester keeps trend state and has one, else the
+// last good rows.
+func (w *Worker) fallback(d direction, l, t, j int) *tensor.Matrix {
+	if w.trend(d) {
 		if pdt, ok := w.fpReq[l][j].Predict(t); ok {
 			return pdt
 		}
 	}
-	return w.lastGoodH(l, j)
+	return w.last[d][l][j].dense()
 }
 
-// decodeH turns one getH result from peer j into ghost rows. Runs on the
-// epoch goroutine only — the per-(layer,owner) EC requester state is not
-// goroutine-safe and must never be touched from the fan-out. Decode panics
-// — e.g. an EC payload whose trend baseline this requester never received
-// because the boundary message was lost — are converted to errors so the
-// degraded path can take over.
-func (w *Worker) decodeH(l, t, j int, res transport.Result) (rows *tensor.Matrix, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows = nil
-			err = fmt.Errorf("worker %d: decode getH(l=%d,t=%d) from %d: %v", w.id, l, t, j, r)
-		}
-	}()
-	if res.Err != nil {
-		return nil, fmt.Errorf("worker %d: getH(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
-	}
-	if w.cfg.Opts.FPScheme == SchemeEC {
-		return w.fpReq[l][j].Parse(res.Resp, t), nil
-	}
-	return ec.ParseMatrix(res.Resp), nil
-}
-
-// decodeHPacked is decodeH for the packed merge: purely quantised payloads
-// come back as a retained *compress.Blocked (rows nil), everything else as
-// dense rows (blk nil). FP SchemeEC always decodes dense — its requester
-// Parse maintains the trend state the prediction fallback needs.
-func (w *Worker) decodeHPacked(l, t, j int, res transport.Result) (rows *tensor.Matrix, blk *compress.Blocked, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows, blk = nil, nil
-			err = fmt.Errorf("worker %d: decode getH(l=%d,t=%d) from %d: %v", w.id, l, t, j, r)
-		}
-	}()
-	if res.Err != nil {
-		return nil, nil, fmt.Errorf("worker %d: getH(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
-	}
-	if w.cfg.Opts.FPScheme == SchemeEC {
-		return w.fpReq[l][j].Parse(res.Resp, t), nil, nil
-	}
-	rows, blk = ec.ParsePacked(res.Resp)
-	return rows, blk, nil
-}
-
-// degradedH picks the fallback for a failed H exchange with peer j, or
-// fails the epoch once the staleness bound is exceeded.
-func (w *Worker) degradedH(l, t, j int, cause error) (*tensor.Matrix, error) {
-	bound := w.cfg.Opts.MaxStaleEpochs
-	last := w.hLastEpoch[l][j]
-	if bound < 0 || last < 0 || t-last > bound {
-		return nil, fmt.Errorf("worker %d: ghost H(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
-			w.id, l, j, t, last, bound, cause)
+// skip reports, and counts as a degraded fetch, whether owner j is served
+// from its fallback without a call: the supervision layer flags it suspect
+// and the fallback is fresh. Beyond the bound the call is attempted
+// regardless.
+func (w *Worker) skip(d direction, l, t, j int) bool {
+	if w.cfg.Health == nil || !w.cfg.Health.SkipPeer(j) || !w.fresh(d, l, t, j) {
+		return false
 	}
 	w.degraded++
-	if w.cfg.Opts.FPScheme == SchemeEC {
-		if pdt, ok := w.fpReq[l][j].Predict(t); ok {
-			return pdt, nil
-		}
+	w.skips++
+	return true
+}
+
+// degrade picks the fallback for a failed exchange with owner j, or fails
+// the epoch once the staleness bound is exceeded.
+func (w *Worker) degrade(d direction, l, t, j int, cause error) (*tensor.Matrix, error) {
+	if !w.fresh(d, l, t, j) {
+		return nil, fmt.Errorf("worker %d: ghost %v(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
+			w.id, d, l, j, t, w.last[d][l][j].epoch, w.cfg.Opts.MaxStaleEpochs, cause)
 	}
-	return w.lastGoodH(l, j), nil
+	w.degraded++
+	return w.fallback(d, l, t, j), nil
 }
 
 // refreshPositions returns, for peer j, the indices within Needs[w][j] that
@@ -417,10 +336,15 @@ func (w *Worker) refreshPositions(j, t int) []int32 {
 	return out
 }
 
-func (w *Worker) fetchGhostHDelayed(l, t, dim int) (*tensor.Matrix, error) {
+// fetchGhostHDelayed is the DistGNN-style delayed getH: only epoch t's
+// refresh subset of each pair travels, one blocking call per peer, and the
+// rest of the ghost rows come from the stale cache. The cache is
+// stale-tolerant by design, so a suspect peer or a failed refresh keeps
+// serving it within the same staleness bound as the pipelined exchange.
+func (w *Worker) fetchGhostHDelayed(l, t int) (*tensor.Matrix, error) {
 	cold := w.ghostHCache[l] == nil
 	if cold {
-		w.ghostHCache[l] = tensor.New(len(w.ghostIDs), dim)
+		w.ghostHCache[l] = tensor.New(len(w.ghostIDs), w.cfg.Model.Dims[l])
 	}
 	cache := w.ghostHCache[l]
 	for _, j := range w.ghostOwner {
@@ -430,250 +354,30 @@ func (w *Worker) fetchGhostHDelayed(l, t, dim int) (*tensor.Matrix, error) {
 			// at t > 0 — must refresh everything, not just t's subset.
 			positions = w.refreshPositions(j, 0)
 		}
-		if len(positions) == 0 {
+		if len(positions) == 0 || w.skip(dirH, l, t, j) {
 			continue
-		}
-		if w.cfg.Health != nil && w.cfg.Health.SkipPeer(j) {
-			// Suspect peer: skip this refresh round and keep serving the
-			// stale cache, within the same staleness bound a failed call
-			// falls under; beyond it the call is attempted regardless.
-			bound := w.cfg.Opts.MaxStaleEpochs
-			last := w.hLastEpoch[l][j]
-			if bound >= 0 && last >= 0 && t-last <= bound {
-				w.degraded++
-				w.skips++
-				continue
-			}
 		}
 		req := w.encodeGhostReq(l, t)
 		req.Byte(1)
 		req.Int32s(positions)
-		resp, err := w.callPeer(j, MethodGetH, req.Bytes())
+		res := w.cfg.Net.CallMulti(w.id, []transport.Call{{
+			Dst: j, Method: MethodGetH, Req: req.Bytes(), Timeout: w.peerTimeout(j),
+		}})[0]
 		req.Release()
+		rows, _, err := w.decode(dirH, l, t, j, res, len(positions))
 		if err != nil {
-			// The cache is already stale-tolerant by design: skip this
-			// refresh round and serve the cached rows, within the same
-			// staleness bound the non-delayed path enforces.
-			bound := w.cfg.Opts.MaxStaleEpochs
-			last := w.hLastEpoch[l][j]
-			if bound < 0 || last < 0 || t-last > bound {
-				return nil, fmt.Errorf("worker %d: delayed getH from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
-					w.id, j, t, last, bound, err)
+			if _, err := w.degrade(dirH, l, t, j, err); err != nil {
+				return nil, err
 			}
-			w.degraded++
 			continue
 		}
-		rows := ec.ParseMatrix(resp)
-		base := w.ghostBase[j]
+		loc := w.fetch[l][j].loc
 		for r, p := range positions {
-			copy(cache.Row(base+int(p)), rows.Row(r))
+			copy(cache.Row(int(loc[p])), rows.Row(r))
 		}
-		w.hLastEpoch[l][j] = t
+		w.last[dirH][l][j].epoch = t
 	}
 	return cache, nil
-}
-
-// buildGhostG resolves proactive skips and encodes the getG(l, t) call per
-// remaining peer. Epoch goroutine only.
-func (w *Worker) buildGhostG(l, t int) *pendingGhost {
-	p := &pendingGhost{
-		served:  make(map[int]*tensor.Matrix, len(w.ghostOwner)),
-		callIdx: make(map[int]int, len(w.ghostOwner)),
-	}
-	for _, j := range w.ghostOwner {
-		if skipped := w.skipFallbackG(l, t, j); skipped != nil {
-			p.served[j] = skipped
-			continue
-		}
-		req := w.encodeGhostReq(l, t)
-		p.callIdx[j] = len(p.calls)
-		p.calls = append(p.calls, transport.Call{
-			Dst: j, Method: MethodGetG, Req: req.Bytes(), Timeout: w.peerTimeout(j),
-		})
-		p.writers = append(p.writers, req)
-	}
-	return p
-}
-
-// fetchGhostG gathers ghost rows of G^l for iteration t (Alg. 5) with the
-// same two-phase batch-then-merge structure as fetchGhostH. Like the
-// forward exchange it degrades to the last-good cached gradient rows when a
-// peer stays unreachable, within the MaxStaleEpochs bound.
-func (w *Worker) fetchGhostG(l, t int) (*graph.GhostOperand, error) {
-	if len(w.ghostIDs) == 0 {
-		return nil, nil
-	}
-	p := w.buildGhostG(l, t)
-	return w.mergeGhostG(p, w.callInlineTimed(p), l, t)
-}
-
-// issueGhostG starts the ghost G^l exchange without waiting for it; pair
-// with exactly one collectGhostG.
-func (w *Worker) issueGhostG(l, t int) *pendingGhost {
-	if len(w.ghostIDs) == 0 {
-		return &pendingGhost{deferred: true}
-	}
-	p := w.buildGhostG(l, t)
-	p.fire(w)
-	if tr := w.obs.tracer; tr != nil {
-		tr.Instant(fmt.Sprintf("issue getG l%d", l), "comm", 1+w.id, 0, time.Now(), nil)
-	}
-	return p
-}
-
-// collectGhostG joins an issued getG batch and runs the decode/merge phase
-// with the blocking fetch's exact semantics.
-func (w *Worker) collectGhostG(p *pendingGhost, l, t int) (*graph.GhostOperand, error) {
-	if p.deferred {
-		return w.fetchGhostG(l, t)
-	}
-	return w.mergeGhostG(p, w.joinTimed(p), l, t)
-}
-
-// mergeGhostG decodes the batch results in ghostOwner order and assembles
-// the ghost gradient operand. Epoch goroutine only. The packed/dense split
-// mirrors mergeGhostH: quantised payloads (Cp-bp, ResEC-BP) stay in wire
-// form, raw/TopK payloads and degraded fallbacks land dense. Payload row k
-// of peer j lands at slot k of the pair's list (w.fetch[l][j]); at l == L
-// the list covers training vertices only and every other slot stays unset —
-// a zero row the fold kernels skip.
-func (w *Worker) mergeGhostG(p *pendingGhost, results []transport.Result, l, t int) (*graph.GhostOperand, error) {
-	if !w.cfg.Opts.PackedSpMM {
-		m, err := w.mergeGhostGDense(p, results, l, t)
-		if err != nil {
-			return nil, err
-		}
-		return graph.NewGhostDense(m), nil
-	}
-	op := graph.NewGhostHybrid(len(w.ghostIDs), w.cfg.Model.Dims[l])
-	for _, j := range w.ghostOwner {
-		rows, blk := p.served[j], (*compress.Blocked)(nil)
-		if rows == nil {
-			var err error
-			if rows, blk, err = w.decodeGPacked(l, t, j, results[p.callIdx[j]]); err != nil {
-				if rows, err = w.degradedG(l, t, j, err); err != nil {
-					return nil, err
-				}
-			} else {
-				w.gLastGood[l][j], w.gLastPacked[l][j] = rows, blk
-				w.gLastEpoch[l][j] = t
-			}
-		}
-		for k, slot := range w.fetch[l][j].loc {
-			if blk != nil {
-				op.SetRowPacked(int(slot), blk, k)
-			} else {
-				op.SetRowDense(int(slot), rows.Row(k))
-			}
-		}
-	}
-	return op, nil
-}
-
-// mergeGhostGDense is the decode-oracle merge for gradients
-// (-packed-spmm=false): every payload decoded into one dense ghost matrix
-// whose slots outside the pair lists keep their zeros.
-func (w *Worker) mergeGhostGDense(p *pendingGhost, results []transport.Result, l, t int) (*tensor.Matrix, error) {
-	out := tensor.New(len(w.ghostIDs), w.cfg.Model.Dims[l])
-	for _, j := range w.ghostOwner {
-		rows := p.served[j]
-		if rows == nil {
-			var err error
-			if rows, err = w.decodeG(l, t, j, results[p.callIdx[j]]); err != nil {
-				if rows, err = w.degradedG(l, t, j, err); err != nil {
-					return nil, err
-				}
-			} else {
-				w.gLastGood[l][j] = rows
-				w.gLastPacked[l][j] = nil
-				w.gLastEpoch[l][j] = t
-			}
-		}
-		for k, slot := range w.fetch[l][j].loc {
-			copy(out.Row(int(slot)), rows.Row(k))
-		}
-	}
-	return out, nil
-}
-
-// degradedG picks the fallback for a failed G exchange with peer j — the
-// last-good rows — or fails the epoch once the staleness bound is exceeded.
-func (w *Worker) degradedG(l, t, j int, cause error) (*tensor.Matrix, error) {
-	bound := w.cfg.Opts.MaxStaleEpochs
-	last := w.gLastEpoch[l][j]
-	if bound < 0 || last < 0 || t-last > bound {
-		return nil, fmt.Errorf("worker %d: ghost G(l=%d) from %d unrecoverable at epoch %d (last good epoch %d, staleness bound %d): %w",
-			w.id, l, j, t, last, bound, cause)
-	}
-	w.degraded++
-	return w.lastGoodG(l, j), nil
-}
-
-// skipFallbackG is skipFallbackH for gradient rows: the last-good cached
-// rows for a suspect peer, or nil when the call must be attempted.
-func (w *Worker) skipFallbackG(l, t, j int) *tensor.Matrix {
-	if w.cfg.Health == nil || !w.cfg.Health.SkipPeer(j) {
-		return nil
-	}
-	bound := w.cfg.Opts.MaxStaleEpochs
-	last := w.gLastEpoch[l][j]
-	if bound < 0 || last < 0 || t-last > bound {
-		return nil
-	}
-	w.degraded++
-	w.skips++
-	return w.lastGoodG(l, j)
-}
-
-// decodeG turns one getG result from peer j into ghost gradient rows,
-// converting decode panics into errors for the degraded path. Epoch
-// goroutine only.
-func (w *Worker) decodeG(l, t, j int, res transport.Result) (rows *tensor.Matrix, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows = nil
-			err = fmt.Errorf("worker %d: decode getG(l=%d,t=%d) from %d: %v", w.id, l, t, j, r)
-		}
-	}()
-	if res.Err != nil {
-		return nil, fmt.Errorf("worker %d: getG(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
-	}
-	rows = ec.ParseMatrix(res.Resp)
-	return rows, w.checkGShape(l, j, rows.Rows, rows.Cols)
-}
-
-// checkGShape rejects a getG payload from peer j that does not cover the
-// pair's list row for row: scattering it would shift every later row onto
-// the wrong vertex, so it is a decode error and takes the degraded path.
-func (w *Worker) checkGShape(l, j, rows, cols int) error {
-	if want := len(w.fetch[l][j].loc); rows != want || cols != w.cfg.Model.Dims[l] {
-		return fmt.Errorf("worker %d: getG(l=%d) from %d is %dx%d, the pair list wants %dx%d",
-			w.id, l, j, rows, cols, want, w.cfg.Model.Dims[l])
-	}
-	return nil
-}
-
-// decodeGPacked is decodeG for the packed merge: quantised payloads come
-// back as a retained *compress.Blocked (rows nil), raw/sparse ones dense.
-func (w *Worker) decodeGPacked(l, t, j int, res transport.Result) (rows *tensor.Matrix, blk *compress.Blocked, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows, blk = nil, nil
-			err = fmt.Errorf("worker %d: decode getG(l=%d,t=%d) from %d: %v", w.id, l, t, j, r)
-		}
-	}()
-	if res.Err != nil {
-		return nil, nil, fmt.Errorf("worker %d: getG(l=%d,t=%d) from %d: %w", w.id, l, t, j, res.Err)
-	}
-	if rows, blk = ec.ParsePacked(res.Resp); blk != nil {
-		err = w.checkGShape(l, j, blk.Rows, blk.Cols)
-	} else {
-		err = w.checkGShape(l, j, rows.Rows, rows.Cols)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, blk, nil
 }
 
 // Handler returns the transport handler serving this worker's RPCs. It runs
@@ -692,7 +396,7 @@ func (w *Worker) Handler() transport.Handler {
 		switch method {
 		case MethodGetX:
 			requester := int(r.Int32())
-			rows := w.pairRows[requester]
+			rows := w.serve[0][requester].loc
 			if rows == nil {
 				return nil, fmt.Errorf("worker %d: no pair set for requester %d", w.id, requester)
 			}
@@ -706,7 +410,7 @@ func (w *Worker) Handler() transport.Handler {
 			if r.Byte() == 1 {
 				subset = r.Int32s()
 			}
-			rows := w.pairRows[requester]
+			rows := w.serve[l][requester].loc
 			if rows == nil {
 				return nil, fmt.Errorf("worker %d: no pair set for requester %d", w.id, requester)
 			}
@@ -762,14 +466,15 @@ func (w *Worker) Handler() transport.Handler {
 			l := int(r.Byte())
 			t := int(r.Uint32())
 			requester := int(r.Int32())
-			if w.pairRows[requester] == nil {
+			all := w.serve[0][requester]
+			if all.loc == nil {
 				return nil, fmt.Errorf("worker %d: no pair set for requester %d", w.id, requester)
 			}
 			// At l == L only the pair's training vertices: the rest of G^L
 			// is zero on both ends without being sent.
 			rows := w.serve[l][requester].loc
 			w.obs.getGShipped.Add(float64(len(rows)))
-			w.obs.getGDerived.Add(float64(len(w.pairRows[requester]) - len(rows)))
+			w.obs.getGDerived.Add(float64(len(all.loc) - len(rows)))
 			g := w.gStore.Wait(l, t)
 			m := g.GatherRows(int32sToInts(rows))
 			switch w.cfg.Opts.BPScheme {

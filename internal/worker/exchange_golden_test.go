@@ -1,0 +1,245 @@
+package worker
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"ecgraph/internal/datasets"
+	"ecgraph/internal/nn"
+	"ecgraph/internal/partition"
+)
+
+// runHash is FNV-1a over a run's per-worker, per-epoch loss bits and then
+// its final parameter bits.
+func runHash(r *clusterRun) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, losses := range r.losses {
+		for _, l := range losses {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(l))
+			h.Write(b[:])
+		}
+	}
+	for _, p := range r.params {
+		binary.LittleEndian.PutUint32(b[:4], math.Float32bits(p))
+		h.Write(b[:4])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestExchangeGolden pins the trajectories of one epoch loop and one
+// direction-parametrised ghost exchange: a 3-worker cora run per case, GCN
+// and SAGE (whose WSelf products run inside the overlap window), raw,
+// ReqEC-FP/ResEC-BP and delayed aggregation. The hashes and degraded-fetch
+// counts were recorded at the parent commit (46113fd), where they were the
+// same under all four of its sequential/pipelined × decode-first/packed
+// paths; never re-record them to make this pass.
+func TestExchangeGolden(t *testing.T) {
+	d := datasets.MustLoad("cora")
+	cases := []struct {
+		name     string
+		kind     nn.Kind
+		opts     Options
+		want     string
+		degraded int
+	}{
+		{"gcn-raw", nn.KindGCN, Options{}, "e6e06603e572f725", 0},
+		{"sage-raw", nn.KindSAGE, Options{}, "226fe7960a29923c", 0},
+		{"gcn-ec", nn.KindGCN, Options{FPScheme: SchemeEC, BPScheme: SchemeEC, FPBits: 2, BPBits: 2, Ttr: 4}, "23cf2138cced5368", 0},
+		{"gcn-delay", nn.KindGCN, Options{DelayRounds: 3, BPScheme: SchemeCompress, BPBits: 4}, "600735f45d2d97f5", 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := clusterSpec{kind: tc.kind, opts: tc.opts, workers: 3, epochs: 6}.run(t, d)
+			if got := runHash(r); got != tc.want || r.degraded != tc.degraded {
+				t.Fatalf("trajectory %s with %d degraded fetches, parent's %s with %d", got, r.degraded, tc.want, tc.degraded)
+			}
+		})
+	}
+}
+
+// exchangeGrid calls f with every run of TestExchangeGoldenGrid: GCN and
+// SAGE; two layers and three (where H^2 is fetched too, and a middle-layer
+// getG ships its whole pair list while the top layer's ships only training
+// vertices); round-robin and METIS placement (nearly every row boundary, or
+// mostly interior); and each exchange arm — every scheme in each direction
+// alone, the combinations the experiments run, the matrix-wise selector,
+// the Bit-Tuner and delayed aggregation. Each is a 3-worker cora run of 7
+// epochs, long enough for the ReqEC-FP trend groups to predict.
+func exchangeGrid(f func(name string, spec clusterSpec)) {
+	arms := []struct {
+		name string
+		opts Options
+	}{
+		{"raw", Options{}},
+		{"cp-fp2", Options{FPScheme: SchemeCompress, FPBits: 2}},
+		{"cp-fp8", Options{FPScheme: SchemeCompress, FPBits: 8}},
+		{"reqec-fp2", Options{FPScheme: SchemeEC, FPBits: 2, Ttr: 4}},
+		{"reqec-fp4-matrix", Options{FPScheme: SchemeEC, FPBits: 4, Ttr: 3, MatrixWiseSelector: true}},
+		{"reqec-fp4-tuner", Options{FPScheme: SchemeEC, FPBits: 4, Ttr: 4, AdaptiveBits: true}},
+		{"cp-bp4", Options{BPScheme: SchemeCompress, BPBits: 4}},
+		{"resec-bp2", Options{BPScheme: SchemeEC, BPBits: 2}},
+		{"topk-bp4", Options{BPScheme: SchemeTopK, BPBits: 4}},
+		{"ec-2", Options{FPScheme: SchemeEC, BPScheme: SchemeEC, FPBits: 2, BPBits: 2, Ttr: 4}},
+		{"cp-4", Options{FPScheme: SchemeCompress, BPScheme: SchemeCompress, FPBits: 4, BPBits: 4}},
+		{"reqec-fp2-topk-bp8", Options{FPScheme: SchemeEC, BPScheme: SchemeTopK, FPBits: 2, BPBits: 8, Ttr: 4}},
+		{"delay2", Options{DelayRounds: 2}},
+		{"delay3-resec-bp4", Options{DelayRounds: 3, BPScheme: SchemeEC, BPBits: 4}},
+	}
+	parts := []struct {
+		name string
+		part partition.Partitioner
+	}{
+		{"rr", nil},
+		{"metis", partition.Metis{}},
+	}
+	for _, kind := range []nn.Kind{nn.KindGCN, nn.KindSAGE} {
+		for _, hidden := range [][]int{{8}, {8, 6}} {
+			for _, p := range parts {
+				for _, arm := range arms {
+					f(fmt.Sprintf("%v-L%d-%s-%s", kind, len(hidden)+1, p.name, arm.name),
+						clusterSpec{kind: kind, hidden: hidden, opts: arm.opts, part: p.part, workers: 3, epochs: 7})
+				}
+			}
+		}
+	}
+}
+
+// TestExchangeGoldenGrid pins the trajectory of every exchangeGrid run. The
+// hashes were recorded at the parent commit (46113fd), where each was the
+// same under all four of its sequential/pipelined × decode-first/packed
+// paths and no run degraded; never re-record them to make this pass.
+func TestExchangeGoldenGrid(t *testing.T) {
+	d := datasets.MustLoad("cora")
+	exchangeGrid(func(name string, spec clusterSpec) {
+		t.Run(name, func(t *testing.T) {
+			want, ok := gridGoldens[name]
+			if !ok {
+				t.Fatalf("no golden recorded for %s", name)
+			}
+			r := spec.run(t, d)
+			if got := runHash(r); got != want || r.degraded != 0 {
+				t.Fatalf("trajectory %s with %d degraded fetches, parent's %s with 0", got, r.degraded, want)
+			}
+		})
+	})
+}
+
+// gridGoldens maps each exchangeGrid run to its runHash at 46113fd.
+var gridGoldens = map[string]string{
+	"gcn-L2-rr-raw":                    "e073dc57a751a536",
+	"gcn-L2-rr-cp-fp2":                 "eb1ecddd54dd55f0",
+	"gcn-L2-rr-cp-fp8":                 "c09dd51d25be9374",
+	"gcn-L2-rr-reqec-fp2":              "3e02788f5285a288",
+	"gcn-L2-rr-reqec-fp4-matrix":       "31e4a3ff7e63890f",
+	"gcn-L2-rr-reqec-fp4-tuner":        "945bffb345dabdfa",
+	"gcn-L2-rr-cp-bp4":                 "613d64daf32a206d",
+	"gcn-L2-rr-resec-bp2":              "0daafc5adbf3e9c1",
+	"gcn-L2-rr-topk-bp4":               "a6370a9806474703",
+	"gcn-L2-rr-ec-2":                   "c392c8edaf5445d3",
+	"gcn-L2-rr-cp-4":                   "44255072636ae2ae",
+	"gcn-L2-rr-reqec-fp2-topk-bp8":     "c60831f9730a2908",
+	"gcn-L2-rr-delay2":                 "edc08297899342b3",
+	"gcn-L2-rr-delay3-resec-bp4":       "6feacbd4eeb0be5a",
+	"gcn-L2-metis-raw":                 "4e16dc7ad8c44452",
+	"gcn-L2-metis-cp-fp2":              "bd7f88c9ce4cb5d5",
+	"gcn-L2-metis-cp-fp8":              "1569e47bad46bd75",
+	"gcn-L2-metis-reqec-fp2":           "87777ecf44fc1dec",
+	"gcn-L2-metis-reqec-fp4-matrix":    "7c1f56f9c8ca53dd",
+	"gcn-L2-metis-reqec-fp4-tuner":     "c6edc7ef6c1261c5",
+	"gcn-L2-metis-cp-bp4":              "c63563e7a5062ac9",
+	"gcn-L2-metis-resec-bp2":           "8e7671dda69b73f5",
+	"gcn-L2-metis-topk-bp4":            "71ead8eca542809b",
+	"gcn-L2-metis-ec-2":                "70976e0485ef7ff0",
+	"gcn-L2-metis-cp-4":                "4eb8246d417bc873",
+	"gcn-L2-metis-reqec-fp2-topk-bp8":  "e8e815001e1326f6",
+	"gcn-L2-metis-delay2":              "7ed61c49d862df51",
+	"gcn-L2-metis-delay3-resec-bp4":    "617ad4557d3671db",
+	"gcn-L3-rr-raw":                    "0f9e5f01c335ff31",
+	"gcn-L3-rr-cp-fp2":                 "0ee86c9afde605ac",
+	"gcn-L3-rr-cp-fp8":                 "83ec20b1989e5922",
+	"gcn-L3-rr-reqec-fp2":              "e5fff2868011ff11",
+	"gcn-L3-rr-reqec-fp4-matrix":       "270d7953db781640",
+	"gcn-L3-rr-reqec-fp4-tuner":        "470ab05d51967c95",
+	"gcn-L3-rr-cp-bp4":                 "d14638e6cc6a744f",
+	"gcn-L3-rr-resec-bp2":              "96ec14d24d53bea1",
+	"gcn-L3-rr-topk-bp4":               "f84f90132dfdc680",
+	"gcn-L3-rr-ec-2":                   "742594c6e03c643c",
+	"gcn-L3-rr-cp-4":                   "c5caa29461147010",
+	"gcn-L3-rr-reqec-fp2-topk-bp8":     "03911612f122629a",
+	"gcn-L3-rr-delay2":                 "050093b1cac19b95",
+	"gcn-L3-rr-delay3-resec-bp4":       "2a2ca29c3ea16c23",
+	"gcn-L3-metis-raw":                 "ecf4a45af0d6e24a",
+	"gcn-L3-metis-cp-fp2":              "6de4bf17aba73d68",
+	"gcn-L3-metis-cp-fp8":              "720389a711e8a574",
+	"gcn-L3-metis-reqec-fp2":           "c9b2402775bcfb5d",
+	"gcn-L3-metis-reqec-fp4-matrix":    "f5aaa6cc371d6a95",
+	"gcn-L3-metis-reqec-fp4-tuner":     "8f42193c50a1dc60",
+	"gcn-L3-metis-cp-bp4":              "bbc9a330f257cdb2",
+	"gcn-L3-metis-resec-bp2":           "137617c30aee8f3a",
+	"gcn-L3-metis-topk-bp4":            "02aa7dc52642cc67",
+	"gcn-L3-metis-ec-2":                "7469f8270d605c40",
+	"gcn-L3-metis-cp-4":                "4fdc60d3bad9701c",
+	"gcn-L3-metis-reqec-fp2-topk-bp8":  "c713aed430285e79",
+	"gcn-L3-metis-delay2":              "756bb43b3e6eab8d",
+	"gcn-L3-metis-delay3-resec-bp4":    "1fc5f76285317548",
+	"sage-L2-rr-raw":                   "b67aba3c141b2cc4",
+	"sage-L2-rr-cp-fp2":                "793f94394a54f4ac",
+	"sage-L2-rr-cp-fp8":                "f38afeeb3f71b6f0",
+	"sage-L2-rr-reqec-fp2":             "c72cb72987d7c8b3",
+	"sage-L2-rr-reqec-fp4-matrix":      "8092097bd0690ded",
+	"sage-L2-rr-reqec-fp4-tuner":       "dca88ad98210939e",
+	"sage-L2-rr-cp-bp4":                "dc5064de160a8fbc",
+	"sage-L2-rr-resec-bp2":             "4fc30f9d5cf707db",
+	"sage-L2-rr-topk-bp4":              "ff3085627a0e35c9",
+	"sage-L2-rr-ec-2":                  "ef203e54aaa9a005",
+	"sage-L2-rr-cp-4":                  "6f88720400d88626",
+	"sage-L2-rr-reqec-fp2-topk-bp8":    "63342a8a0121401b",
+	"sage-L2-rr-delay2":                "72d7ce4de2927b06",
+	"sage-L2-rr-delay3-resec-bp4":      "0087e0e681eb6850",
+	"sage-L2-metis-raw":                "822f4b6f2163f601",
+	"sage-L2-metis-cp-fp2":             "dda167005e666c7e",
+	"sage-L2-metis-cp-fp8":             "4c2d98c421f26f5e",
+	"sage-L2-metis-reqec-fp2":          "17e273781dca2692",
+	"sage-L2-metis-reqec-fp4-matrix":   "4206a31f26c45295",
+	"sage-L2-metis-reqec-fp4-tuner":    "611d30130d5c252c",
+	"sage-L2-metis-cp-bp4":             "9cc1cd3f9fb78b7d",
+	"sage-L2-metis-resec-bp2":          "358d0f4dbaf94656",
+	"sage-L2-metis-topk-bp4":           "94b05a83e789e038",
+	"sage-L2-metis-ec-2":               "1fd355265d0b654c",
+	"sage-L2-metis-cp-4":               "0e601e784c2192f1",
+	"sage-L2-metis-reqec-fp2-topk-bp8": "0134a76ef22eab23",
+	"sage-L2-metis-delay2":             "e5c11c28926497e5",
+	"sage-L2-metis-delay3-resec-bp4":   "71e02d91b1e8c724",
+	"sage-L3-rr-raw":                   "f9eeeac5f2b12db1",
+	"sage-L3-rr-cp-fp2":                "5bb508a870ac410b",
+	"sage-L3-rr-cp-fp8":                "f20f9669f3139c2d",
+	"sage-L3-rr-reqec-fp2":             "7de0216f135b6f47",
+	"sage-L3-rr-reqec-fp4-matrix":      "3b8ecf8ee843e95b",
+	"sage-L3-rr-reqec-fp4-tuner":       "fac7ca044cb83454",
+	"sage-L3-rr-cp-bp4":                "7af190b5e6ea2f40",
+	"sage-L3-rr-resec-bp2":             "a3686674009b3beb",
+	"sage-L3-rr-topk-bp4":              "6c5080dc0e6a4ee2",
+	"sage-L3-rr-ec-2":                  "72a4449c52daf8ca",
+	"sage-L3-rr-cp-4":                  "d507feb08929993b",
+	"sage-L3-rr-reqec-fp2-topk-bp8":    "e586ddabb909e872",
+	"sage-L3-rr-delay2":                "eca3aca8f98f3a5b",
+	"sage-L3-rr-delay3-resec-bp4":      "7ac6ad100d4c8797",
+	"sage-L3-metis-raw":                "0a1643ac92dda991",
+	"sage-L3-metis-cp-fp2":             "d4d27ff98ba22b7a",
+	"sage-L3-metis-cp-fp8":             "2cd19d4dc3478a0e",
+	"sage-L3-metis-reqec-fp2":          "546d02c720f79955",
+	"sage-L3-metis-reqec-fp4-matrix":   "5c9ebb95c3f1fb4d",
+	"sage-L3-metis-reqec-fp4-tuner":    "274c0a3c4af86d26",
+	"sage-L3-metis-cp-bp4":             "9d5be7d5ef02ac23",
+	"sage-L3-metis-resec-bp2":          "ec425cd0599d748d",
+	"sage-L3-metis-topk-bp4":           "8ce0bcf816d93053",
+	"sage-L3-metis-ec-2":               "4d0dae6fd8cb7bb6",
+	"sage-L3-metis-cp-4":               "5f563fdeea581fd2",
+	"sage-L3-metis-reqec-fp2-topk-bp8": "10984608e76f76ee",
+	"sage-L3-metis-delay2":             "4c30a7842fb6b246",
+	"sage-L3-metis-delay3-resec-bp4":   "8342613df31b015e",
+}

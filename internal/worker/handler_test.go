@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ecgraph/internal/ec"
 	"ecgraph/internal/graph"
 	"ecgraph/internal/nn"
 	"ecgraph/internal/tensor"
@@ -108,5 +109,28 @@ func TestGetXServesPairRows(t *testing.T) {
 	// First row should be vertex 1's features.
 	if rows.At(0, 0) != feats.At(1, 0) {
 		t.Fatalf("getX rows mismatched")
+	}
+}
+
+// TestGhostFeaturesRejectMisshapenReply: the first-hop feature fetch has no
+// fallback, so a getX reply a row short or a row long fails it by name —
+// never a zero ghost row or a write into the next owner's slots.
+func TestGhostFeaturesRejectMisshapenReply(t *testing.T) {
+	g, topo := pathTopo()
+	for _, delta := range []int{-1, 1} {
+		net := &tapNet{Network: transport.NewInProc(2), after: func(_, _ int, _ string, _, resp []byte) []byte {
+			m := ec.ParseMatrix(resp)
+			return ec.RespondRaw(m.GatherRows(make([]int, m.Rows+delta)))
+		}}
+		w := New(Config{
+			ID: 0, Net: net, Topo: topo, Adj: graph.Normalize(g),
+			Feats:  tensor.New(6, 2),
+			Labels: make([]int, 6), TrainMask: make([]bool, 6),
+			Model: nn.NewModel(nn.KindGCN, []int{2, 2}, 1),
+		})
+		net.Register(1, newTestWorker(t, 1, Options{}).Handler())
+		if err := w.FetchGhostFeatures(); err == nil || !strings.Contains(err.Error(), "pair list wants") {
+			t.Fatalf("getX reply with %+d rows: FetchGhostFeatures returned %v", delta, err)
+		}
 	}
 }

@@ -203,18 +203,20 @@ func (w *Worker) ImportHandoff(payload []byte) (int, error) {
 	return n, nil
 }
 
-// handoffSource is the read-only view SeedDegradedCaches needs of a
-// previous-view worker; *Worker implements it.
-type handoffSource interface {
-	lastH(l int, v int32) ([]float32, int)
-	lastG(l int, v int32) ([]float32, int)
-}
-
-// lastH returns the freshest H^l row this worker holds for vertex v and the
-// epoch it reflects: its own activations for owned vertices, the last-good
-// degraded cache for ghosts. (-1 when it has nothing.)
-func (w *Worker) lastH(l int, v int32) ([]float32, int) {
+// lastRow returns the freshest d row of layer l this worker holds for vertex
+// v and the epoch it reflects (−1 when it has nothing): for owned vertices
+// the published H^l or G^l rows — or, for H, rows received by handoff and
+// not yet recomputed — and for ghosts the last good degraded rows, which at
+// the top getG layer hold training vertices only (nobody asks for the
+// others: SeedDegradedCaches walks the same list).
+func (w *Worker) lastRow(d direction, l int, v int32) ([]float32, int) {
 	if pos, ok := w.ownedPos[v]; ok {
+		if d == dirG {
+			if m, ep := w.gStore.Peek(l); m != nil && ep >= 0 {
+				return m.Row(int(pos)), ep
+			}
+			return nil, -1
+		}
 		if w.ownH[l] != nil {
 			if _, ep := w.hStore.Peek(l); ep >= 0 {
 				return w.ownH[l].Row(int(pos)), ep
@@ -232,31 +234,10 @@ func (w *Worker) lastH(l int, v int32) ([]float32, int) {
 	}
 	if _, ok := w.ghostPos[v]; ok {
 		j := w.topo.Assign[v]
-		if m := w.lastGoodH(l, j); m != nil && w.hLastEpoch[l][j] >= 0 {
+		rec := &w.last[d][l][j]
+		if m := rec.dense(); m != nil && rec.epoch >= 0 {
 			if idx := needsIndex(w.needsAt(l, w.id, j), v); idx >= 0 {
-				return m.Row(idx), w.hLastEpoch[l][j]
-			}
-		}
-	}
-	return nil, -1
-}
-
-// lastG is lastH for gradient rows: the published G^l rows for owned
-// vertices, the last-good degraded cache for ghosts — which at the top
-// layer holds training vertices only; nobody asks for the others
-// (SeedDegradedCaches walks the same list).
-func (w *Worker) lastG(l int, v int32) ([]float32, int) {
-	if pos, ok := w.ownedPos[v]; ok {
-		if m, ep := w.gStore.Peek(l); m != nil && ep >= 0 {
-			return m.Row(int(pos)), ep
-		}
-		return nil, -1
-	}
-	if _, ok := w.ghostPos[v]; ok {
-		j := w.topo.Assign[v]
-		if m := w.lastGoodG(l, j); m != nil && w.gLastEpoch[l][j] >= 0 {
-			if idx := needsIndex(w.needsAt(l, w.id, j), v); idx >= 0 {
-				return m.Row(idx), w.gLastEpoch[l][j]
+				return m.Row(idx), rec.epoch
 			}
 		}
 	}
@@ -274,55 +255,42 @@ func (w *Worker) lastG(l int, v int32) ([]float32, int) {
 // MaxStaleEpochs keeps its meaning across the view change.
 func (w *Worker) SeedDegradedCaches(prev map[int]*Worker) {
 	L := w.cfg.Model.NumLayers()
-	sources := make([]handoffSource, 0, len(prev))
-	for _, p := range prev {
-		sources = append(sources, p)
-	}
 	// Deterministic probe order: old workers ascending.
 	ids := make([]int, 0, len(prev))
 	for id := range prev {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	sources = sources[:0]
-	for _, id := range ids {
-		sources = append(sources, prev[id])
-	}
 
-	seed := func(l int, lst []int32, fetch func(s handoffSource, l int, v int32) ([]float32, int)) (*tensor.Matrix, int) {
+	seed := func(d direction, l, j int) {
+		lst := w.needsAt(l, w.id, j)
 		m := tensor.New(len(lst), w.cfg.Model.Dims[l])
 		tag := -1
 		for i, v := range lst {
 			var row []float32
 			ep := -1
-			for _, s := range sources {
-				if r, e := fetch(s, l, v); r != nil && (ep < 0 || e > ep) {
+			for _, id := range ids {
+				if r, e := prev[id].lastRow(d, l, v); r != nil && (ep < 0 || e > ep) {
 					row, ep = r, e
 				}
 			}
 			if row == nil {
-				return nil, -1
+				return
 			}
 			copy(m.Row(i), row)
 			if tag < 0 || ep < tag {
 				tag = ep
 			}
 		}
-		return m, tag
+		w.last[d][l][j] = lastGood{rows: m, epoch: tag}
 	}
 
 	for _, j := range w.ghostOwner {
 		for l := 1; l < L; l++ {
-			if m, tag := seed(l, w.needsAt(l, w.id, j), handoffSource.lastH); m != nil {
-				w.hLastGood[l][j] = m
-				w.hLastEpoch[l][j] = tag
-			}
+			seed(dirH, l, j)
 		}
 		for l := 2; l <= L; l++ {
-			if m, tag := seed(l, w.needsAt(l, w.id, j), handoffSource.lastG); m != nil {
-				w.gLastGood[l][j] = m
-				w.gLastEpoch[l][j] = tag
-			}
+			seed(dirG, l, j)
 		}
 	}
 }

@@ -339,16 +339,17 @@ func TestSeedDegradedCaches(t *testing.T) {
 	}
 	for _, j := range nw.ghostOwner {
 		lst := newTopo.Needs[0][j]
-		if nw.hLastGood[1][j] == nil {
+		h1 := nw.last[dirH][1][j]
+		if h1.rows == nil {
 			t.Fatalf("H^1 group for owner %d not seeded", j)
 		}
-		if tag := nw.hLastEpoch[1][j]; tag < 0 || tag > f.epochs-1 {
+		if tag := h1.epoch; tag < 0 || tag > f.epochs-1 {
 			t.Fatalf("H^1 group for owner %d has staleness tag %d", j, tag)
 		}
 		for i, u := range lst {
 			oldOwner := f.assign[u]
 			want := f.old[oldOwner].ownH[1].Row(int(f.old[oldOwner].ownedPos[u]))
-			got := nw.hLastGood[1][j].Row(i)
+			got := h1.rows.Row(i)
 			for c := range want {
 				if got[c] != want[c] {
 					t.Fatalf("seeded H^1 row for ghost %d differs at col %d", u, c)
@@ -358,7 +359,8 @@ func TestSeedDegradedCaches(t *testing.T) {
 		// G^2 rows were published during the backward pass and must seed
 		// too — the top layer's, so training vertices only.
 		top := nw.needsAt(2, 0, j)
-		if g := nw.gLastGood[2][j]; g == nil || g.Rows != len(top) {
+		g2 := nw.last[dirG][2][j].rows
+		if g2 == nil || g2.Rows != len(top) {
 			t.Fatalf("G^2 group for owner %d not seeded over its %d training vertices", j, len(top))
 		}
 		for i, u := range top {
@@ -368,9 +370,9 @@ func TestSeedDegradedCaches(t *testing.T) {
 			// The freshest copy wins and ties go to the lowest old id, so
 			// the row is some previous worker's — the owner's exact one or
 			// a peer's decoded last-good copy at its own thinned index.
-			got, found := nw.gLastGood[2][j].Row(i), false
+			got, found := g2.Row(i), false
 			for _, p := range f.old {
-				if row, _ := p.lastG(2, u); row != nil && slices.Equal(row, got) {
+				if row, _ := p.lastRow(dirG, 2, u); row != nil && slices.Equal(row, got) {
 					found = true
 				}
 			}

@@ -100,9 +100,9 @@ func (a *layer1Agg) sparseOperands() int {
 // owned-column SpMM over x and the compact ghost fold over the cached ghost
 // features — and releases ghostX, whose only consumer this is: the
 // first-hop feature cache is replaced by its consumer's output. The fold
-// reads ghostX as a plain dense matrix through the oracle kernel (bit-equal
-// to the packed kernel over a dense operand, and heap-allocated, so nothing
-// retained here lives in the layer arena). Each operand is then retained in
+// reads ghostX as a plain dense matrix (SpMMGhostCompact: the one ghost fold
+// over a dense operand, heap-allocated, so nothing retained here lives in
+// the layer arena). Each operand is then retained in
 // its smaller form and the dense matrix it was counted from dropped.
 func (w *Worker) buildLayer1() *layer1Agg {
 	agg := &layer1Agg{}

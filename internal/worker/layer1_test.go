@@ -97,8 +97,7 @@ func recomputeLayer1(w *Worker) error {
 // epoch agree on every loss, final logit and final parameter bit — across
 // the retained combinations, models (SAGE adds the WSelf product),
 // partitions (Hash: nearly all rows boundary; METIS: mostly interior; one
-// worker: no ghosts at all), exchange schemes, and both epoch and both fold
-// paths.
+// worker: no ghosts at all) and exchange schemes.
 func TestLayer1AggregateInvisible(t *testing.T) {
 	for _, v := range layer1Variants() {
 		t.Run(v.name, func(t *testing.T) { testLayer1AggregateInvisible(t, v) })
@@ -126,23 +125,17 @@ func testLayer1AggregateInvisible(t *testing.T, v layer1Variant) {
 	for _, kind := range []nn.Kind{nn.KindGCN, nn.KindSAGE} {
 		for _, p := range parts {
 			for _, sc := range schemes {
-				for _, overlap := range []bool{false, true} {
-					for _, packed := range []bool{false, true} {
-						name := fmt.Sprintf("%v-%s-%s-overlap=%v-packed=%v", kind, p.name, sc.name, overlap, packed)
-						t.Run(name, func(t *testing.T) {
-							spec := clusterSpec{kind: kind, opts: sc.opts, part: p.part, workers: p.workers, epochs: 5}
-							spec.opts.Overlap, spec.opts.PackedSpMM = overlap, packed
-							kept := spec.run(t, d)
-							for _, w := range kept.workers {
-								if got, want := w.agg1.sparseOperands(), v.sparseOperands(p.workers); got != want {
-									t.Fatalf("worker %d holds %d operands sparse, want %d", w.id, got, want)
-								}
-							}
-							spec.beforeEpoch = recomputeLayer1
-							requireSameRun(t, kept, spec.run(t, d))
-						})
+				t.Run(fmt.Sprintf("%v-%s-%s", kind, p.name, sc.name), func(t *testing.T) {
+					spec := clusterSpec{kind: kind, opts: sc.opts, part: p.part, workers: p.workers, epochs: 5}
+					kept := spec.run(t, d)
+					for _, w := range kept.workers {
+						if got, want := w.agg1.sparseOperands(), v.sparseOperands(p.workers); got != want {
+							t.Fatalf("worker %d holds %d operands sparse, want %d", w.id, got, want)
+						}
 					}
-				}
+					spec.beforeEpoch = recomputeLayer1
+					requireSameRun(t, kept, spec.run(t, d))
+				})
 			}
 		}
 	}
@@ -219,7 +212,7 @@ func TestLayer1AggregateLifetime(t *testing.T) {
 
 func testLayer1AggregateLifetime(t *testing.T, d *datasets.Dataset, wantSparse int) {
 	spec := clusterSpec{kind: nn.KindGCN, part: partition.Hash{}, workers: 3,
-		opts: Options{FPScheme: SchemeEC, BPScheme: SchemeEC, FPBits: 2, BPBits: 2, Overlap: true, PackedSpMM: true}}
+		opts: Options{FPScheme: SchemeEC, BPScheme: SchemeEC, FPBits: 2, BPBits: 2}}
 	r := spec.build(t, d)
 	for _, w := range r.workers {
 		if w.ghostX == nil || w.agg1 != nil {

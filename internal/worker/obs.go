@@ -207,7 +207,7 @@ func (w *Worker) joinTimed(p *pendingGhost) []transport.Result {
 		return nil
 	}
 	start := time.Now()
-	results := p.join()
+	results := <-p.done
 	blocked := time.Since(start)
 	wire := p.doneAt.Sub(p.firedAt)
 	if wire < blocked {
@@ -215,19 +215,5 @@ func (w *Worker) joinTimed(p *pendingGhost) []transport.Result {
 	}
 	w.commWire += wire
 	w.commBlocked += blocked
-	return results
-}
-
-// callInlineTimed runs the batch synchronously; a blocking exchange's wire
-// time is all blocked time, so sequential runs report zero utilisation.
-func (w *Worker) callInlineTimed(p *pendingGhost) []transport.Result {
-	if len(p.calls) == 0 {
-		return nil
-	}
-	start := time.Now()
-	results := p.callInline(w)
-	d := time.Since(start)
-	w.commWire += d
-	w.commBlocked += d
 	return results
 }

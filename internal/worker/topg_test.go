@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ecgraph/internal/datasets"
@@ -66,8 +67,7 @@ func TestTopLayerGetGMatchesFullList(t *testing.T) {
 	for _, b := range []int{2, 4, 8, 16} {
 		arms = append(arms, Options{BPScheme: SchemeCompress, BPBits: b}, Options{BPScheme: SchemeEC, BPBits: b})
 	}
-	for i, opts := range arms {
-		opts.Overlap, opts.PackedSpMM = i%2 == 0, i%3 != 0
+	for _, opts := range arms {
 		t.Run(fmt.Sprintf("%v-B%d", opts.BPScheme, opts.BPBits), func(t *testing.T) {
 			var (
 				mu      sync.Mutex
@@ -89,7 +89,7 @@ func TestTopLayerGetGMatchesFullList(t *testing.T) {
 					p = &parentG{opts: opts}
 					parents[[2]int{dst, src}] = p
 				}
-				want := ec.ParseMatrix(p.respond(g.GatherRows(int32sToInts(w.pairRows[src]))))
+				want := ec.ParseMatrix(p.respond(g.GatherRows(int32sToInts(w.serve[0][src].loc))))
 				shipped := ec.ParseMatrix(resp)
 				needs, top := w.topo.Needs[src][dst], w.needsAt(l, src, dst)
 				if shipped.Rows != len(top) || len(top) >= len(needs) {
@@ -140,58 +140,94 @@ func TestTopLayerGetGMatchesFullList(t *testing.T) {
 	}
 }
 
-// TestShortGetGPayloadDegrades: a getG reply whose row count disagrees with
-// the pair's derived list is a decode error — the last-good rows serve the
-// epoch, or with none the epoch fails by name — never a panic and never a
-// scatter that lands rows on the wrong vertices.
+// TestShortGetGPayloadDegrades: a getG or getH reply whose shape disagrees
+// with the pair's derived list — a row short or a row long, raw or
+// quantised, on the pipelined exchange or on the delayed-aggregation
+// refresh — is a decode error: the last-good rows serve the epoch, or with
+// none the epoch fails by name. Never a panic, never a silently zero ghost
+// row, and never a scatter that lands rows on the wrong vertices or in the
+// next owner's slots.
 func TestShortGetGPayloadDegrades(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		for _, scheme := range []Scheme{SchemeRaw, SchemeEC} {
-			opts := Options{BPScheme: scheme, BPBits: 4, PackedSpMM: packed}
-			var short func(t int) bool
-			var workers []*Worker
-			tamper := func(src, dst int, method string, req, resp []byte) []byte {
-				if method != MethodGetG || src != 0 || !short(int(transport.NewReader(req[1:]).Uint32())) {
-					return resp
-				}
-				// What a peer with a different mask (or a bug) would send:
-				// one row fewer than the list both ends should have derived.
-				m := ec.ParseMatrix(resp)
-				rows := make([]int, m.Rows-1)
-				for i := range rows {
-					rows[i] = i
-				}
-				if scheme == SchemeRaw {
-					return ec.RespondRaw(m.GatherRows(rows))
-				}
-				return ec.RespondCompressOnlyGrad(m.GatherRows(rows), 4)
-			}
-			wrap := func(base transport.Network) transport.Network { return &tapNet{Network: base, after: tamper} }
+	for _, arm := range []struct {
+		name string
+		d    direction
+		opts Options
+	}{
+		{"getG-raw", dirG, Options{BPScheme: SchemeRaw}},
+		{"getG-resec", dirG, Options{BPScheme: SchemeEC, BPBits: 4}},
+		{"getH-raw", dirH, Options{FPScheme: SchemeRaw}},
+		{"getH-compress", dirH, Options{FPScheme: SchemeCompress, FPBits: 4}},
+		{"getH-delayed", dirH, Options{DelayRounds: 2}},
+	} {
+		for _, delta := range []int{-1, 1} {
+			t.Run(fmt.Sprintf("%s%+d", arm.name, delta), func(t *testing.T) {
+				testMisshapenPayload(t, arm.d, arm.opts, delta)
+			})
+		}
+	}
+}
 
-			short = func(t int) bool { return t == 2 }
-			ws, reports, step := clusterOver(t, opts, nil, wrap)
-			workers = ws
-			for e := 0; e < 4; e++ {
-				for _, err := range step(e) {
-					if err != nil {
-						t.Fatalf("packed=%v %v epoch %d: %v", packed, scheme, e, err)
-					}
-				}
-				if want := map[bool]int{true: 1}[e == 2]; reports[0].DegradedFetches != want {
-					t.Fatalf("packed=%v %v epoch %d: %d degraded fetches on the requester, want %d",
-						packed, scheme, e, reports[0].DegradedFetches, want)
-				}
-			}
-			if got := workers[0].gLastEpoch[2][1]; got != 3 {
-				t.Fatalf("last good G epoch %d after recovery, want 3", got)
-			}
+// testMisshapenPayload tampers with every d reply of the chosen epochs,
+// re-encoding it in its own scheme with delta rows more than it carried.
+func testMisshapenPayload(t *testing.T, d direction, opts Options, delta int) {
+	var (
+		tamperAt func(epoch int) bool
+		tampered atomic.Int64
+	)
+	tamper := func(src, dst int, method string, req, resp []byte) []byte {
+		if method != d.method() || !tamperAt(int(transport.NewReader(req[1:]).Uint32())) {
+			return resp
+		}
+		tampered.Add(1)
+		// What a peer with a different mask (or a bug) would send: one row
+		// fewer, or one more, than the list both ends should have derived.
+		m := ec.ParseMatrix(resp)
+		rows := make([]int, m.Rows+delta)
+		for i := range rows {
+			rows[i] = i % m.Rows
+		}
+		m = m.GatherRows(rows)
+		switch {
+		case d == dirG && opts.BPScheme != SchemeRaw:
+			return ec.RespondCompressOnlyGrad(m, opts.BPBits)
+		case d == dirH && opts.FPScheme != SchemeRaw:
+			return ec.RespondCompressOnly(m, opts.FPBits)
+		}
+		return ec.RespondRaw(m)
+	}
+	wrap := func(base transport.Network) transport.Network { return &tapNet{Network: base, after: tamper} }
 
-			short = func(int) bool { return true }
-			_, _, step = clusterOver(t, opts, nil, wrap)
-			errs := step(0)
-			if errs[0] == nil || !strings.Contains(errs[0].Error(), "pair list wants") {
-				t.Fatalf("packed=%v %v: short payload with no fallback returned %v", packed, scheme, errs[0])
+	tamperAt = func(e int) bool { return e == 2 }
+	workers, reports, step := clusterOver(t, opts, nil, wrap)
+	for e := 0; e < 5; e++ {
+		before := tampered.Load()
+		for i, err := range step(e) {
+			if err != nil {
+				t.Fatalf("epoch %d worker %d: %v", e, i, err)
 			}
+		}
+		degraded := 0
+		for _, r := range reports {
+			degraded += r.DegradedFetches
+		}
+		if n := tampered.Load() - before; int64(degraded) != n || (e == 2) != (n > 0) {
+			t.Fatalf("epoch %d: %d degraded fetches for %d misshapen replies", e, degraded, n)
+		}
+	}
+	l := map[direction]int{dirH: 1, dirG: 2}[d]
+	for _, w := range workers {
+		for _, j := range w.ghostOwner {
+			if got := w.last[d][l][j].epoch; got < 3 {
+				t.Fatalf("worker %d: last good %v rows from %d are of epoch %d after recovery", w.id, d, j, got)
+			}
+		}
+	}
+
+	tamperAt = func(int) bool { return true }
+	_, _, step = clusterOver(t, opts, nil, wrap)
+	for i, err := range step(0) {
+		if err == nil || !strings.Contains(err.Error(), "pair list wants") {
+			t.Fatalf("worker %d: misshapen payload with no fallback returned %v", i, err)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ecgraph/internal/compress"
 	"ecgraph/internal/ec"
 	"ecgraph/internal/graph"
 	"ecgraph/internal/nn"
@@ -95,23 +94,11 @@ type Options struct {
 	// the epoch fails hard. 0 selects the default (2); negative disables
 	// degraded mode so any exhausted fetch is fatal.
 	MaxStaleEpochs int
-	// Overlap pipelines each layer's ghost exchange with its
-	// ghost-independent compute: the per-peer batch is issued on a
-	// background goroutine while the owned-column SpMM and the owned
-	// matmuls run, and the ghost contribution is folded in at collect time.
-	// Decode, EC requester state and degraded-mode bookkeeping stay on the
-	// epoch goroutine, so the result is bit-for-bit identical to the
-	// sequential path — both run the same shared layer functions, differing
-	// only in when the wire work happens.
+	// Deprecated: ignored. Every epoch overlaps its ghost exchanges with
+	// the ghost-independent compute.
 	Overlap bool
-	// PackedSpMM computes the ghost aggregation directly on packed wire
-	// payloads (quantised-domain SpMM, DESIGN.md §15): eligible payloads
-	// stay in the block-quantised layout, the fold kernels dequantise on
-	// register through per-block LUTs, and layer-transient scratch comes
-	// from a per-worker arena — the steady-state fold allocates nothing.
-	// Off, every payload is decoded into a dense ghost matrix first: the
-	// bitwise oracle the packed path is asserted against (both compute
-	// bit-for-bit identical results by construction).
+	// Deprecated: ignored. Quantised ghost payloads are always folded in
+	// their packed wire form.
 	PackedSpMM bool
 }
 
@@ -164,7 +151,6 @@ type Worker struct {
 	ghostIDs   []int32         // concatenated ghost ids, grouped by owner
 	ghostPos   map[int32]int32 // global id → ghost slot
 	ghostOwner []int           // peer worker ids with non-empty Needs, ascending
-	ghostBase  map[int]int     // owner → first ghost slot of its group
 
 	// adj is the worker's slice of Â in compact local indexing (owned rows
 	// first, then ghosts in fetch order), with each CSR row stored
@@ -186,10 +172,6 @@ type Worker struct {
 	trainMask []bool // owned train mask
 	nTrain    int    // owned training vertices
 
-	// pairRows[i] are the owned-matrix row indices this worker serves to
-	// requester i (the rows of Needs[i][id] in owned indexing).
-	pairRows [][]int32
-
 	// The pair lists, derived and never sent (DESIGN.md §10): payload row k
 	// of a reply is vertex ids[k], gathered from owned row loc[k] by the
 	// responder and installed at ghost slot loc[k] by the requester. A
@@ -198,7 +180,8 @@ type Worker struct {
 	// other row of G^L exactly zero and cfg.TrainMask is global, so both
 	// ends derive the same sub-list and those rows are neither gathered,
 	// compensated, shipped nor folded. A pair whose vertices all train
-	// shares one list for both; every layer below L shares one slice.
+	// shares one list for both; every layer below L shares one slice. A
+	// requester this worker serves nothing has a nil serve list.
 	serve [][]pairList // [layer][requester]
 	fetch [][]pairList // [layer][owner]
 
@@ -242,22 +225,12 @@ type Worker struct {
 	// first import.
 	handoffH []map[int32][]float32
 
-	// Degraded-mode state: the last successfully fetched ghost rows per
-	// (layer, owning peer) and the epoch they arrived, bounding how stale a
-	// served fallback may be. Only the epoch goroutine touches these.
-	// With PackedSpMM a payload that arrived packed is retained in
-	// hLastPacked/gLastPacked instead (the dense slot stays nil until a
-	// fallback materialises it via lastGoodH/lastGoodG); retained payloads
-	// are never Released — the words must not return to the pool while a
-	// future fallback may still read them.
-	hLastGood   [][]*tensor.Matrix // [layer][owner]
-	hLastEpoch  [][]int
-	gLastGood   [][]*tensor.Matrix
-	gLastEpoch  [][]int
-	hLastPacked [][]*compress.Blocked
-	gLastPacked [][]*compress.Blocked
-	degraded    int // degraded fetches served this epoch
-	skips       int // degraded fetches served proactively (suspect/straggling peer)
+	// Degraded-mode state: the last good ghost rows per exchange, layer and
+	// owning peer, bounding how stale a served fallback may be. Only the
+	// epoch goroutine touches these.
+	last     [2][][]lastGood // [direction][layer][owner]
+	degraded int             // degraded fetches served this epoch
+	skips    int             // degraded fetches served proactively (suspect/straggling peer)
 
 	// scratch is the epoch goroutine's arena for layer-transient compute
 	// scratch: the packed fold's compact output and its strip decode
@@ -288,7 +261,6 @@ func New(cfg Config) *Worker {
 		owned:     cfg.Topo.Owned[cfg.ID],
 		ownedPos:  make(map[int32]int32),
 		ghostPos:  make(map[int32]int32),
-		ghostBase: make(map[int]int),
 		hStore:    newMatStore(L + 1),
 		gStore:    newMatStore(L + 1),
 		ah:        make([]*tensor.Matrix, L+1),
@@ -301,17 +273,22 @@ func New(cfg Config) *Worker {
 	for i, v := range w.owned {
 		w.ownedPos[v] = int32(i)
 	}
+	// Ghost slots are grouped by owner in ascending owner order: payload row
+	// k of owner j lands at slot fetchAll[j].loc[k].
+	fetchAll := make([]pairList, cfg.Topo.NumWorkers)
 	for j := 0; j < cfg.Topo.NumWorkers; j++ {
 		lst := cfg.Topo.Needs[cfg.ID][j]
 		if len(lst) == 0 {
 			continue
 		}
 		w.ghostOwner = append(w.ghostOwner, j)
-		w.ghostBase[j] = len(w.ghostIDs)
-		for _, u := range lst {
-			w.ghostPos[u] = int32(len(w.ghostIDs))
+		slots := make([]int32, len(lst))
+		for k, u := range lst {
+			slots[k] = int32(len(w.ghostIDs))
+			w.ghostPos[u] = slots[k]
 			w.ghostIDs = append(w.ghostIDs, u)
 		}
+		fetchAll[j] = pairList{ids: lst, loc: slots}
 	}
 
 	// Local CSR over owned rows with compact column indexing.
@@ -350,10 +327,10 @@ func New(cfg Config) *Worker {
 		}
 	}
 
-	// Responder row lists per requester, and the pair lists of both roles.
-	w.pairRows = make([][]int32, cfg.Topo.NumWorkers)
+	// The served pair lists (owned rows per requester), and both roles'
+	// top-layer training sub-lists.
 	serveAll, serveTop := make([]pairList, cfg.Topo.NumWorkers), make([]pairList, cfg.Topo.NumWorkers)
-	fetchAll, fetchTop := make([]pairList, cfg.Topo.NumWorkers), make([]pairList, cfg.Topo.NumWorkers)
+	fetchTop := make([]pairList, cfg.Topo.NumWorkers)
 	for i := 0; i < cfg.Topo.NumWorkers; i++ {
 		lst := cfg.Topo.Needs[i][cfg.ID]
 		if len(lst) == 0 {
@@ -363,17 +340,10 @@ func New(cfg Config) *Worker {
 		for k, u := range lst {
 			rows[k] = w.ownedPos[u]
 		}
-		w.pairRows[i] = rows
 		serveAll[i] = pairList{ids: lst, loc: rows}
 		serveTop[i] = serveAll[i].trainingOnly(cfg.TrainMask)
 	}
 	for _, j := range w.ghostOwner {
-		lst := cfg.Topo.Needs[cfg.ID][j]
-		slots := make([]int32, len(lst))
-		for r := range slots {
-			slots[r] = int32(w.ghostBase[j] + r)
-		}
-		fetchAll[j] = pairList{ids: lst, loc: slots}
 		fetchTop[j] = fetchAll[j].trainingOnly(cfg.TrainMask)
 	}
 	w.serve, w.fetch = make([][]pairList, L+1), make([][]pairList, L+1)
@@ -398,8 +368,8 @@ func New(cfg Config) *Worker {
 		for l := 1; l < L; l++ {
 			w.fpResp[l] = make([]*ec.ForwardResponder, cfg.Topo.NumWorkers)
 			w.fpReq[l] = make([]*ec.ForwardRequester, cfg.Topo.NumWorkers)
-			for i := range w.pairRows {
-				if w.pairRows[i] != nil {
+			for i, p := range serveAll {
+				if p.loc != nil {
 					r := ec.NewForwardResponder(cfg.Opts.Ttr)
 					if cfg.Opts.MatrixWiseSelector {
 						r.Granularity = ec.GranularityMatrix
@@ -415,8 +385,8 @@ func New(cfg Config) *Worker {
 	if cfg.Opts.BPScheme == SchemeEC {
 		for l := 2; l <= L; l++ {
 			w.bpResp[l] = make([]*ec.BackwardResponder, cfg.Topo.NumWorkers)
-			for i := range w.pairRows {
-				if w.pairRows[i] != nil {
+			for i, p := range serveAll {
+				if p.loc != nil {
 					w.bpResp[l][i] = ec.NewBackwardResponder()
 				}
 			}
@@ -426,8 +396,8 @@ func New(cfg Config) *Worker {
 		w.topkResp = make([][]*ec.TopKResponder, L+1)
 		for l := 2; l <= L; l++ {
 			w.topkResp[l] = make([]*ec.TopKResponder, cfg.Topo.NumWorkers)
-			for i := range w.pairRows {
-				if w.pairRows[i] != nil {
+			for i, p := range serveAll {
+				if p.loc != nil {
 					w.topkResp[l][i] = ec.NewTopKResponder(cfg.Opts.BPBits)
 				}
 			}
@@ -439,25 +409,25 @@ func New(cfg Config) *Worker {
 	if cfg.Opts.DelayRounds >= 2 {
 		w.ghostHCache = make([]*tensor.Matrix, L+1)
 	}
-	w.hLastGood = make([][]*tensor.Matrix, L+1)
-	w.hLastEpoch = make([][]int, L+1)
-	w.gLastGood = make([][]*tensor.Matrix, L+1)
-	w.gLastEpoch = make([][]int, L+1)
-	w.hLastPacked = make([][]*compress.Blocked, L+1)
-	w.gLastPacked = make([][]*compress.Blocked, L+1)
-	for l := 0; l <= L; l++ {
-		w.hLastGood[l] = make([]*tensor.Matrix, cfg.Topo.NumWorkers)
-		w.gLastGood[l] = make([]*tensor.Matrix, cfg.Topo.NumWorkers)
-		w.hLastEpoch[l] = make([]int, cfg.Topo.NumWorkers)
-		w.gLastEpoch[l] = make([]int, cfg.Topo.NumWorkers)
-		w.hLastPacked[l] = make([]*compress.Blocked, cfg.Topo.NumWorkers)
-		w.gLastPacked[l] = make([]*compress.Blocked, cfg.Topo.NumWorkers)
-		for j := range w.hLastEpoch[l] {
-			w.hLastEpoch[l][j] = -1
-			w.gLastEpoch[l][j] = -1
+	for d := range w.last {
+		w.last[d] = make([][]lastGood, L+1)
+		for l := range w.last[d] {
+			w.last[d][l] = make([]lastGood, cfg.Topo.NumWorkers)
 		}
 	}
+	w.forgetLastGood()
 	return w
+}
+
+// forgetLastGood empties every degraded-mode record.
+func (w *Worker) forgetLastGood() {
+	for _, byLayer := range w.last {
+		for _, byOwner := range byLayer {
+			for j := range byOwner {
+				byOwner[j] = lastGood{epoch: -1}
+			}
+		}
+	}
 }
 
 // pairList is one pair's exchange list as this worker sees it: the vertex
@@ -616,16 +586,7 @@ func (w *Worker) ResetSessionState() {
 	w.ResetCompensation()
 	w.hStore.Reset()
 	w.gStore.Reset()
-	for l := range w.hLastGood {
-		for j := range w.hLastGood[l] {
-			w.hLastGood[l][j] = nil
-			w.hLastEpoch[l][j] = -1
-			w.gLastGood[l][j] = nil
-			w.gLastEpoch[l][j] = -1
-			w.hLastPacked[l][j] = nil
-			w.gLastPacked[l][j] = nil
-		}
-	}
+	w.forgetLastGood()
 	for l := range w.ghostHCache {
 		w.ghostHCache[l] = nil
 	}
@@ -652,10 +613,13 @@ func (w *Worker) FetchGhostFeatures() error {
 		if res.Err != nil {
 			return fmt.Errorf("worker %d: fetch ghost features from %d: %w", w.id, j, res.Err)
 		}
-		rows := ec.ParseMatrix(res.Resp)
-		base := w.ghostBase[j]
-		for r := 0; r < rows.Rows; r++ {
-			copy(w.ghostX.Row(base+r), rows.Row(r))
+		rows, loc := ec.ParseMatrix(res.Resp), w.fetch[0][j].loc
+		if rows.Rows != len(loc) || rows.Cols != w.ghostX.Cols {
+			return fmt.Errorf("worker %d: ghost features from %d are %dx%d, the pair list wants %dx%d",
+				w.id, j, rows.Rows, rows.Cols, len(loc), w.ghostX.Cols)
+		}
+		for k, slot := range loc {
+			copy(w.ghostX.Row(int(slot)), rows.Row(k))
 		}
 	}
 	return nil
@@ -687,7 +651,7 @@ type EpochReport struct {
 	// epoch's ghost-exchange batches; CommBlockedSeconds is how much of it
 	// the epoch goroutine actually spent waiting. Their gap is the comm
 	// the overlap window hid; OverlapUtilization is that gap as a
-	// fraction of wire time (zero for sequential runs).
+	// fraction of wire time.
 	CommWireSeconds    float64
 	CommBlockedSeconds float64
 	OverlapUtilization float64
@@ -697,12 +661,12 @@ type EpochReport struct {
 // propagation (Alg. 1), loss gradient, backward propagation (Alg. 2), push
 // gradients. It blocks on peers as needed and returns the local report.
 //
-// With Opts.Overlap the per-layer ghost exchanges are pipelined against the
-// ghost-independent compute (issueGhost*/collectGhost*); without it every
-// exchange is a strict barrier. Both variants run the same forwardLayer/
-// backwardLayer bodies — the overlap path is bit-for-bit identical to the
-// sequential oracle because only the timing of the wire work differs, never
-// the arithmetic or its order.
+// Each layer's ghost exchange is pipelined against its ghost-independent
+// compute: issue puts the batch on the wire as soon as the rows it ships
+// are published, and collect joins it only when the ghost fold needs them.
+// A run whose replies are already in when collect is reached is the
+// sequential schedule; only the timing of the wire work moves, never the
+// arithmetic or its order.
 func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 	w.degraded = 0
 	w.skips = 0
@@ -717,12 +681,7 @@ func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 	L := model.NumLayers()
 
 	// ---- Forward propagation ----
-	if w.cfg.Opts.Overlap {
-		err = w.forwardOverlap(t, L)
-	} else {
-		err = w.forwardSequential(t, L)
-	}
-	if err != nil {
+	if err := w.forward(t, L); err != nil {
 		return EpochReport{}, err
 	}
 
@@ -763,12 +722,7 @@ func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 
 	// ---- Backward propagation ----
 	grads := nn.NewGradients(model)
-	if w.cfg.Opts.Overlap {
-		err = w.backwardOverlap(t, L, g, grads)
-	} else {
-		err = w.backwardSequential(t, L, g, grads)
-	}
-	if err != nil {
+	if err := w.backward(t, L, g, grads); err != nil {
 		return EpochReport{}, err
 	}
 
@@ -804,55 +758,30 @@ func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 	return report, nil
 }
 
-// forwardSequential runs the forward pass with every ghost exchange as a
-// strict barrier before the layer's compute — the oracle the overlap path
-// is asserted bit-for-bit against.
-func (w *Worker) forwardSequential(t, L int) error {
-	for l := 1; l <= L; l++ {
-		var ghost *graph.GhostOperand
-		if l > 1 {
-			var err error
-			if ghost, err = w.fetchGhostH(l-1, t); err != nil {
-				return err
-			}
-		}
-		if err := w.forwardLayer(l, t, func() (*graph.GhostOperand, error) { return ghost, nil }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// forwardOverlap pipelines the forward pass: as soon as layer l's owned
-// activations land in hStore (inside forwardLayer), the getH(l) batch for
-// layer l+1 is issued, so its wire time is hidden behind layer l+1's
-// ghost-independent compute. At steady state exactly one fetch is in
-// flight; collect joins it on the epoch goroutine before the ghost
-// contribution is folded in.
-func (w *Worker) forwardOverlap(t, L int) error {
+// forward runs the forward pass: as soon as layer l's owned activations
+// land in hStore (inside forwardLayer), the getH(l) batch for layer l+1 is
+// issued, so its wire time is hidden behind layer l+1's ghost-independent
+// compute. At steady state exactly one exchange is in flight.
+func (w *Worker) forward(t, L int) error {
 	var pend *pendingGhost
 	for l := 1; l <= L; l++ {
-		p, prevLayer := pend, l-1
-		collect := func() (*graph.GhostOperand, error) { return w.collectGhostH(p, prevLayer, t) }
-		if err := w.forwardLayer(l, t, collect); err != nil {
+		if err := w.forwardLayer(l, t, pend); err != nil {
 			return err
 		}
 		if l < L {
-			pend = w.issueGhostH(l, t)
+			pend = w.issue(dirH, l, t)
 		}
 	}
 	return nil
 }
 
-// forwardLayer computes layer l from the owned H^{l-1} rows, obtaining the
-// ghost rows of H^{l-1} from collect. Everything before the collect call is
-// ghost-independent — the owned-column SpMM, the owned H·W and H·WSelf
-// matmuls — and is exactly the work the overlap path performs while the
-// exchange is on the wire. Both epoch paths execute this same body, so
-// their float operation sequences are identical. Layer 1 has no exchange
-// (collect is never invoked) and no SpMM either after the first epoch: its
-// aggregate is retained in agg1 and only the ·W products run.
-func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, error)) error {
+// forwardLayer computes layer l from the owned H^{l-1} rows, collecting the
+// ghost rows of H^{l-1} from the getH(l−1) exchange pend. Everything before
+// the collect is ghost-independent — the owned-column SpMM, the owned H·W
+// and H·WSelf matmuls — and is the work done while the exchange is on the
+// wire. Layer 1 has no exchange and no SpMM either after the first epoch:
+// its aggregate is retained in agg1 and only the ·W products run.
+func (w *Worker) forwardLayer(l, t int, pend *pendingGhost) error {
 	layer := w.cfg.Model.Layers[l-1]
 	h := w.ownH[l-1]
 	// Everything carved from the arena last layer is dead (folded into that
@@ -890,7 +819,7 @@ func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, err
 	if l == 1 {
 		w.agg1.foldBoundary(z, layer.W)
 	} else {
-		ghost, err := collect()
+		ghost, err := w.collect(dirH, pend, l-1, t)
 		if err != nil {
 			return err
 		}
@@ -902,8 +831,8 @@ func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, err
 		// Compact fold: the ghost aggregation only touches boundary rows, so
 		// its dense transform runs over len(BoundaryRows()) rows and is
 		// scattered back — the fold's cost tracks the partition's cut, not
-		// its size.
-		if ahGhost := w.ghostFold(ghost); ahGhost != nil {
+		// its size. Its output and strip scratch come from the layer arena.
+		if ahGhost := w.adj.SpMMGhostCompactPacked(ghost, w.scratch); ahGhost != nil {
 			z.AddRowsAt(w.adj.BoundaryRows(), ahGhost.MatMul(layer.W))
 			ah.AddRowsAt(w.adj.BoundaryRows(), ahGhost)
 		}
@@ -927,41 +856,17 @@ func (w *Worker) forwardLayer(l, t int, collect func() (*graph.GhostOperand, err
 	return nil
 }
 
-// backwardSequential runs the backward pass with blocking getG barriers,
-// mirroring forwardSequential.
-func (w *Worker) backwardSequential(t, L int, g *tensor.Matrix, grads *nn.Gradients) error {
-	for l := L; l >= 1; l-- {
-		var ghost *graph.GhostOperand
-		if l >= 2 {
-			w.gStore.Put(l, t, g)
-			var err error
-			if ghost, err = w.fetchGhostG(l, t); err != nil {
-				return err
-			}
-		}
-		gPrev, err := w.backwardLayer(l, g, grads, func() (*graph.GhostOperand, error) { return ghost, nil })
-		if err != nil {
-			return err
-		}
-		g = gPrev
-	}
-	return nil
-}
-
-// backwardOverlap pipelines the backward pass: the getG(l) batch is issued
-// the moment G^l lands in gStore, so the wire time is hidden behind the
-// layer's weight-gradient matmuls and the owned-column aggregation of g.
-func (w *Worker) backwardOverlap(t, L int, g *tensor.Matrix, grads *nn.Gradients) error {
+// backward runs the backward pass: the getG(l) batch is issued the moment
+// G^l lands in gStore, so the wire time is hidden behind the layer's
+// weight-gradient matmuls and the owned-column aggregation of g.
+func (w *Worker) backward(t, L int, g *tensor.Matrix, grads *nn.Gradients) error {
 	for l := L; l >= 1; l-- {
 		var pend *pendingGhost
 		if l >= 2 {
 			w.gStore.Put(l, t, g)
-			pend = w.issueGhostG(l, t)
+			pend = w.issue(dirG, l, t)
 		}
-		p, layer := pend, l
-		gPrev, err := w.backwardLayer(l, g, grads, func() (*graph.GhostOperand, error) {
-			return w.collectGhostG(p, layer, t)
-		})
+		gPrev, err := w.backwardLayer(l, t, g, grads, pend)
 		if err != nil {
 			return err
 		}
@@ -972,10 +877,9 @@ func (w *Worker) backwardOverlap(t, L int, g *tensor.Matrix, grads *nn.Gradients
 
 // backwardLayer computes layer l's weight gradients from g (the owned G^l
 // rows) and, for l ≥ 2, propagates g to layer l−1 using the ghost G^l rows
-// from collect. The weight-gradient matmuls and the owned-column
-// aggregation run before collect — the overlap window — and collect is
-// never invoked for l == 1.
-func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, collect func() (*graph.GhostOperand, error)) (*tensor.Matrix, error) {
+// collected from the getG(l) exchange pend. The weight-gradient matmuls and
+// the owned-column aggregation run before the collect — the overlap window.
+func (w *Worker) backwardLayer(l, t int, g *tensor.Matrix, grads *nn.Gradients, pend *pendingGhost) (*tensor.Matrix, error) {
 	layer := w.cfg.Model.Layers[l-1]
 	w.scratch.Reset()
 	tr := w.obs.tracer
@@ -1012,7 +916,7 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 		t0 = now
 	}
 
-	ghost, err := collect()
+	ghost, err := w.collect(dirG, pend, l, t)
 	if err != nil {
 		return nil, err
 	}
@@ -1021,7 +925,7 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 		tr.Span(w.obs.bpSpans[l].collect, "bp", 1+w.id, 0, t0, now.Sub(t0))
 		t0 = now
 	}
-	if agGhost := w.ghostFold(ghost); agGhost != nil {
+	if agGhost := w.adj.SpMMGhostCompactPacked(ghost, w.scratch); agGhost != nil {
 		gPrev.AddRowsAt(w.adj.BoundaryRows(), agGhost.MatMulT(layer.W))
 	}
 	if gSelf != nil {
@@ -1032,23 +936,6 @@ func (w *Worker) backwardLayer(l int, g *tensor.Matrix, grads *nn.Gradients, col
 		tr.Span(w.obs.bpSpans[l].fold, "bp", 1+w.id, 0, t0, time.Since(t0))
 	}
 	return out, nil
-}
-
-// ghostFold computes the compact boundary-row ghost aggregation for a layer
-// fold. With PackedSpMM the hybrid operand goes to the fold as it arrived —
-// packed rows are decoded once into strip scratch, which comes from the
-// layer arena with the compact output. Without it the operand is decoded
-// into a dense matrix first; the two paths are bit-for-bit identical by
-// construction (see internal/graph's packed bitwise tests). Nil when there
-// is nothing to fold.
-func (w *Worker) ghostFold(ghost *graph.GhostOperand) *tensor.Matrix {
-	if ghost == nil || ghost.Rows == 0 {
-		return nil
-	}
-	if w.cfg.Opts.PackedSpMM {
-		return w.adj.SpMMGhostCompactPacked(ghost, w.scratch)
-	}
-	return w.adj.SpMMGhostCompact(ghost.Dense())
 }
 
 // Logits returns the owned vertex ids and their final-layer logits from the

@@ -260,7 +260,7 @@ func TestLocalAdjSpMMMatchesGlobal(t *testing.T) {
 	}
 
 	// The split kernels must agree with the fused local product exactly —
-	// the worker's overlap path folds the ghost half in at collect time.
+	// the worker folds the ghost half in at collect time.
 	owned := tensor.New(3, 3)
 	ghost := tensor.New(3, 3)
 	for i, v := range []int{0, 2, 4} {
