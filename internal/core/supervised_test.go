@@ -62,6 +62,44 @@ func (s *seqOutage) CallMulti(src int, calls []transport.Call) []transport.Resul
 	return transport.SequentialMulti(s, src, calls)
 }
 
+// nodeOutage takes one node offline for a detect → respawn → rehydrate
+// test: every eligible call to or from it fails from its from-th training
+// call (getH, getG, pull, push) until pings pings to it have failed.
+// Heartbeats fail inside the window but advance neither bound, so however
+// many a slow run sends, the window cannot drain before recovery probes it.
+type nodeOutage struct {
+	transport.Network
+	node             int
+	from, pings      int64
+	methods          map[string]bool
+	training, pinged atomic.Int64
+	crashed          atomic.Int64
+}
+
+func (o *nodeOutage) Call(src, dst int, method string, req []byte) ([]byte, error) {
+	if src != dst && (src == o.node || dst == o.node) && o.methods[method] {
+		down := false
+		switch method {
+		case worker.MethodGetH, worker.MethodGetG, ps.MethodPull, ps.MethodPush:
+			down = o.training.Add(1) >= o.from && o.pinged.Load() < o.pings
+		case supervise.MethodPing:
+			down = dst == o.node && o.training.Load() >= o.from && o.pinged.Add(1) <= o.pings
+		default:
+			down = o.training.Load() >= o.from && o.pinged.Load() < o.pings
+		}
+		if down {
+			o.crashed.Add(1)
+			return nil, fmt.Errorf("outage: node %d down (%s): %w", o.node, method, transport.ErrInjected)
+		}
+	}
+	return o.Network.Call(src, dst, method, req)
+}
+
+// CallMulti routes through the wrapper's own Call so batched calls count.
+func (o *nodeOutage) CallMulti(src int, calls []transport.Call) []transport.Result {
+	return transport.SequentialMulti(o, src, calls)
+}
+
 // ecCoraConfig is coraConfig with error-compensated compression in both
 // directions — the supervised tests must prove recovery works with live EC
 // state (baselines, residuals), not just raw exchanges.
@@ -125,8 +163,8 @@ func assertEventOrder(t *testing.T, events []supervise.Event, want []supervise.E
 	}
 }
 
-// TestSupervisedCrashRecovery is the headline acceptance test: a seeded
-// crash window takes worker 1 offline mid-training — heartbeats, probes and
+// TestSupervisedCrashRecovery is the headline acceptance test: a crash
+// window takes worker 1 offline mid-training — heartbeats, probes and
 // training calls all fail — and the supervised engine must detect the
 // death, respawn and rehydrate the worker, force an exact-sync round and
 // retry, landing within one accuracy point of the fault-free run. The run
@@ -142,13 +180,16 @@ func TestSupervisedCrashRecovery(t *testing.T) {
 	cfg := ecCoraConfig(epochs)
 	cfg.Supervise = fastSupervision()
 	nodes := cfg.Workers + cfg.Servers
-	inner := transport.NewInProc(nodes)
-	// The window opens once training traffic is flowing and is long enough
-	// that the failure detector declares worker 1 dead before probing drains
-	// it (the settle wait burns ~200 calls); the probe budget then drains the
-	// rest, modelling a node restart.
-	outage := newSeqOutage(inner,
-		[]transport.CrashWindow{{Node: 1, From: 40, To: 900}}, trainingMethods())
+	// The window opens at worker 1's 40th training call, in epoch 3, and
+	// closes after 150 failed pings to it. The settle wait probes every
+	// ProbeInterval for at most DeadAfter + HeartbeatInterval (≤ 33 probes of
+	// ≤ 2 attempts each), so the detector has declared worker 1 dead before
+	// the window closes; AwaitReachable's probes then drain the rest,
+	// modelling a node restart.
+	outage := &nodeOutage{Network: transport.NewInProc(nodes), node: 1, from: 40, pings: 150, methods: map[string]bool{}}
+	for _, m := range trainingMethods() {
+		outage.methods[m] = true
+	}
 	cfg.Net = transport.NewReliable(outage, nodes, transport.ReliableConfig{
 		MaxAttempts: 2,
 		BaseBackoff: 50 * time.Microsecond,
@@ -166,7 +207,7 @@ func TestSupervisedCrashRecovery(t *testing.T) {
 		t.Fatalf("crash window never hit")
 	}
 	if res.Recoveries == 0 {
-		t.Fatalf("no recoveries recorded through a %d-call crash window", 900-40)
+		t.Fatalf("no recoveries recorded through a crash window of %d failed calls", outage.crashed.Load())
 	}
 	assertEventOrder(t, res.SuperviseEvents, []supervise.EventKind{
 		supervise.EventDead, supervise.EventRespawn, supervise.EventRehydrate,

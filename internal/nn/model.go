@@ -80,6 +80,12 @@ func NewModel(kind Kind, dims []int, seed int64) *Model {
 // NumLayers returns the number of GNN layers L.
 func (m *Model) NumLayers() int { return len(m.Layers) }
 
+// TransformsFirst reports whether layer l (1-based) computes Â(HW) rather
+// than (ÂH)W: the message-aggregating optimisation of §III-A (shared with
+// DGL), which aggregates the narrower side when the layer shrinks its
+// width. Both orders are exact; every place that orders a layer asks here.
+func (m *Model) TransformsFirst(l int) bool { return m.Dims[l-1] > m.Dims[l] }
+
 func glorot(rng *rand.Rand, in, out int) *tensor.Matrix {
 	w := tensor.New(in, out)
 	bound := float32(math.Sqrt(6 / float64(in+out)))
@@ -181,10 +187,7 @@ func (m *Model) Forward(adj *graph.NormAdjacency, x *tensor.Matrix) *Activations
 	h := x
 	for l, layer := range m.Layers {
 		var z *tensor.Matrix
-		// Message-aggregating optimisation from §III-A (shared with DGL):
-		// if in-dim > out-dim, compute HW first, then aggregate Â(HW);
-		// otherwise aggregate first. Both orders are exact.
-		if h.Cols > layer.W.Cols {
+		if m.TransformsFirst(l + 1) {
 			z = adj.SpMM(h.MatMul(layer.W))
 		} else {
 			z = adj.SpMM(h).MatMul(layer.W)

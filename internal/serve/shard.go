@@ -43,21 +43,15 @@ func prepReq(version uint32, layer int, phase byte) []byte {
 // versionState is one installed model version on one shard. h[l] holds the
 // owned rows of the post-activation H^l (h[0] = owned features). hcat[l]
 // (1-based) holds layer l's aggregation source S^l — H^{l-1}W when the layer
-// shrinks the dimension first, H^{l-1} otherwise, mirroring
-// nn.Model.Forward's dim-order branch exactly — with the owned rows stacked
-// over the ghost rows, the operand prepCSR's compact columns index. After
-// preparation only hcat[L] (what request-time aggregation reads) and h[L-1]
-// (the SAGE self term) remain; the rest is freed.
+// transforms first (nn.Model.TransformsFirst), H^{l-1} otherwise — with the
+// owned rows stacked over the ghost rows, the operand prepCSR's compact
+// columns index. After preparation only hcat[L] (what request-time
+// aggregation reads) and h[L-1] (the SAGE self term) remain; the rest is
+// freed.
 type versionState struct {
 	model *nn.Model
 	h     []*tensor.Matrix // len L, owned rows
 	hcat  []*tensor.Matrix // len L+1, hcat[0] unused
-}
-
-// branchA reports whether layer l (1-based) transforms before aggregating
-// (the §III-A message-aggregating optimisation: in-dim > out-dim).
-func (st *versionState) branchA(l int) bool {
-	return st.model.Dims[l-1] > st.model.Dims[l]
 }
 
 // shard is one serving replica: it owns a vertex partition, prepares
@@ -216,7 +210,7 @@ func (sh *shard) prep(v uint32, l int, phase byte) error {
 	switch phase {
 	case phaseTransform:
 		src := st.h[l-1]
-		if st.branchA(l) {
+		if st.model.TransformsFirst(l) {
 			src = src.MatMul(st.model.Layers[l-1].W)
 		}
 		st.hcat[l] = tensor.New(len(sh.owned)+len(sh.ghostIDs), src.Cols)
@@ -251,7 +245,7 @@ func (sh *shard) prep(v uint32, l int, phase byte) error {
 func (sh *shard) aggregate(l int, st *versionState) {
 	z := sh.prepCSR.SpMM(st.hcat[l])
 	layer := st.model.Layers[l-1]
-	if !st.branchA(l) {
+	if !st.model.TransformsFirst(l) {
 		z = z.MatMul(layer.W)
 	}
 	if layer.WSelf != nil {
@@ -341,7 +335,7 @@ func (sh *shard) batch(v uint32, ids []int32) ([]byte, error) {
 	L := st.model.NumLayers()
 	logits := sh.prepCSR.SpMMRows(st.hcat[L], rows)
 	layer := st.model.Layers[L-1]
-	if !st.branchA(L) {
+	if !st.model.TransformsFirst(L) {
 		logits = logits.MatMul(layer.W)
 	}
 	if layer.WSelf != nil {

@@ -204,25 +204,22 @@ func (w *Worker) ImportHandoff(payload []byte) (int, error) {
 }
 
 // lastRow returns the freshest d row of layer l this worker holds for vertex
-// v and the epoch it reflects (−1 when it has nothing): for owned vertices
-// the published H^l or G^l rows — or, for H, rows received by handoff and
-// not yet recomputed — and for ghosts the last good degraded rows, which at
+// v and the epoch it reflects (−1 when it has nothing), at width(d, l): for
+// owned vertices the rows it published for d — or, for H, rows received by
+// handoff and not yet recomputed, which are H^l's and so stand in only where
+// getH(l) ships H^l — and for ghosts the last good degraded rows, which at
 // the top getG layer hold training vertices only (nobody asks for the
 // others: SeedDegradedCaches walks the same list).
 func (w *Worker) lastRow(d direction, l int, v int32) ([]float32, int) {
 	if pos, ok := w.ownedPos[v]; ok {
+		store := w.hStore
 		if d == dirG {
-			if m, ep := w.gStore.Peek(l); m != nil && ep >= 0 {
-				return m.Row(int(pos)), ep
-			}
-			return nil, -1
+			store = w.gStore
 		}
-		if w.ownH[l] != nil {
-			if _, ep := w.hStore.Peek(l); ep >= 0 {
-				return w.ownH[l].Row(int(pos)), ep
-			}
+		if m, ep := store.Peek(l); m != nil && ep >= 0 {
+			return m.Row(int(pos)), ep
 		}
-		if w.handoffH != nil && w.handoffH[l] != nil {
+		if d == dirH && w.handoffH != nil && w.handoffH[l] != nil && w.width(d, l) == w.cfg.Model.Dims[l] {
 			if row := w.handoffH[l][v]; row != nil {
 				// Rows received by handoff reflect the epoch before the view
 				// change that delivered them; conservatively epoch 0 — the
@@ -264,7 +261,7 @@ func (w *Worker) SeedDegradedCaches(prev map[int]*Worker) {
 
 	seed := func(d direction, l, j int) {
 		lst := w.needsAt(l, w.id, j)
-		m := tensor.New(len(lst), w.cfg.Model.Dims[l])
+		m := tensor.New(len(lst), w.width(d, l))
 		tag := -1
 		for i, v := range lst {
 			var row []float32

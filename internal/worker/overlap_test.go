@@ -211,9 +211,13 @@ func TestIssueDoesNotBlockOnStraggler(t *testing.T) {
 	}
 	w0, w1 := workers[0], workers[1]
 
-	// The peer has already published its layer-1 activations, so only the
-	// gate stands between issue and response.
-	peerH := tensor.New(3, 4)
+	// The peer has already published its layer-1 rows, so only the gate
+	// stands between issue and response. Layer 2 shrinks 4 → 2 over a raw
+	// exchange, so what getH(1) ships is the 2-wide H¹·W².
+	if !w1.transformFirst(2) {
+		t.Fatal("layer 2 of 3→4→2 should transform first")
+	}
+	peerH := tensor.New(3, w1.width(dirH, 1))
 	for i := range peerH.Data {
 		peerH.Data[i] = float32(i + 1)
 	}
@@ -256,8 +260,8 @@ func TestIssueDoesNotBlockOnStraggler(t *testing.T) {
 	// Worker 0 ghosts are {1,3,5} = w1's owned rows {0,1,2}; raw scheme
 	// ships them unmodified.
 	ghost := ghostOp.Dense()
-	if ghost.Rows != 3 || ghost.Cols != 4 {
-		t.Fatalf("ghost shape %dx%d, want 3x4", ghost.Rows, ghost.Cols)
+	if ghost.Rows != 3 || ghost.Cols != 2 {
+		t.Fatalf("ghost shape %dx%d, want 3x2", ghost.Rows, ghost.Cols)
 	}
 	for i := range ghost.Data {
 		if ghost.Data[i] != peerH.Data[i] {

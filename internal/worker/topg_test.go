@@ -143,10 +143,12 @@ func TestTopLayerGetGMatchesFullList(t *testing.T) {
 // TestShortGetGPayloadDegrades: a getG or getH reply whose shape disagrees
 // with the pair's derived list — a row short or a row long, raw or
 // quantised, on the pipelined exchange or on the delayed-aggregation
-// refresh — is a decode error: the last-good rows serve the epoch, or with
-// none the epoch fails by name. Never a panic, never a silently zero ghost
-// row, and never a scatter that lands rows on the wrong vertices or in the
-// next owner's slots.
+// refresh, or on a layer that transforms first a reply at H's width instead
+// of the published H·W's — is a decode error: the last-good rows serve the
+// epoch, or with none the epoch fails by name. Never a panic, never a
+// silently zero ghost row, never rows of another width installed, and never
+// a scatter that lands rows on the wrong vertices or in the next owner's
+// slots.
 func TestShortGetGPayloadDegrades(t *testing.T) {
 	for _, arm := range []struct {
 		name string
@@ -165,20 +167,34 @@ func TestShortGetGPayloadDegrades(t *testing.T) {
 			})
 		}
 	}
+	t.Run("getH-raw-at-H-width", func(t *testing.T) {
+		testMisshapenPayload(t, dirH, Options{FPScheme: SchemeRaw}, 0)
+	})
 }
 
 // testMisshapenPayload tampers with every d reply of the chosen epochs,
-// re-encoding it in its own scheme with delta rows more than it carried.
+// re-encoding it in its own scheme with delta rows more than it carried; a
+// zero delta instead answers a raw getH(l) with the responder's H^l rows of
+// the pair, at H^l's width.
 func testMisshapenPayload(t *testing.T, d direction, opts Options, delta int) {
 	var (
 		tamperAt func(epoch int) bool
 		tampered atomic.Int64
+		peers    []*Worker
 	)
 	tamper := func(src, dst int, method string, req, resp []byte) []byte {
 		if method != d.method() || !tamperAt(int(transport.NewReader(req[1:]).Uint32())) {
 			return resp
 		}
 		tampered.Add(1)
+		if delta == 0 {
+			// What a peer that aggregates first would send.
+			p, l := peers[dst], int(req[0])
+			if !p.transformFirst(l + 1) {
+				t.Errorf("getH(%d) tampered at H's width, but layer %d does not transform first", l, l+1)
+			}
+			return ec.RespondRaw(p.ownH[l].GatherRows(int32sToInts(p.serve[l][src].loc)))
+		}
 		// What a peer with a different mask (or a bug) would send: one row
 		// fewer, or one more, than the list both ends should have derived.
 		m := ec.ParseMatrix(resp)
@@ -199,6 +215,7 @@ func testMisshapenPayload(t *testing.T, d direction, opts Options, delta int) {
 
 	tamperAt = func(e int) bool { return e == 2 }
 	workers, reports, step := clusterOver(t, opts, nil, wrap)
+	peers = workers
 	for e := 0; e < 5; e++ {
 		before := tampered.Load()
 		for i, err := range step(e) {
@@ -224,7 +241,7 @@ func testMisshapenPayload(t *testing.T, d direction, opts Options, delta int) {
 	}
 
 	tamperAt = func(int) bool { return true }
-	_, _, step = clusterOver(t, opts, nil, wrap)
+	peers, _, step = clusterOver(t, opts, nil, wrap)
 	for i, err := range step(0) {
 		if err == nil || !strings.Contains(err.Error(), "pair list wants") {
 			t.Fatalf("worker %d: misshapen payload with no fallback returned %v", i, err)
@@ -253,7 +270,7 @@ func TestTopLayerListsDerivedFromMask(t *testing.T) {
 			d.TrainMask[v] = tc.mask(v)
 		}
 		for _, opts := range []Options{
-			{BPScheme: SchemeEC, BPBits: 2, PackedSpMM: true, Overlap: true},
+			{BPScheme: SchemeEC, BPBits: 2},
 			{BPScheme: SchemeTopK, BPBits: 4},
 		} {
 			r := clusterSpec{kind: nn.KindGCN, opts: opts, workers: 3, epochs: 3}.run(t, &d)
