@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"ecgraph/internal/datasets"
@@ -381,21 +382,50 @@ func TestOptimizerOptionsPassThrough(t *testing.T) {
 	}
 }
 
+// methodBytesNet counts the reply bytes of one method's calls between
+// distinct nodes.
+type methodBytesNet struct {
+	transport.Network
+	method string
+	bytes  atomic.Int64
+}
+
+func (n *methodBytesNet) Call(src, dst int, method string, req []byte) ([]byte, error) {
+	resp, err := n.Network.Call(src, dst, method, req)
+	if err == nil && src != dst && method == n.method {
+		n.bytes.Add(int64(len(resp)))
+	}
+	return resp, err
+}
+
+func (n *methodBytesNet) CallMulti(src int, calls []transport.Call) []transport.Result {
+	return transport.SequentialMulti(n, src, calls)
+}
+
+// TestTopKSchemeTrainsAndReducesTraffic: Top-K error feedback trains to
+// accuracy and ships fewer getG bytes per epoch than the raw backward
+// exchange. The getG replies are compared, not the epochs' totals: a run raw
+// both ways ships its shrinking 16 → 7 layer's getH as H·W (DESIGN.md §10,
+// "Narrow side on the exact wire"), where Top-K's run ships H.
 func TestTopKSchemeTrainsAndReducesTraffic(t *testing.T) {
+	getGPerEpoch := func(cfg Config) (*Result, int64) {
+		net := &methodBytesNet{Network: transport.NewInProc(cfg.Workers + cfg.Servers), method: worker.MethodGetG}
+		cfg.Net = net
+		res, err := Train(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, net.bytes.Load() / int64(cfg.Epochs)
+	}
 	cfg := coraConfig(30)
 	cfg.Worker = worker.Options{BPScheme: worker.SchemeTopK, BPBits: 2}
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, topK := getGPerEpoch(cfg)
 	if res.TestAccuracy < 0.78 {
 		t.Fatalf("Top-K EF accuracy %.3f too low", res.TestAccuracy)
 	}
-	raw, err := Train(coraConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epochs[1].Bytes >= raw.Epochs[1].Bytes {
-		t.Fatalf("Top-K traffic %d not below raw %d", res.Epochs[1].Bytes, raw.Epochs[1].Bytes)
+	_, raw := getGPerEpoch(coraConfig(3))
+	t.Logf("getG replies per epoch: Top-K %d B, raw %d B", topK, raw)
+	if topK >= raw {
+		t.Fatalf("Top-K getG traffic %d B/epoch not below raw %d", topK, raw)
 	}
 }
