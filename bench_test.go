@@ -244,5 +244,6 @@ func BenchmarkAblationPerRowDomains(b *testing.B) {
 }
 
 // BenchmarkGATDistributed regenerates the distributed-GAT table (the
-// §III-B model-generality experiment).
+// §III-B model-generality experiment): GAT trained by core.Train as
+// KindGAT on the same workers and exchange as the GCN row beside it.
 func BenchmarkGATDistributed(b *testing.B) { benchExperiment(b, "gat") }

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"ecgraph/internal/graph"
-	"ecgraph/internal/nn"
 	"ecgraph/internal/obs"
 	"ecgraph/internal/partition"
 	"ecgraph/internal/ps"
@@ -174,7 +173,7 @@ func (cl *cluster) newWorker(id int) *worker.Worker {
 		Labels:         cl.cfg.Dataset.Labels,
 		TrainMask:      cl.cfg.Dataset.TrainMask,
 		NumTrainGlobal: cl.nTrain,
-		Model:          nn.NewModel(cl.cfg.Kind, cl.dims, cl.cfg.Seed),
+		Model:          cl.cfg.newModel(cl.dims),
 		PS:             ps.NewClientRoutes(cl.net, id, cl.tier.routes, cl.ranges),
 		Opts:           cl.cfg.Worker,
 		Health:         cl.health,

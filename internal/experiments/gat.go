@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"ecgraph/internal/core"
-	"ecgraph/internal/gatdist"
 	"ecgraph/internal/metrics"
+	"ecgraph/internal/nn"
 	"ecgraph/internal/worker"
 )
 
@@ -14,7 +14,7 @@ func init() {
 }
 
 // runGAT exercises §III-B's model-generality claim end to end: a
-// distributed multi-head GAT trained on the same runtime, with and without
+// distributed multi-head GAT trained by core.Train on the GCN workers, with and without
 // error-compensated compression, next to the GCN numbers for scale.
 func runGAT(opt Options) error {
 	ds := "cora"
@@ -24,8 +24,6 @@ func runGAT(opt Options) error {
 		heads = 1
 		hidden = 8
 	}
-	d := load(ds)
-	epochs := epochsFor(ds, opt.Quick)
 	workers := clusterWorkers(opt.Quick)
 
 	table := metrics.NewTable(
@@ -45,23 +43,17 @@ func runGAT(opt Options) error {
 	}
 	add("GCN", "EC", gcn)
 
-	base := gatdist.Config{
-		Dataset: d, Hidden: []int{hidden}, Heads: heads,
-		Workers: workers, Servers: 2, Epochs: epochs, LR: 0.01, Seed: 1,
-	}
-	raw, err := gatdist.Train(base)
+	base := engineConfig(ds, 2, worker.Options{}, opt.Quick)
+	base.Kind, base.Hidden, base.Heads = nn.KindGAT, []int{hidden}, heads
+	raw, err := core.Train(base)
 	if err != nil {
 		return fmt.Errorf("gat experiment (raw): %w", err)
 	}
 	add("GAT", "raw", raw)
 
 	ecCfg := base
-	ecCfg.FPScheme = worker.SchemeEC
-	ecCfg.FPBits = 4
-	ecCfg.Ttr = 10
-	ecCfg.DPScheme = worker.SchemeEC
-	ecCfg.DPBits = 4
-	ecRes, err := gatdist.Train(ecCfg)
+	ecCfg.Worker = worker.Options{FPScheme: worker.SchemeEC, FPBits: 4, Ttr: 10, BPScheme: worker.SchemeEC, BPBits: 4}
+	ecRes, err := core.Train(ecCfg)
 	if err != nil {
 		return fmt.Errorf("gat experiment (ec): %w", err)
 	}

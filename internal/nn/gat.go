@@ -5,71 +5,36 @@ import (
 	"math"
 	"math/rand"
 
-	"ecgraph/internal/graph"
 	"ecgraph/internal/tensor"
 )
 
 // GAT support. §III-B notes EC-Graph extends beyond GCN: "Graph Attention
 // Networks (GAT) fetches embeddings from in-neighbors in FP and embedding
 // gradients from out-neighbors in BP" — the same communication topology the
-// engine already provides. This file implements the model itself
-// (multi-head GAT layers with manual backprop, verified against numerical
-// gradients in gat_test.go); internal/gatdist runs it distributed.
-//
-// Per head k (Velickovic et al. 2018, self-loops included):
+// engine already provides. A GAT layer is a Layer whose W holds the heads'
+// transforms side by side (column block k, dHead wide, is head k) and whose
+// A1/A2 hold the heads' attention halves in the same blocks. Per head k
+// (Velickovic et al. 2018, self-loops included):
 //
 //	P_k   = H·W_k
 //	e_ij  = LeakyReLU(a1_k·P_ki + a2_k·P_kj)   j ∈ N(i) ∪ {i}
 //	α_i·  = softmax_j(e_ij)
 //	Z_ki  = Σ_j α_ij · P_kj
 //
-// Hidden layers concatenate the K head outputs (out dim = K·dHead) and
+// Hidden layers concatenate the heads' outputs (out dim = heads·dHead) and
 // apply ReLU; the output layer averages heads and emits raw logits. A
-// shared bias is added to the combined output.
+// shared bias is added to the combined output. The backward pass is
+// manual, verified against numerical gradients in gat_test.go.
 
 // leakySlope is the negative-side slope of LeakyReLU in the attention.
 const leakySlope = 0.2
 
-// GATLayer holds one attention layer's parameters across its heads.
-type GATLayer struct {
-	// W[k] is the in×dHead transform of head k.
-	W []*tensor.Matrix
-	// A1[k], A2[k] are head k's attention halves (target and source).
-	A1, A2 [][]float32
-	// Bias has the combined output dimension (K·dHead when concatenating,
-	// dHead when averaging).
-	Bias []float32
-	// Concat selects head combination: concatenate (hidden layers) or
-	// average (output layer).
-	Concat bool
-}
-
-// Heads returns the head count.
-func (l *GATLayer) Heads() int { return len(l.W) }
-
-// OutDim returns the layer's combined output dimension.
-func (l *GATLayer) OutDim() int {
-	if l.Concat {
-		return len(l.W) * l.W[0].Cols
-	}
-	return l.W[0].Cols
-}
-
-// GATModel is a stack of multi-head GAT layers.
-type GATModel struct {
-	Layers []*GATLayer
-	// Dims are the combined layer widths: [input, hidden... , classes],
-	// where hidden entries are the post-concatenation widths.
-	Dims []int
-}
-
-// NewGAT builds a single-head GAT (heads = 1 on every layer).
-func NewGAT(dims []int, seed int64) *GATModel { return NewGATMultiHead(dims, 1, seed) }
-
-// NewGATMultiHead builds a GAT with `heads` attention heads per layer.
-// Hidden dims must be divisible by heads (they are post-concat widths);
-// the output layer averages its heads onto the class dimension.
-func NewGATMultiHead(dims []int, heads int, seed int64) *GATModel {
+// NewGAT builds a GAT with heads attention heads per layer. Hidden dims are
+// post-concatenation widths and must be divisible by heads; the output
+// layer averages its heads onto the class dimension. Head k's Glorot block
+// and attention halves are drawn in head order, W's block before the
+// halves, which interleave a1 and a2 entry by entry.
+func NewGAT(dims []int, heads int, seed int64) *Model {
 	if len(dims) < 2 {
 		panic(fmt.Sprintf("nn: need at least 2 dims, got %v", dims))
 	}
@@ -77,354 +42,204 @@ func NewGATMultiHead(dims []int, heads int, seed int64) *GATModel {
 		panic(fmt.Sprintf("nn: need at least 1 head, got %d", heads))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	m := &GATModel{Dims: append([]int(nil), dims...)}
+	m := &Model{Kind: KindGAT, Dims: append([]int(nil), dims...), Heads: heads}
 	for l := 0; l+1 < len(dims); l++ {
 		out := dims[l+1]
-		last := l+2 == len(dims)
 		dHead := out
-		if !last {
+		if l+2 < len(dims) {
 			if out%heads != 0 {
 				panic(fmt.Sprintf("nn: hidden dim %d not divisible by %d heads", out, heads))
 			}
 			dHead = out / heads
 		}
-		layer := &GATLayer{Concat: !last, Bias: make([]float32, out)}
+		layer := &Layer{
+			W:    tensor.New(dims[l], heads*dHead),
+			A1:   make([]float32, heads*dHead),
+			A2:   make([]float32, heads*dHead),
+			Bias: make([]float32, out),
+		}
 		bound := float32(math.Sqrt(3 / float64(dHead)))
 		for k := 0; k < heads; k++ {
-			layer.W = append(layer.W, glorot(rng, dims[l], dHead))
-			a1 := make([]float32, dHead)
-			a2 := make([]float32, dHead)
-			for i := range a1 {
-				a1[i] = (rng.Float32()*2 - 1) * bound
-				a2[i] = (rng.Float32()*2 - 1) * bound
+			blk := glorot(rng, dims[l], dHead)
+			for r := 0; r < dims[l]; r++ {
+				copy(layer.W.Row(r)[k*dHead:], blk.Row(r))
 			}
-			layer.A1 = append(layer.A1, a1)
-			layer.A2 = append(layer.A2, a2)
+			for i := k * dHead; i < (k+1)*dHead; i++ {
+				layer.A1[i] = (rng.Float32()*2 - 1) * bound
+				layer.A2[i] = (rng.Float32()*2 - 1) * bound
+			}
 		}
 		m.Layers = append(m.Layers, layer)
 	}
 	return m
 }
 
-// NumLayers returns the number of GAT layers.
-func (m *GATModel) NumLayers() int { return len(m.Layers) }
+// Attention is one GAT layer's forward trace over a CSR, kept for its
+// backward pass.
+type Attention struct {
+	H *tensor.Matrix // the layer's input rows, which the CSR's columns index
+	P *tensor.Matrix // H·W: every head's transform, head k in column block k
+	// Alpha and Pre hold, per head, each CSR entry's attention coefficient
+	// and its logit before the LeakyReLU.
+	Alpha, Pre [][]float32
+}
 
-// ParamCount returns the number of scalar parameters.
-func (m *GATModel) ParamCount() int {
-	n := 0
-	for _, l := range m.Layers {
-		for k := range l.W {
-			n += len(l.W[k].Data) + len(l.A1[k]) + len(l.A2[k])
+// headWidth returns GAT layer l's per-head width (l is 1-based).
+func (m *Model) headWidth(l int) int { return m.Layers[l-1].W.Cols / m.Heads }
+
+// Attend computes GAT layer l (1-based) over the CSR rowPtr/colIdx, whose
+// n = len(rowPtr)−1 destination rows attend over h's rows and are h's first
+// n rows themselves: the whole graph, or a worker's owned rows over its
+// owned-then-ghost rows. It returns the combined output before the bias,
+// n × Dims[l], and the trace AttendBackward needs. Only the CSR's structure
+// is read; attention computes its own weights.
+func (m *Model) Attend(l int, rowPtr, colIdx []int32, h *tensor.Matrix) (*tensor.Matrix, *Attention) {
+	layer := m.Layers[l-1]
+	n, d := len(rowPtr)-1, m.headWidth(l)
+	concat := l < m.NumLayers()
+	p := h.MatMul(layer.W)
+	att := &Attention{H: h, P: p}
+	z := tensor.New(n, m.Dims[l])
+	zk := z // concatenated heads write their own column block of z
+	if !concat {
+		zk = tensor.New(n, d)
+	}
+	s, r := make([]float32, n), make([]float32, h.Rows)
+	for k := 0; k < m.Heads; k++ {
+		lo := k * d
+		a1, a2 := layer.A1[lo:lo+d], layer.A2[lo:lo+d]
+		for c := range r {
+			prow := p.Row(c)[lo : lo+d]
+			var accS, accR float32
+			for x, v := range prow {
+				accS += a1[x] * v
+				accR += a2[x] * v
+			}
+			r[c] = accR
+			if c < n {
+				s[c] = accS
+			}
 		}
-		n += len(l.Bias)
-	}
-	return n
-}
-
-// FlattenParams serialises parameters (per layer, per head: W, A1, A2;
-// then the layer bias).
-func (m *GATModel) FlattenParams() []float32 {
-	out := make([]float32, 0, m.ParamCount())
-	for _, l := range m.Layers {
-		for k := range l.W {
-			out = append(out, l.W[k].Data...)
-			out = append(out, l.A1[k]...)
-			out = append(out, l.A2[k]...)
-		}
-		out = append(out, l.Bias...)
-	}
-	return out
-}
-
-// SetFlatParams loads a vector produced by FlattenParams.
-func (m *GATModel) SetFlatParams(flat []float32) {
-	if len(flat) != m.ParamCount() {
-		panic(fmt.Sprintf("nn: SetFlatParams length %d != %d", len(flat), m.ParamCount()))
-	}
-	off := 0
-	for _, l := range m.Layers {
-		for k := range l.W {
-			off += copy(l.W[k].Data, flat[off:off+len(l.W[k].Data)])
-			off += copy(l.A1[k], flat[off:off+len(l.A1[k])])
-			off += copy(l.A2[k], flat[off:off+len(l.A2[k])])
-		}
-		off += copy(l.Bias, flat[off:off+len(l.Bias)])
-	}
-}
-
-// headState caches one head's forward intermediates.
-type headState struct {
-	p     *tensor.Matrix // H·W_k
-	alpha []float32      // per edge (CSR order)
-	pre   []float32      // pre-LeakyReLU logits per edge
-}
-
-// gatLayerState caches one layer's forward intermediates for backprop.
-type gatLayerState struct {
-	h     *tensor.Matrix // layer input
-	heads []*headState
-	z     *tensor.Matrix // combined pre-activation output
-}
-
-// GATActivations is the forward trace used by Backward.
-type GATActivations struct {
-	states []*gatLayerState
-	Out    *tensor.Matrix // final logits
-}
-
-// Forward runs the GAT forward pass over the self-looped structure of adj
-// (its values are ignored; attention computes its own weights).
-func (m *GATModel) Forward(adj *graph.NormAdjacency, x *tensor.Matrix) *GATActivations {
-	acts := &GATActivations{}
-	h := x
-	for li, layer := range m.Layers {
-		st := &gatLayerState{h: h}
-		n := adj.N
-		dHead := layer.W[0].Cols
-		z := tensor.New(n, layer.OutDim())
-		for k := range layer.W {
-			hs := attentionForward(adj, h, layer.W[k], layer.A1[k], layer.A2[k])
-			st.heads = append(st.heads, hs)
-			// Combine this head's output into z.
-			zk := headOutput(adj, hs)
-			if layer.Concat {
-				for v := 0; v < n; v++ {
-					copy(z.Row(v)[k*dHead:(k+1)*dHead], zk.Row(v))
+		pre, alpha := make([]float32, len(colIdx)), make([]float32, len(colIdx))
+		for i := 0; i < n; i++ {
+			elo, ehi := rowPtr[i], rowPtr[i+1]
+			mx := float32(math.Inf(-1))
+			for e := elo; e < ehi; e++ {
+				v := s[i] + r[colIdx[e]]
+				pre[e] = v
+				if v < 0 {
+					v *= leakySlope
 				}
-			} else {
-				z.AddScaledInPlace(zk, 1/float32(layer.Heads()))
+				alpha[e] = v
+				mx = max(mx, v)
+			}
+			var sum float64
+			for e := elo; e < ehi; e++ {
+				ex := float32(math.Exp(float64(alpha[e] - mx)))
+				alpha[e] = ex
+				sum += float64(ex)
+			}
+			inv := float32(1 / sum)
+			for e := elo; e < ehi; e++ {
+				alpha[e] *= inv
 			}
 		}
-		z.AddRowVector(layer.Bias)
-		st.z = z
-		acts.states = append(acts.states, st)
-		if li == len(m.Layers)-1 {
-			h = z
-		} else {
-			h = z.ReLU()
-		}
-	}
-	acts.Out = h
-	return acts
-}
+		att.Pre, att.Alpha = append(att.Pre, pre), append(att.Alpha, alpha)
 
-// attentionForward computes one head's P, attention logits and softmax
-// coefficients.
-func attentionForward(adj *graph.NormAdjacency, h, w *tensor.Matrix, a1, a2 []float32) *headState {
-	p := h.MatMul(w)
-	n := adj.N
-	d := p.Cols
-	s := make([]float32, n)
-	r := make([]float32, n)
-	for v := 0; v < n; v++ {
-		row := p.Row(v)
-		var accS, accR float32
-		for k := 0; k < d; k++ {
-			accS += a1[k] * row[k]
-			accR += a2[k] * row[k]
+		off := lo
+		if !concat {
+			off = 0
 		}
-		s[v], r[v] = accS, accR
-	}
-	hs := &headState{
-		p:     p,
-		pre:   make([]float32, len(adj.ColIdx)),
-		alpha: make([]float32, len(adj.ColIdx)),
-	}
-	for i := 0; i < n; i++ {
-		lo, hi := adj.RowPtr[i], adj.RowPtr[i+1]
-		mx := float32(math.Inf(-1))
-		for e := lo; e < hi; e++ {
-			pre := s[i] + r[adj.ColIdx[e]]
-			hs.pre[e] = pre
-			v := pre
-			if v < 0 {
-				v *= leakySlope
-			}
-			hs.alpha[e] = v
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for e := lo; e < hi; e++ {
-			ex := float32(math.Exp(float64(hs.alpha[e] - mx)))
-			hs.alpha[e] = ex
-			sum += float64(ex)
-		}
-		inv := float32(1 / sum)
-		for e := lo; e < hi; e++ {
-			hs.alpha[e] *= inv
-		}
-	}
-	return hs
-}
-
-// headOutput aggregates Z_ki = Σ_j α_ij P_kj for one head.
-func headOutput(adj *graph.NormAdjacency, hs *headState) *tensor.Matrix {
-	n := adj.N
-	d := hs.p.Cols
-	z := tensor.New(n, d)
-	for i := 0; i < n; i++ {
-		zrow := z.Row(i)
-		for e := adj.RowPtr[i]; e < adj.RowPtr[i+1]; e++ {
-			prow := hs.p.Row(int(adj.ColIdx[e]))
-			a := hs.alpha[e]
-			for k := 0; k < d; k++ {
-				zrow[k] += a * prow[k]
-			}
-		}
-	}
-	return z
-}
-
-// GATGradients mirrors GATModel's parameter layout.
-type GATGradients struct {
-	Layers []*GATLayer
-}
-
-// Flatten serialises gradients in FlattenParams order.
-func (g *GATGradients) Flatten() []float32 {
-	var out []float32
-	for _, l := range g.Layers {
-		for k := range l.W {
-			out = append(out, l.W[k].Data...)
-			out = append(out, l.A1[k]...)
-			out = append(out, l.A2[k]...)
-		}
-		out = append(out, l.Bias...)
-	}
-	return out
-}
-
-// NewGATGradients allocates zeroed gradients shaped like m.
-func NewGATGradients(m *GATModel) *GATGradients {
-	g := &GATGradients{}
-	for _, l := range m.Layers {
-		gl := &GATLayer{Concat: l.Concat, Bias: make([]float32, len(l.Bias))}
-		for k := range l.W {
-			gl.W = append(gl.W, tensor.New(l.W[k].Rows, l.W[k].Cols))
-			gl.A1 = append(gl.A1, make([]float32, len(l.A1[k])))
-			gl.A2 = append(gl.A2, make([]float32, len(l.A2[k])))
-		}
-		g.Layers = append(g.Layers, gl)
-	}
-	return g
-}
-
-// attentionBackward backpropagates one head: given gk = ∂L/∂Z_k (this
-// head's share of the combined gradient), it accumulates dW, dA1, dA2 into
-// gl at head index k and returns ∂L/∂H from this head.
-func attentionBackward(adj *graph.NormAdjacency, h *tensor.Matrix, layer *GATLayer, k int,
-	hs *headState, gk *tensor.Matrix, gl *GATLayer) *tensor.Matrix {
-	n := adj.N
-	d := hs.p.Cols
-	dP := tensor.New(n, d)
-	ds := make([]float32, n)
-	dr := make([]float32, n)
-	for i := 0; i < n; i++ {
-		lo, hi := adj.RowPtr[i], adj.RowPtr[i+1]
-		grow := gk.Row(i)
-		var inner float64
-		dAlpha := make([]float32, hi-lo)
-		for e := lo; e < hi; e++ {
-			prow := hs.p.Row(int(adj.ColIdx[e]))
-			var dot float32
-			for x := 0; x < d; x++ {
-				dot += grow[x] * prow[x]
-			}
-			dAlpha[e-lo] = dot
-			inner += float64(hs.alpha[e]) * float64(dot)
-		}
-		for e := lo; e < hi; e++ {
-			j := int(adj.ColIdx[e])
-			a := hs.alpha[e]
-			dprow := dP.Row(j)
-			for x := 0; x < d; x++ {
-				dprow[x] += a * grow[x]
-			}
-			de := a * (dAlpha[e-lo] - float32(inner))
-			if hs.pre[e] < 0 {
-				de *= leakySlope
-			}
-			ds[i] += de
-			dr[j] += de
-		}
-	}
-	a1, a2 := layer.A1[k], layer.A2[k]
-	gA1, gA2 := gl.A1[k], gl.A2[k]
-	for v := 0; v < n; v++ {
-		prow := hs.p.Row(v)
-		dprow := dP.Row(v)
-		for x := 0; x < d; x++ {
-			gA1[x] += ds[v] * prow[x]
-			gA2[x] += dr[v] * prow[x]
-			dprow[x] += ds[v]*a1[x] + dr[v]*a2[x]
-		}
-	}
-	gl.W[k].AddInPlace(h.TMatMul(dP))
-	return dP.MatMulT(layer.W[k])
-}
-
-// Backward computes parameter gradients given gradOut = ∂L/∂Z^L.
-func (m *GATModel) Backward(adj *graph.NormAdjacency, acts *GATActivations, gradOut *tensor.Matrix) *GATGradients {
-	grads := NewGATGradients(m)
-	g := gradOut
-	for li := len(m.Layers) - 1; li >= 0; li-- {
-		layer := m.Layers[li]
-		gl := grads.Layers[li]
-		st := acts.states[li]
-		n := adj.N
-		dHead := layer.W[0].Cols
-
-		gl.Bias = g.ColSums()
-		var dH *tensor.Matrix
-		for k := range layer.W {
-			// This head's slice of the combined gradient.
-			gk := tensor.New(n, dHead)
-			if layer.Concat {
-				for v := 0; v < n; v++ {
-					copy(gk.Row(v), g.Row(v)[k*dHead:(k+1)*dHead])
+		for i := 0; i < n; i++ {
+			zrow := zk.Row(i)[off : off+d]
+			for e := rowPtr[i]; e < rowPtr[i+1]; e++ {
+				a := alpha[e]
+				for x, v := range p.Row(int(colIdx[e]))[lo : lo+d] {
+					zrow[x] += a * v
 				}
-			} else {
-				gk = g.Scale(1 / float32(layer.Heads()))
-			}
-			dHk := attentionBackward(adj, st.h, layer, k, st.heads[k], gk, gl)
-			if dH == nil {
-				dH = dHk
-			} else {
-				dH.AddInPlace(dHk)
 			}
 		}
-		if li > 0 {
-			g = dH.HadamardInPlace(acts.states[li-1].z.ReLUGrad())
+		if !concat {
+			z.AddScaledInPlace(zk, 1/float32(m.Heads))
+			zk.Zero()
 		}
 	}
-	return grads
+	return z, att
 }
 
-// TrainGAT trains a GAT full-batch with Adam — the GAT analogue of
-// TrainFullGraph, taking the pieces explicitly so callers can reuse a
-// prebuilt adjacency.
-func TrainGAT(model *GATModel, adj *graph.NormAdjacency, x *tensor.Matrix, labels []int,
-	trainMask []bool, valIdx, testIdx []int, epochs int, lr float64) *TrainResult {
-	flat := model.FlattenParams()
-	opt := NewAdam(lr, len(flat))
-	res := &TrainResult{}
-	for epoch := 0; epoch < epochs; epoch++ {
-		acts := model.Forward(adj, x)
-		loss, gradOut := SoftmaxCrossEntropy(acts.Out, labels, trainMask)
-		grads := model.Backward(adj, acts, gradOut)
-		opt.Step(flat, grads.Flatten())
-		model.SetFlatParams(flat)
-
-		res.LossHistory = append(res.LossHistory, loss)
-		val := Accuracy(acts.Out, labels, valIdx)
-		res.ValAccuracy = append(res.ValAccuracy, val)
-		if val > res.BestVal {
-			res.BestVal = val
-			res.BestEpoch = epoch
-			res.TestAccuracy = Accuracy(acts.Out, labels, testIdx)
+// AttendBackward backpropagates GAT layer l (1-based) over the CSR of its
+// Attend call, given g = ∂L/∂Z over the destination rows. It sets grad's W,
+// A1, A2 and Bias to this CSR's share of the layer's gradient and returns
+// ∂L/∂H over all of att.H's rows — the destination rows first, then the
+// rest, whose partials belong to whoever owns them — or nil at layer 1,
+// whose input is the features.
+func (m *Model) AttendBackward(l int, rowPtr, colIdx []int32, att *Attention, g *tensor.Matrix, grad *Layer) *tensor.Matrix {
+	layer := m.Layers[l-1]
+	n, d, src := len(rowPtr)-1, m.headWidth(l), att.H.Rows
+	concat := l < m.NumLayers()
+	gs := g
+	if !concat { // averaged heads: each takes 1/heads of g
+		gs = g.Scale(1 / float32(m.Heads))
+	}
+	dP := tensor.New(src, layer.W.Cols)
+	ds, dr := make([]float32, n), make([]float32, src)
+	var dAlpha []float32
+	for k := 0; k < m.Heads; k++ {
+		lo := k * d
+		off := lo
+		if !concat {
+			off = 0
+		}
+		alpha, pre := att.Alpha[k], att.Pre[k]
+		clear(ds)
+		clear(dr)
+		for i := 0; i < n; i++ {
+			elo, ehi := rowPtr[i], rowPtr[i+1]
+			grow := gs.Row(i)[off : off+d]
+			var inner float64
+			dAlpha = dAlpha[:0]
+			for e := elo; e < ehi; e++ {
+				var dot float32
+				for x, v := range att.P.Row(int(colIdx[e]))[lo : lo+d] {
+					dot += grow[x] * v
+				}
+				dAlpha = append(dAlpha, dot)
+				inner += float64(alpha[e]) * float64(dot)
+			}
+			for e := elo; e < ehi; e++ {
+				j, a := int(colIdx[e]), alpha[e]
+				dprow := dP.Row(j)[lo : lo+d]
+				for x, v := range grow {
+					dprow[x] += a * v
+				}
+				de := a * (dAlpha[e-elo] - float32(inner))
+				if pre[e] < 0 {
+					de *= leakySlope
+				}
+				ds[i] += de
+				dr[j] += de
+			}
+		}
+		a1, a2 := layer.A1[lo:lo+d], layer.A2[lo:lo+d]
+		gA1, gA2 := grad.A1[lo:lo+d], grad.A2[lo:lo+d]
+		for c := 0; c < src; c++ {
+			prow, dprow := att.P.Row(c)[lo:lo+d], dP.Row(c)[lo:lo+d]
+			if c < n {
+				for x, v := range prow {
+					gA1[x] += ds[c] * v
+					dprow[x] += ds[c] * a1[x]
+				}
+			}
+			for x, v := range prow {
+				gA2[x] += dr[c] * v
+				dprow[x] += dr[c] * a2[x]
+			}
 		}
 	}
-	return res
+	grad.W = att.H.TMatMul(dP)
+	grad.Bias = g.ColSums()
+	if l == 1 {
+		return nil
+	}
+	return dP.MatMulT(layer.W)
 }

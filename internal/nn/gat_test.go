@@ -11,16 +11,16 @@ import (
 )
 
 func TestNewGATShapes(t *testing.T) {
-	m := NewGAT([]int{8, 16, 3}, 1)
-	if m.NumLayers() != 2 {
-		t.Fatalf("NumLayers = %d", m.NumLayers())
+	m := NewGAT([]int{8, 16, 3}, 1, 1)
+	if m.NumLayers() != 2 || m.Kind != KindGAT || m.Heads != 1 {
+		t.Fatalf("NumLayers = %d, kind %v, heads %d", m.NumLayers(), m.Kind, m.Heads)
 	}
 	l := m.Layers[0]
-	if l.Heads() != 1 || l.W[0].Rows != 8 || l.W[0].Cols != 16 || len(l.A1[0]) != 16 || len(l.A2[0]) != 16 || len(l.Bias) != 16 {
+	if l.W.Rows != 8 || l.W.Cols != 16 || len(l.A1) != 16 || len(l.A2) != 16 || len(l.Bias) != 16 || l.WSelf != nil {
 		t.Fatalf("layer 0 shapes wrong")
 	}
-	if !l.Concat || m.Layers[1].Concat {
-		t.Fatalf("concat flags wrong: hidden layers concat, output averages")
+	if m.TransformsFirst(1) || m.TransformsFirst(2) {
+		t.Fatalf("a GAT layer transforms inside its attention")
 	}
 	// layer0 = 8·16 weights + 16 A1 + 16 A2 + 16 bias; layer1 likewise.
 	want := (8*16 + 16 + 16 + 16) + (16*3 + 3 + 3 + 3)
@@ -30,7 +30,7 @@ func TestNewGATShapes(t *testing.T) {
 }
 
 func TestGATFlattenRoundTrip(t *testing.T) {
-	m := NewGAT([]int{5, 7, 2}, 3)
+	m := NewGAT([]int{5, 7, 2}, 1, 3)
 	flat := m.FlattenParams()
 	for i := range flat {
 		flat[i] += 0.5
@@ -48,14 +48,14 @@ func TestGATForwardAttentionRowsSumToOne(t *testing.T) {
 	adj := smallGraph()
 	rng := rand.New(rand.NewSource(2))
 	x := randomFeatures(rng, 6, 4)
-	m := NewGAT([]int{4, 5, 3}, 2)
+	m := NewGAT([]int{4, 6, 3}, 2, 2)
 	acts := m.Forward(adj, x)
-	for _, st := range acts.states {
-		for _, hd := range st.heads {
+	for _, att := range acts.Att {
+		for _, alpha := range att.Alpha {
 			for i := 0; i < adj.N; i++ {
 				var sum float64
 				for e := adj.RowPtr[i]; e < adj.RowPtr[i+1]; e++ {
-					a := float64(hd.alpha[e])
+					a := float64(alpha[e])
 					if a < 0 || a > 1 {
 						t.Fatalf("attention weight out of range: %v", a)
 					}
@@ -67,12 +67,12 @@ func TestGATForwardAttentionRowsSumToOne(t *testing.T) {
 			}
 		}
 	}
-	if acts.Out.Rows != 6 || acts.Out.Cols != 3 {
-		t.Fatalf("output shape %dx%d", acts.Out.Rows, acts.Out.Cols)
+	if out := acts.H[len(acts.H)-1]; out.Rows != 6 || out.Cols != 3 {
+		t.Fatalf("output shape %dx%d", out.Rows, out.Cols)
 	}
 }
 
-func gatNumericalGrad(m *GATModel, adj *graph.NormAdjacency, x *tensor.Matrix, labels []int, idx int) float64 {
+func gatNumericalGrad(m *Model, adj *graph.NormAdjacency, x *tensor.Matrix, labels []int, idx int) float64 {
 	const eps = 1e-3
 	flat := m.FlattenParams()
 	orig := flat[idx]
@@ -80,7 +80,7 @@ func gatNumericalGrad(m *GATModel, adj *graph.NormAdjacency, x *tensor.Matrix, l
 		flat[idx] = v
 		m.SetFlatParams(flat)
 		acts := m.Forward(adj, x)
-		loss, _ := SoftmaxCrossEntropy(acts.Out, labels, nil)
+		loss, _ := SoftmaxCrossEntropy(acts.H[len(acts.H)-1], labels, nil)
 		return loss
 	}
 	plus := eval(orig + eps)
@@ -98,13 +98,13 @@ func TestGATBackwardMatchesNumericalGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := randomFeatures(rng, 6, 4)
 	labels := []int{0, 1, 2, 0, 1, 2}
-	m := NewGAT([]int{4, 5, 3}, 7)
+	m := NewGAT([]int{4, 5, 3}, 1, 7)
 	acts := m.Forward(adj, x)
-	_, gradOut := SoftmaxCrossEntropy(acts.Out, labels, nil)
+	_, gradOut := SoftmaxCrossEntropy(acts.H[len(acts.H)-1], labels, nil)
 	analytic := m.Backward(adj, acts, gradOut).Flatten()
 
 	// Indices covering W, A1, A2 and Bias of both layers
-	// (layout per layer: per head W, A1, A2; then Bias).
+	// (layout per layer: W, A1, A2, Bias).
 	l0W := 0
 	l0A1 := 4 * 5
 	l0A2 := l0A1 + 5
@@ -122,9 +122,8 @@ func TestGATBackwardMatchesNumericalGradient(t *testing.T) {
 
 func TestGATTrainsOnCora(t *testing.T) {
 	d := datasets.MustLoad("cora")
-	adj := graph.Normalize(d.Graph)
-	m := NewGAT([]int{d.NumFeatures(), 8, d.NumClasses}, 1)
-	res := TrainGAT(m, adj, d.Features, d.Labels, d.TrainMask, d.ValIdx(), d.TestIdx(), 30, 0.01)
+	m := NewGAT([]int{d.NumFeatures(), 8, d.NumClasses}, 1, 1)
+	res := TrainFullGraph(m, d, 30, 0.01)
 	if res.TestAccuracy < 0.75 {
 		t.Fatalf("GAT reached only %.3f accuracy on cora preset", res.TestAccuracy)
 	}
@@ -139,13 +138,13 @@ func TestNewGATInvalidDimsPanics(t *testing.T) {
 			t.Fatalf("expected panic")
 		}
 	}()
-	NewGAT([]int{3}, 1)
+	NewGAT([]int{3}, 1, 1)
 }
 
 func BenchmarkGATForwardCora(b *testing.B) {
 	d := datasets.MustLoad("cora")
 	adj := graph.Normalize(d.Graph)
-	m := NewGAT([]int{d.NumFeatures(), 8, d.NumClasses}, 1)
+	m := NewGAT([]int{d.NumFeatures(), 8, d.NumClasses}, 1, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Forward(adj, d.Features)
@@ -153,21 +152,23 @@ func BenchmarkGATForwardCora(b *testing.B) {
 }
 
 func TestNewGATMultiHeadShapes(t *testing.T) {
-	m := NewGATMultiHead([]int{10, 16, 4}, 4, 1)
+	m := NewGAT([]int{10, 16, 4}, 4, 1)
 	l0 := m.Layers[0]
-	if l0.Heads() != 4 || l0.W[0].Cols != 4 || l0.OutDim() != 16 {
-		t.Fatalf("hidden layer: heads %d, dHead %d, out %d", l0.Heads(), l0.W[0].Cols, l0.OutDim())
+	if m.Heads != 4 || m.headWidth(1) != 4 || l0.W.Cols != 16 || len(l0.A1) != 16 || len(l0.Bias) != 16 {
+		t.Fatalf("hidden layer: heads %d, dHead %d, W cols %d, bias %d", m.Heads, m.headWidth(1), l0.W.Cols, len(l0.Bias))
 	}
+	// The output layer averages its heads: four class-wide transforms, one
+	// class-wide bias.
 	l1 := m.Layers[1]
-	if l1.Heads() != 4 || l1.W[0].Cols != 4 || l1.OutDim() != 4 {
-		t.Fatalf("output layer: heads %d, dHead %d, out %d", l1.Heads(), l1.W[0].Cols, l1.OutDim())
+	if m.headWidth(2) != 4 || l1.W.Cols != 16 || len(l1.A2) != 16 || len(l1.Bias) != 4 {
+		t.Fatalf("output layer: dHead %d, W cols %d, bias %d", m.headWidth(2), l1.W.Cols, len(l1.Bias))
 	}
 }
 
 func TestNewGATMultiHeadInvalid(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewGATMultiHead([]int{10, 15, 4}, 4, 1) }, // 15 % 4 != 0
-		func() { NewGATMultiHead([]int{10, 16, 4}, 0, 1) },
+		func() { NewGAT([]int{10, 15, 4}, 4, 1) }, // 15 % 4 != 0
+		func() { NewGAT([]int{10, 16, 4}, 0, 1) },
 	} {
 		func() {
 			defer func() {
@@ -188,9 +189,9 @@ func TestGATMultiHeadBackwardMatchesNumericalGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	x := randomFeatures(rng, 6, 4)
 	labels := []int{0, 1, 2, 0, 1, 2}
-	m := NewGATMultiHead([]int{4, 6, 3}, 2, 7)
+	m := NewGAT([]int{4, 6, 3}, 2, 7)
 	acts := m.Forward(adj, x)
-	_, gradOut := SoftmaxCrossEntropy(acts.Out, labels, nil)
+	_, gradOut := SoftmaxCrossEntropy(acts.H[len(acts.H)-1], labels, nil)
 	analytic := m.Backward(adj, acts, gradOut).Flatten()
 	n := m.ParamCount()
 	for _, idx := range []int{0, 5, n / 4, n / 2, 3 * n / 4, n - 4, n - 1} {
@@ -204,9 +205,8 @@ func TestGATMultiHeadBackwardMatchesNumericalGradient(t *testing.T) {
 
 func TestGATMultiHeadTrains(t *testing.T) {
 	d := datasets.MustLoad("cora")
-	adj := graph.Normalize(d.Graph)
-	m := NewGATMultiHead([]int{d.NumFeatures(), 16, d.NumClasses}, 4, 1)
-	res := TrainGAT(m, adj, d.Features, d.Labels, d.TrainMask, d.ValIdx(), d.TestIdx(), 30, 0.01)
+	m := NewGAT([]int{d.NumFeatures(), 16, d.NumClasses}, 4, 1)
+	res := TrainFullGraph(m, d, 30, 0.01)
 	if res.TestAccuracy < 0.75 {
 		t.Fatalf("4-head GAT reached only %.3f", res.TestAccuracy)
 	}

@@ -14,8 +14,12 @@ var modelMagic = [4]byte{'E', 'C', 'G', 1}
 
 // Save writes the model (kind, dims and all parameters) to w in a compact
 // little-endian binary format, so trained models survive process restarts
-// and can be shipped between the trainer and downstream inference.
+// and can be shipped between the trainer and downstream inference. The
+// format has no head count, so a GAT model is refused.
 func (m *Model) Save(w io.Writer) error {
+	if m.Kind == KindGAT {
+		return fmt.Errorf("nn: the model format cannot hold a GAT model")
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(modelMagic[:]); err != nil {
 		return err

@@ -100,3 +100,12 @@ func TestSavedModelPredictsIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveRefusesGAT: the format records no head count, so a GAT model is
+// refused rather than written as a file Load would misread.
+func TestSaveRefusesGAT(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewGAT([]int{4, 6, 3}, 2, 1).Save(&buf); err == nil {
+		t.Fatal("Save(GAT) succeeded")
+	}
+}

@@ -312,6 +312,9 @@ func (s *Service) SwapModel(m *nn.Model) error {
 }
 
 func (s *Service) swapModel(m *nn.Model) error {
+	if m.Kind == nn.KindGAT {
+		return fmt.Errorf("serve: GAT models cannot be served (the shards aggregate with Â's weights, not attention)")
+	}
 	if m.Dims[0] != s.cfg.Features.Cols {
 		return fmt.Errorf("serve: model wants %d input features, graph has %d", m.Dims[0], s.cfg.Features.Cols)
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -509,5 +510,19 @@ func TestServiceValidation(t *testing.T) {
 	}
 	if svc.ActiveVersion() == 0 {
 		t.Fatal("successful swap must activate")
+	}
+}
+
+// TestSwapModelRefusesGAT: the shards serve Â-weighted aggregations only,
+// so a GAT model is refused with an error and nothing is installed.
+func TestSwapModelRefusesGAT(t *testing.T) {
+	d := datasets.MustLoad("cora")
+	svc := newTestService(t, d, Config{Shards: 2})
+	gat := nn.NewGAT([]int{d.NumFeatures(), 8, d.NumClasses}, 2, 1)
+	if err := svc.SwapModel(gat); err == nil || !strings.Contains(err.Error(), "GAT") {
+		t.Fatalf("SwapModel(GAT) = %v, want a GAT refusal", err)
+	}
+	if svc.ActiveVersion() != 0 {
+		t.Fatal("refused swap must not activate a version")
 	}
 }

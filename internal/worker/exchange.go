@@ -447,19 +447,23 @@ func (w *Worker) Handler() transport.Handler {
 				// Under ecMu: a leaked handler goroutine from an abandoned
 				// timed-out attempt may still be in here while supervised
 				// recovery resets the responder state.
-				w.ecMu.Lock()
-				bits := w.fpBitsLocked()
-				resp := w.fpResp[l][requester]
-				if resp.OutOfSync(t, seq) {
-					// The requester decodes against a base this end does not
-					// hold (it lost a boundary): start the pair over with an
-					// exact round instead of a trend group of wrong rows.
-					resp.Reset()
-					resp.ForceExact()
-					w.obs.rebaselines.Inc()
-				}
-				payload, stats := resp.Respond(m, t, bits)
-				w.ecMu.Unlock()
+				var bits int
+				var payload []byte
+				var stats ec.RespondStats
+				w.underEC(func() {
+					bits = w.fpBitsLocked()
+					resp := w.fpResp[l][requester]
+					if resp.OutOfSync(t, seq) {
+						// The requester decodes against a base this end does
+						// not hold (it lost a boundary): start the pair over
+						// with an exact round instead of a trend group of
+						// wrong rows.
+						resp.Reset()
+						resp.ForceExact()
+						w.obs.rebaselines.Inc()
+					}
+					payload, stats = resp.Respond(m, t, bits)
+				})
 				w.storeLayerBits(l, bits)
 				if !stats.Exact {
 					w.totalRows.Add(int64(stats.Rows))
@@ -486,26 +490,17 @@ func (w *Worker) Handler() transport.Handler {
 			rows := w.serve[l][requester].loc
 			w.obs.getGShipped.Add(float64(len(rows)))
 			w.obs.getGDerived.Add(float64(len(all.loc) - len(rows)))
-			g := w.gStore.Wait(l, t)
-			m := g.GatherRows(int32sToInts(rows))
-			switch w.cfg.Opts.BPScheme {
-			case SchemeRaw:
-				return ec.RespondRaw(m), nil
-			case SchemeCompress:
-				return ec.RespondCompressOnlyGrad(m, w.cfg.Opts.BPBits), nil
-			case SchemeEC:
-				w.ecMu.Lock()
-				payload := w.bpResp[l][requester].Respond(m, w.cfg.Opts.BPBits)
-				w.ecMu.Unlock()
-				return payload, nil
-			case SchemeTopK:
-				w.ecMu.Lock()
-				payload := w.topkResp[l][requester].Respond(m)
-				w.ecMu.Unlock()
-				return payload, nil
-			default:
-				return nil, fmt.Errorf("worker %d: bad BP scheme %v", w.id, w.cfg.Opts.BPScheme)
+			return w.respondBP(l, requester, w.gStore.Wait(l, t).GatherRows(int32sToInts(rows)))
+
+		case MethodGetP:
+			l := int(r.Byte())
+			t := int(r.Uint32())
+			owner := int(r.Int32())
+			slots := w.fetch[0][owner].loc
+			if slots == nil {
+				return nil, fmt.Errorf("worker %d: holds no ghosts of %d", w.id, owner)
 			}
+			return w.respondBP(l, owner, w.pStore.Wait(l, t).GatherRows(int32sToInts(slots)))
 
 		case MethodHandoff:
 			n, err := w.ImportHandoff(req)
@@ -528,6 +523,34 @@ func (w *Worker) Handler() transport.Handler {
 			return nil, fmt.Errorf("worker %d: unknown method %q", w.id, method)
 		}
 	}
+}
+
+// respondBP encodes a backward payload for peer under the BP scheme: getG's
+// G rows for a requester, or getP's partials for an owner.
+func (w *Worker) respondBP(l, peer int, m *tensor.Matrix) (payload []byte, err error) {
+	switch w.cfg.Opts.BPScheme {
+	case SchemeRaw:
+		return ec.RespondRaw(m), nil
+	case SchemeCompress:
+		return ec.RespondCompressOnlyGrad(m, w.cfg.Opts.BPBits), nil
+	case SchemeEC:
+		w.underEC(func() { payload = w.bpResp[l][peer].Respond(m, w.cfg.Opts.BPBits) })
+		return payload, nil
+	case SchemeTopK:
+		w.underEC(func() { payload = w.topkResp[l][peer].Respond(m) })
+		return payload, nil
+	default:
+		return nil, fmt.Errorf("worker %d: bad BP scheme %v", w.id, w.cfg.Opts.BPScheme)
+	}
+}
+
+// underEC runs f holding ecMu, and releases it even when f panics: the
+// handler's recover turns a panicking codec into an error reply, and a lock
+// left held would block every later EC reply of this worker.
+func (w *Worker) underEC(f func()) {
+	w.ecMu.Lock()
+	defer w.ecMu.Unlock()
+	f()
 }
 
 // ResidualNorms returns the current ResEC-BP residual norms per layer

@@ -3,6 +3,7 @@ package worker
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ecgraph/internal/ec"
 	"ecgraph/internal/graph"
@@ -132,5 +133,49 @@ func TestGhostFeaturesRejectMisshapenReply(t *testing.T) {
 		if err := w.FetchGhostFeatures(); err == nil || !strings.Contains(err.Error(), "pair list wants") {
 			t.Fatalf("getX reply with %+d rows: FetchGhostFeatures returned %v", delta, err)
 		}
+	}
+}
+
+// TestECPanicReleasesLock: a codec that panics inside an EC reply (here an
+// invalid bit width) becomes an error reply, and the next EC reply of the
+// worker still runs — the panic must not leave ecMu held. The second call
+// gets a bounded wait; a held lock would block it for good.
+func TestECPanicReleasesLock(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		method string
+		layer  byte
+	}{
+		{"getH", Options{FPScheme: SchemeEC, FPBits: 3}, MethodGetH, 1},
+		{"getG", Options{BPScheme: SchemeEC, BPBits: 3}, MethodGetG, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newTestWorker(t, 0, tc.opts)
+			w.hStore.Put(1, 0, tensor.New(3, 3))
+			w.gStore.Put(2, 0, tensor.New(3, 2))
+			req := transport.NewWriter(16)
+			req.Byte(tc.layer)
+			req.Uint32(0) // epoch
+			req.Int32(1)  // requester
+			req.Byte(0)   // getH: no subset
+			req.Uint32(0) // getH: the requester's boundary
+			if _, err := w.Handler()(tc.method, req.Bytes()); err == nil {
+				t.Fatal("invalid width served without error")
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := w.Handler()(tc.method, req.Bytes())
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("invalid width served without error on the retry")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("second EC reply blocked: ecMu still held after a panicking reply")
+			}
+		})
 	}
 }
