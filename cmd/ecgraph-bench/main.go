@@ -14,21 +14,20 @@ import (
 	"os"
 	"time"
 
+	"ecgraph/internal/cliconf"
 	"ecgraph/internal/datasets"
 	"ecgraph/internal/experiments"
 	"ecgraph/internal/nn"
 	"ecgraph/internal/obs"
-	"ecgraph/internal/profile"
 	"ecgraph/internal/serve"
 )
 
 func main() {
+	common := cliconf.Register(flag.CommandLine, cliconf.Defaults{}, cliconf.Profile)
 	var (
-		exp        = flag.String("exp", "", "experiment id (fig6, fig7, fig8, table2, table4, table5, fig9, fig10, fig11) or 'all'")
-		quick      = flag.Bool("quick", false, "run reduced configurations (small datasets, few epochs)")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		exp   = flag.String("exp", "", "experiment id (fig6, fig7, fig8, table2, table4, table5, fig9, fig10, fig11) or 'all'")
+		quick = flag.Bool("quick", false, "run reduced configurations (small datasets, few epochs)")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address while experiments run (host defaults to 127.0.0.1)")
 
@@ -58,7 +57,7 @@ func main() {
 		return
 	}
 
-	stopProfiles, err := profile.Start(*cpuprofile, *memprofile)
+	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ecgraph-bench:", err)
 		os.Exit(1)

@@ -6,9 +6,9 @@
 //
 // "eval" loads a saved model (nn.Model.SaveFile) or a training checkpoint,
 // runs one full forward pass locally and reports accuracy, macro-F1 and the
-// confusion matrix. "client" sends per-vertex prediction requests to a
-// running ecgraph-serve front door. Legacy invocations without a
-// subcommand ("ecgraph-infer -model m -dataset cora") default to eval.
+// confusion matrix. "client" sends prediction requests for sampled
+// vertices to a running ecgraph-serve front door and scores the answers
+// against the dataset's labels.
 package main
 
 import (
@@ -19,17 +19,22 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"ecgraph/internal/cliconf"
 	"ecgraph/internal/core"
-	"ecgraph/internal/datasets"
 	"ecgraph/internal/graph"
 	"ecgraph/internal/metrics"
 	"ecgraph/internal/nn"
 	"ecgraph/internal/serve"
+)
+
+// A client request carries at most requestBatch vertices and waits at most
+// requestTimeout for its answer.
+const (
+	requestBatch   = 64
+	requestTimeout = 10 * time.Second
 )
 
 func fail(err error) {
@@ -38,12 +43,10 @@ func fail(err error) {
 }
 
 func main() {
-	args := os.Args[1:]
-	sub := "eval" // bare legacy flags keep working: "-model m -dataset cora"
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		sub, args = args[0], args[1:]
+	if len(os.Args) < 2 {
+		fail(fmt.Errorf("need a subcommand: eval or client"))
 	}
-	switch sub {
+	switch sub, args := os.Args[1], os.Args[2:]; sub {
 	case "eval":
 		runEval(args)
 	case "client":
@@ -120,49 +123,34 @@ func runClient(args []string) {
 	fs := flag.NewFlagSet("ecgraph-infer client", flag.ExitOnError)
 	common := cliconf.Register(fs, cliconf.Defaults{}, cliconf.Data|cliconf.Files)
 	var (
-		addr    = fs.String("addr", "http://127.0.0.1:8090", "base URL of a running ecgraph-serve front door")
-		ids     = fs.String("ids", "", "comma-separated vertex ids to classify (instead of -sample)")
-		sample  = fs.Int("sample", 16, "classify this many uniformly sampled vertices (needs -dataset/-edges for the id range)")
-		seed    = fs.Int64("seed", 1, "sampling seed")
-		batch   = fs.Int("batch", 64, "vertices per request")
-		timeout = fs.Duration("timeout", 10*time.Second, "per-request HTTP timeout")
-		quiet   = fs.Bool("quiet", false, "suppress per-vertex lines, print only the summary")
+		addr   = fs.String("addr", "http://127.0.0.1:8090", "base URL of a running ecgraph-serve front door")
+		sample = fs.Int("sample", 16, "classify this many uniformly sampled vertices of the dataset")
+		quiet  = fs.Bool("quiet", false, "suppress per-vertex lines, print only the summary")
 	)
 	if err := fs.Parse(args); err != nil {
 		fail(err)
 	}
-
-	// The dataset is optional for explicit -ids; with it, the client also
-	// scores the served classes against the labels.
-	var d *datasets.Dataset
-	if dd, err := common.LoadDataset(); err == nil {
-		d = dd
-	} else if *ids == "" {
-		fail(fmt.Errorf("need -ids, or a dataset to sample from (%v)", err))
+	if *sample < 1 {
+		fail(fmt.Errorf("-sample must be at least 1, got %d", *sample))
+	}
+	// The dataset gives the id range to sample from and the labels the
+	// served classes are scored against.
+	d, err := common.LoadDataset()
+	if err != nil {
+		fail(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	vertices := make([]int, *sample)
+	for i := range vertices {
+		vertices[i] = rng.Intn(d.Graph.N)
 	}
 
-	var vertices []int
-	if *ids != "" {
-		for _, s := range strings.Split(*ids, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fail(fmt.Errorf("bad vertex id %q", s))
-			}
-			vertices = append(vertices, id)
-		}
-	} else {
-		rng := rand.New(rand.NewSource(*seed))
-		for i := 0; i < *sample; i++ {
-			vertices = append(vertices, rng.Intn(d.Graph.N))
-		}
-	}
-
-	client := &http.Client{Timeout: *timeout}
+	client := &http.Client{Timeout: requestTimeout}
 	var version uint32
 	ok, failed, agree, labeled := 0, 0, 0, 0
 	t0 := time.Now()
-	for off := 0; off < len(vertices); off += *batch {
-		end := off + *batch
+	for off := 0; off < len(vertices); off += requestBatch {
+		end := off + requestBatch
 		if end > len(vertices) {
 			end = len(vertices)
 		}
@@ -180,7 +168,7 @@ func runClient(args []string) {
 				continue
 			}
 			ok++
-			if d != nil && r.Vertex < len(d.Labels) {
+			if r.Vertex < len(d.Labels) {
 				labeled++
 				if int(d.Labels[r.Vertex]) == r.Class {
 					agree++

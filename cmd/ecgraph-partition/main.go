@@ -9,22 +9,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"ecgraph/internal/datasets"
+	"ecgraph/internal/cliconf"
 	"ecgraph/internal/metrics"
 	"ecgraph/internal/partition"
 )
 
 func main() {
-	var (
-		dataset = flag.String("dataset", "cora", "dataset preset: "+strings.Join(datasets.PresetNames(), ", "))
-		k       = flag.Int("k", 6, "number of partitions")
-	)
+	common := cliconf.Register(flag.CommandLine, cliconf.Defaults{Dataset: "cora"}, cliconf.Data)
+	k := flag.Int("k", 6, "number of partitions")
 	flag.Parse()
 
-	d, err := datasets.Load(*dataset)
+	d, err := common.LoadDataset()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ecgraph-partition: %v\n", err)
 		os.Exit(1)

@@ -5,7 +5,7 @@
 // the metrics server — one port carries /v1/*, /metrics and /debug/pprof.
 //
 //	ecgraph-train -dataset cora -epochs 30 -save-model /tmp/cora.model
-//	ecgraph-serve -dataset cora -model /tmp/cora.model -addr 127.0.0.1:8090
+//	ecgraph-serve -dataset cora -model /tmp/cora.model -metrics-addr 127.0.0.1:8090
 //	curl -s localhost:8090/v1/predict -d '{"vertices":[0,1,2]}'
 //	curl -s localhost:8090/v1/swap    -d '{"model":"/tmp/cora2.model"}'
 //
@@ -23,7 +23,6 @@ import (
 	"ecgraph/internal/cliconf"
 	"ecgraph/internal/core"
 	"ecgraph/internal/obs"
-	"ecgraph/internal/partition"
 	"ecgraph/internal/serve"
 	"ecgraph/internal/tensor"
 )
@@ -34,9 +33,7 @@ func main() {
 		cliconf.Data|cliconf.Files|cliconf.Obs)
 	var (
 		modelPath = flag.String("model", "", "saved model (ecgraph-train -save-model) or training checkpoint (.eck) to serve")
-		addr      = flag.String("addr", "", "front-door address (alias for -metrics-addr; the API shares the metrics listener)")
 		shards    = flag.Int("shards", 2, "serving replicas the graph is sharded across")
-		part      = flag.String("partitioner", "hash", "partitioner: hash or metis")
 
 		queueDepth   = flag.Int("queue-depth", 256, "admission queue bound, in requests; arrivals beyond it get 429")
 		maxBatch     = flag.Int("max-batch", 256, "max vertices coalesced into one SpMM batch (while every round slot is busy)")
@@ -52,15 +49,8 @@ func main() {
 	if *modelPath == "" {
 		fail(fmt.Errorf("-model is required"))
 	}
-	if *addr != "" {
-		common.MetricsAddr = *addr
-	}
 	if common.MetricsAddr == "" {
-		fail(fmt.Errorf("-addr (or -metrics-addr) is required: the service is its HTTP endpoint"))
-	}
-	p, err := partition.ByName(*part)
-	if err != nil {
-		fail(err)
+		fail(fmt.Errorf("-metrics-addr is required: the service is its HTTP endpoint"))
 	}
 	if err := common.Validate(); err != nil {
 		fail(err)
@@ -82,7 +72,6 @@ func main() {
 		Graph:           d.Graph,
 		Features:        d.Features,
 		Shards:          *shards,
-		Partitioner:     p,
 		QueueDepth:      *queueDepth,
 		MaxBatch:        *maxBatch,
 		InflightBatches: *inflight,
@@ -100,8 +89,8 @@ func main() {
 		fail(err)
 	}
 
-	fmt.Printf("serving %s: %d vertices over %d shards (%s partition), %s kernel\n",
-		d.Name, d.Graph.N, *shards, p.Name(), tensor.Kernel())
+	fmt.Printf("serving %s: %d vertices over %d shards (hash partition), %s kernel\n",
+		d.Name, d.Graph.N, *shards, tensor.Kernel())
 	if err := s.SwapModel(model); err != nil {
 		fail(err)
 	}

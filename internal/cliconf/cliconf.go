@@ -1,12 +1,12 @@
 // Package cliconf is the shared flag/config surface of the EC-Graph CLIs.
-// ecgraph-train, ecgraph-tcpdemo, ecgraph-serve and ecgraph-infer register
-// the flags they have in common through one builder — same names, same
-// help text, same validation — so the binaries cannot drift apart, and a
-// main() shrinks to parse → Build → run.
+// ecgraph-train, ecgraph-serve, ecgraph-infer, ecgraph-partition and
+// ecgraph-bench register the flags they have in common through one
+// builder — same names, same help text, same validation — so the binaries
+// cannot drift apart, and a main() shrinks to parse → Build → run.
 //
 // Flags are grouped (dataset selection, cluster shape, supervision,
-// parameter-server tier, telemetry); each CLI opts into the groups it
-// supports and keeps its genuinely private flags local.
+// parameter-server tier, telemetry, profiling); each CLI opts into the
+// groups it supports and keeps its genuinely private flags local.
 package cliconf
 
 import (
@@ -18,6 +18,7 @@ import (
 
 	"ecgraph/internal/datasets"
 	"ecgraph/internal/obs"
+	"ecgraph/internal/profile"
 	"ecgraph/internal/supervise"
 	"ecgraph/internal/tensor"
 )
@@ -33,21 +34,22 @@ const (
 	Files
 	// Cluster registers -workers, -servers, -epochs and -net-concurrency.
 	Cluster
-	// Supervision registers -supervise, -heartbeat, -suspect-after,
-	// -dead-after and -auto-rollback.
+	// Supervision registers -supervise, -heartbeat and -auto-rollback.
 	Supervision
 	// PS registers -ps-replicas and -ps-failover.
 	PS
 	// Obs registers -metrics-addr and -events-out.
 	Obs
+	// Profile registers -cpuprofile and -memprofile.
+	Profile
 
 	// All is every shared group.
-	All = Data | Files | Cluster | Supervision | PS | Obs
+	All = Data | Files | Cluster | Supervision | PS | Obs | Profile
 )
 
-// Defaults carries the per-CLI defaults for shared flags (the demo wants a
-// smaller cluster than the trainer; the server wants its endpoint on by
-// default).
+// Defaults carries the per-CLI defaults for shared flags (the server wants
+// its endpoint on by default; the CLIs without a cluster leave its shape
+// zero).
 type Defaults struct {
 	Dataset     string
 	Workers     int
@@ -72,8 +74,6 @@ type Common struct {
 
 	Supervise    bool
 	Heartbeat    time.Duration
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
 	AutoRollback bool
 
 	PSReplicas int
@@ -81,6 +81,9 @@ type Common struct {
 
 	MetricsAddr string
 	EventsOut   string
+
+	CPUProfile string
+	MemProfile string
 }
 
 // Register installs the selected shared flag groups on fs with the given
@@ -106,11 +109,7 @@ func Register(fs *flag.FlagSet, d Defaults, groups Groups) *Common {
 		fs.BoolVar(&c.Supervise, "supervise", false,
 			"enable heartbeat failure detection, automatic worker recovery and straggler tolerance")
 		fs.DurationVar(&c.Heartbeat, "heartbeat", 25*time.Millisecond,
-			"heartbeat interval between workers and the monitor (with -supervise)")
-		fs.DurationVar(&c.SuspectAfter, "suspect-after", 0,
-			"heartbeat silence before a worker is suspect (default 5x -heartbeat)")
-		fs.DurationVar(&c.DeadAfter, "dead-after", 0,
-			"heartbeat silence before a worker is declared dead (default 15x -heartbeat)")
+			"heartbeat interval between workers and the monitor (with -supervise); a worker silent for 5 intervals is suspect, for 15 dead")
 		fs.BoolVar(&c.AutoRollback, "auto-rollback", false,
 			"roll back to the latest checkpoint and replay when recovery fails or a numeric guard trips (implies -supervise)")
 	}
@@ -126,12 +125,26 @@ func Register(fs *flag.FlagSet, d Defaults, groups Groups) *Common {
 		fs.StringVar(&c.EventsOut, "events-out", "",
 			"append one JSONL epoch event per worker per epoch to this file")
 	}
+	if groups&Profile != 0 {
+		fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile at exit to this file")
+	}
 	return c
 }
 
-// Validate applies the cross-flag constraints of the registered groups —
-// the checks ecgraph-train and ecgraph-tcpdemo used to duplicate.
+// Validate applies the constraints of the registered groups, each error
+// naming the flag it rejects.
 func (c *Common) Validate() error {
+	if c.groups&Cluster != 0 {
+		for _, f := range []struct {
+			name string
+			v    int
+		}{{"-workers", c.Workers}, {"-servers", c.Servers}, {"-epochs", c.Epochs}} {
+			if f.v < 1 {
+				return fmt.Errorf("%s must be at least 1, got %d", f.name, f.v)
+			}
+		}
+	}
 	if c.groups&PS != 0 {
 		if c.PSReplicas < 0 || c.PSReplicas > 1 {
 			return fmt.Errorf("-ps-replicas must be 0 or 1")
@@ -169,12 +182,13 @@ func (c *Common) SuperviseOptions() *supervise.Options {
 	if !c.Supervise && !c.AutoRollback {
 		return nil
 	}
-	return &supervise.Options{
-		HeartbeatInterval: c.Heartbeat,
-		SuspectAfter:      c.SuspectAfter,
-		DeadAfter:         c.DeadAfter,
-		AutoRollback:      c.AutoRollback,
-	}
+	return &supervise.Options{HeartbeatInterval: c.Heartbeat, AutoRollback: c.AutoRollback}
+}
+
+// StartProfiles starts the pprof profiles the Profile flags ask for; the
+// returned stop must run once before exit.
+func (c *Common) StartProfiles() (stop func(), err error) {
+	return profile.Start(c.CPUProfile, c.MemProfile)
 }
 
 // Telemetry is the running observability surface a CLI builds from its

@@ -20,7 +20,7 @@ func TestRegisterGroupsAreSelective(t *testing.T) {
 	if fs.Lookup("dataset") == nil || fs.Lookup("workers") == nil {
 		t.Fatal("registered groups must install their flags")
 	}
-	for _, name := range []string{"edges", "supervise", "ps-replicas", "metrics-addr"} {
+	for _, name := range []string{"edges", "supervise", "ps-replicas", "metrics-addr", "cpuprofile"} {
 		if fs.Lookup(name) != nil {
 			t.Fatalf("unselected group's flag %q must not be registered", name)
 		}
@@ -68,11 +68,16 @@ func TestValidateRejectsBadPSCombos(t *testing.T) {
 		{"replicas-out-of-range", []string{"-ps-replicas", "2"}, "-ps-replicas"},
 		{"failover-without-supervise", []string{"-ps-replicas", "1", "-ps-failover"}, "-supervise"},
 		{"failover-without-replica", []string{"-supervise", "-ps-failover"}, "-ps-replicas 1"},
+		// A zero cluster shape is an error, not the engine's silent default.
+		{"zero-workers", []string{"-workers", "0"}, "-workers"},
+		{"zero-servers", []string{"-servers", "0"}, "-servers"},
+		{"zero-epochs", []string{"-epochs", "0"}, "-epochs"},
+		{"negative-workers", []string{"-workers", "-2"}, "-workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := newFS(t)
-			c := Register(fs, Defaults{Dataset: "cora"}, All)
+			c := Register(fs, Defaults{Dataset: "cora", Workers: 2, Servers: 1, Epochs: 1}, All)
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatal(err)
 			}

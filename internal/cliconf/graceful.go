@@ -10,8 +10,8 @@ import (
 
 // Graceful runs registered closers exactly once — on SIGINT/SIGTERM or on
 // the normal exit path, whichever comes first — so a long-running CLI
-// (ecgraph-serve, ecgraph-train -metrics-addr, ecgraph-tcpdemo) drains its
-// queues, flushes its event log and closes its HTTP listener instead of
+// (ecgraph-serve, ecgraph-train -metrics-addr or -net tcp) drains its
+// queues, flushes its event log and closes its listeners instead of
 // dying mid-write. A second signal skips the drain and exits immediately.
 type Graceful struct {
 	name string

@@ -214,26 +214,41 @@ func TestSAGEKindTrains(t *testing.T) {
 	}
 }
 
+// TestOverTCPSockets trains over real loopback sockets and holds the run to
+// the in-process network's: the transport is a deployment choice, so every
+// epoch's loss and accuracies match bit for bit. Bytes are not compared —
+// TCP frames them differently.
 func TestOverTCPSockets(t *testing.T) {
 	cfg := coraConfig(3)
 	cfg.Workers = 2
 	cfg.Servers = 1
+	cfg.Worker = worker.Options{FPScheme: worker.SchemeEC, BPScheme: worker.SchemeEC, FPBits: 4, BPBits: 4, Ttr: 10}
+	inproc, err := Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	net, err := transport.NewTCPCluster(cfg.Workers + cfg.Servers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
 	cfg.Net = net
-	cfg.Worker = worker.Options{FPScheme: worker.SchemeEC, BPScheme: worker.SchemeEC, FPBits: 4, BPBits: 4, Ttr: 10}
 	res, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Epochs) != 3 {
-		t.Fatalf("expected 3 epochs, got %d", len(res.Epochs))
+	if len(res.Epochs) != 3 || len(inproc.Epochs) != 3 {
+		t.Fatalf("expected 3 epochs each, got %d over TCP and %d in process", len(res.Epochs), len(inproc.Epochs))
 	}
 	if res.Epochs[0].Bytes == 0 {
 		t.Fatalf("no traffic counted over TCP")
+	}
+	for i, e := range res.Epochs {
+		w := inproc.Epochs[i]
+		if e.Loss != w.Loss || e.ValAcc != w.ValAcc || e.TestAcc != w.TestAcc {
+			t.Fatalf("epoch %d over TCP: loss %v val %v test %v; in process: loss %v val %v test %v",
+				i, e.Loss, e.ValAcc, e.TestAcc, w.Loss, w.ValAcc, w.TestAcc)
+		}
 	}
 }
 
