@@ -55,10 +55,7 @@ func (q *Quantized) Block() *Blocked {
 	}
 	q.Packed = nil // ownership moves; see Release
 	// One global domain on the wire → one shared table, aliased per block.
-	lut := make([]float32, 1<<q.Bits)
-	for id := range lut {
-		lut[id] = q.BucketValue(id)
-	}
+	lut := q.Values(nil)
 	for i := range b.luts {
 		b.luts[i] = lut
 	}

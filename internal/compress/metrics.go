@@ -8,14 +8,17 @@ import (
 	"ecgraph/internal/obs"
 )
 
-// Package-level codec counters, indexed by the ValidBits menu. They are
-// always on — two atomic adds per compressed matrix is noise next to the
-// packing itself — and exported to a registry only when RegisterMetrics
-// is called, via a scrape hook that copies the totals into gauges.
+// Package-level codec counters, indexed by the ValidBits menu. They count
+// the quantised matrices that go on the wire — CountWire, which the
+// transport codec's Writer.Quantized calls — not every quantisation: a
+// responder's scratch quantisation that never ships is not traffic. They
+// are always on (four atomic adds per shipped matrix is noise next to
+// packing it) and exported to a registry only when RegisterMetrics is
+// called, via a scrape hook that copies the totals into gauges.
 var codecStats struct {
-	calls     [8]atomic.Int64 // matrices compressed at ValidBits[i]
-	rows      [8]atomic.Int64 // matrix rows compressed at ValidBits[i]
-	wireBytes [8]atomic.Int64 // wire bytes produced at ValidBits[i]
+	calls     [8]atomic.Int64 // matrices shipped at ValidBits[i]
+	rows      [8]atomic.Int64 // matrix rows shipped at ValidBits[i]
+	wireBytes [8]atomic.Int64 // wire bytes of those matrices
 	rawBytes  [8]atomic.Int64 // float32 bytes those matrices would have cost
 }
 
@@ -28,7 +31,9 @@ func bitsIndex(bits int) int {
 	return -1
 }
 
-func recordCompress(q *Quantized) {
+// CountWire adds q to the codec counters: one matrix of q.Rows rows put on
+// the wire at q.Bits.
+func CountWire(q *Quantized) {
 	i := bitsIndex(q.Bits)
 	if i < 0 {
 		return
@@ -43,9 +48,9 @@ var registerOnce sync.Map // *obs.Registry → struct{}
 
 // RegisterMetrics exports the codec totals on reg:
 //
-//	ecgraph_compress_calls{bits}       matrices compressed
-//	ecgraph_compress_rows{bits}        rows compressed
-//	ecgraph_compress_wire_bytes{bits}  bytes after B-bit packing
+//	ecgraph_compress_calls{bits}       quantised matrices put on the wire
+//	ecgraph_compress_rows{bits}        rows of those matrices
+//	ecgraph_compress_wire_bytes{bits}  their bytes after B-bit packing
 //	ecgraph_compress_raw_bytes{bits}   bytes the same data costs uncompressed
 //
 // All four are monotonic since process start (exposed as gauges because
@@ -59,9 +64,9 @@ func RegisterMetrics(reg *obs.Registry) {
 		return
 	}
 	calls := reg.GaugeVec("ecgraph_compress_calls",
-		"Matrices compressed per bit width (monotonic).", "bits")
+		"Quantised matrices put on the wire per bit width (monotonic).", "bits")
 	rows := reg.GaugeVec("ecgraph_compress_rows",
-		"Matrix rows compressed per bit width (monotonic).", "bits")
+		"Rows of the quantised matrices put on the wire per bit width (monotonic).", "bits")
 	wire := reg.GaugeVec("ecgraph_compress_wire_bytes",
 		"Wire bytes produced per bit width (monotonic).", "bits")
 	raw := reg.GaugeVec("ecgraph_compress_raw_bytes",

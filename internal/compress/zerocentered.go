@@ -37,12 +37,8 @@ func CompressZeroCentered(m *tensor.Matrix, bits int) *Quantized {
 	}
 	n := m.Rows * m.Cols
 	perWord := 64 / bits
-	q := &Quantized{
-		Rows: m.Rows, Cols: m.Cols, Bits: bits, Lo: -mx, Hi: mx,
-		ZeroCentered: true,
-		Packed:       getPacked((n + perWord - 1) / perWord),
-	}
-	recordCompress(q)
+	q := NewQuantized(m.Rows, m.Cols, bits, -mx, mx)
+	q.ZeroCentered = true
 	if n == 0 || mx == 0 {
 		// All zeros: every id is 0, which decodes to 0 (Hi ≤ Lo).
 		return q
@@ -79,9 +75,9 @@ func CompressZeroCentered(m *tensor.Matrix, bits int) *Quantized {
 }
 
 // zeroCenteredValue returns the representative of level id for a
-// zero-centred Quantized — the one decode site (BucketValue, and through it
-// DecompressInto's table and the Blocked LUTs). Levels count from the
-// middle so that level mid is exactly +0 at every width.
+// zero-centred Quantized — the one decode site (BucketValue and Values, and
+// through Values DecompressInto's table and the Blocked LUTs). Levels count
+// from the middle so that level mid is exactly +0 at every width.
 func (q *Quantized) zeroCenteredValue(id int) float32 {
 	if q.Hi <= q.Lo {
 		return 0

@@ -13,6 +13,7 @@
 package ec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -83,10 +84,8 @@ type ForwardResponder struct {
 	derived    byte
 	forceExact bool // the next new round is a boundary whatever its number
 
-	// Hot-path scratch of the in-group rounds, reallocated only when the
-	// pair's shape changes: the decode of the quantised rows (compacted in
-	// place into the rows that travel) and the selector ids.
-	cps *tensor.Matrix
+	// The packed selector of the in-group rounds, reallocated only when the
+	// pair's row count changes.
 	sel []byte
 }
 
@@ -201,52 +200,75 @@ func encodeExact(h *tensor.Matrix, derived byte, seq uint32) []byte {
 	return w.Bytes()
 }
 
+// respondSelected builds an in-group reply. Without a trend baseline (the
+// first group of the run) only the compressed approximation exists, and an
+// all-compressed selector is encoded compactly as "no selector" (flag 0).
 func (r *ForwardResponder) respondSelected(h *tensor.Matrix, t, bits int) ([]byte, RespondStats) {
-	q := compress.Compress(h, bits)
-	defer q.Release()
-
 	stats := RespondStats{Rows: h.Rows}
-	w := transport.NewWriter(2 + h.Rows*h.Cols)
-	w.Byte(schemeSelected)
-
-	if r.hLast == nil {
-		// No trend baseline yet (first group of the run): only the
-		// compressed approximation exists. An all-compressed selector is
-		// encoded compactly as "no selector" (flag 0).
+	switch {
+	case r.hLast == nil:
+		q := compress.Compress(h, bits)
+		defer q.Release()
+		w := transport.NewWriter(2 + transport.QuantizedSize(q))
+		w.Byte(schemeSelected)
 		w.Byte(0)
 		w.Quantized(q)
 		return w.Bytes(), stats
+	case !h.SameShape(r.hLast):
+		panic(fmt.Sprintf("ec: in-group rows %dx%d over a %dx%d base", h.Rows, h.Cols, r.hLast.Rows, r.hLast.Cols))
+	case r.Granularity == GranularityMatrix:
+		return r.respondMatrixWise(h, t, bits, stats)
 	}
 
-	if r.cps == nil || !r.cps.SameShape(h) {
-		r.cps = tensor.New(h.Rows, h.Cols)
-		r.sel = make([]byte, h.Rows)
+	// One walk per vertex (DESIGN.md §7): per element, in the order the
+	// whole-matrix form used — the bucket id of x over the matrix's domain
+	// and its value c (Ĥ_cps), Ĥ_pdt = H_base + M_cr·k (Eq. 7),
+	// Ĥ_avg = (Ĥ_pdt + Ĥ_cps)/2 (Eq. 9), each rounded to float32 — and the
+	// three L1 distances to h (Eq. 10); then the arg-min. Rows that need
+	// data on the wire (§IV-B: predicted rows "do not need to send the
+	// compressed values") travel as the ids of c re-quantised over the same
+	// domain, which is what quantising the decoded rows again gives. They
+	// are packed as the walk goes; a row that turns out predicted rewinds
+	// the packer to where the row began. Both per-id maps are tables of
+	// 2^B entries: values[id] is c, requant[id] the id c re-quantises to.
+	lo, hi := h.MinMax()
+	q := compress.NewQuantized(h.Rows, h.Cols, bits, lo, hi)
+	defer q.Release()
+	g := q.Grid()
+	var valueBuf [256]float32
+	var requantBuf [256]uint16
+	values, requant := q.Values(valueBuf[:]), requantBuf[:]
+	if len(values) > len(requant) {
+		requant = make([]uint16, len(values))
 	}
-	cps := q.DecompressInto(r.cps)
-	k := float32(t%r.Ttr + 1)
-
-	if r.Granularity == GranularityMatrix {
-		return r.respondMatrixWise(h, cps, k, q, w, stats)
+	for id, c := range values {
+		requant[id] = uint16(g.ID(c))
 	}
-
-	// One pass per vertex over the three candidates and their L1 distances
-	// to h (Eq. 10), element by element in the order the whole-matrix form
-	// used — Ĥ_pdt = H_base + M_cr·k (Eq. 7), Ĥ_avg = (Ĥ_pdt + Ĥ_cps)/2
-	// (Eq. 9), each intermediate rounded to float32 — then the arg-min.
-	// Rows that need data on the wire (§IV-B: predicted rows "do not need
-	// to send the compressed values") are compacted to the front of cps.
-	cols, kept := h.Cols, 0
+	if len(r.sel) != (h.Rows+3)/4 {
+		r.sel = make([]byte, (h.Rows+3)/4)
+	}
+	clear(r.sel)
+	k := trendStep(t, r.Ttr)
+	words, kept := q.Packed, 0
+	var word uint64
+	wi, shift := 0, 0
 	for v := 0; v < h.Rows; v++ {
-		hr, cr := h.Row(v), cps.Row(v)
-		br, mr := r.hLast.Row(v), r.mcr.Row(v)
+		hr, br, mr := h.Row(v), r.hLast.Row(v), r.mcr.Row(v)
+		rowWord, rowWI, rowShift := word, wi, shift
 		var dc, dp, da float64
 		for j, x := range hr {
-			c := cr[j]
-			p := br[j] + float32(k*mr[j])
+			id := g.ID(x)
+			c := values[id]
+			p := predict(br[j], mr[j], k)
 			a := float32(p+c) * 0.5
 			dc += math.Abs(float64(x - c))
 			dp += math.Abs(float64(x - p))
 			da += math.Abs(float64(x - a))
+			word |= uint64(requant[id]) << shift
+			if shift += bits; shift == 64 {
+				words[wi] = word
+				wi, word, shift = wi+1, 0, 0
+			}
 		}
 		best := SelCompressed
 		bd := dc
@@ -256,31 +278,62 @@ func (r *ForwardResponder) respondSelected(h *tensor.Matrix, t, bits int) ([]byt
 		if da < bd {
 			best = SelAverage
 		}
-		r.sel[v] = byte(best)
+		setSelector(r.sel, v, byte(best))
 		switch best {
 		case SelPredicted:
 			stats.Predicted++
+			word, wi, shift = rowWord, rowWI, rowShift
 			continue
 		case SelAverage:
 			stats.Average++
 		}
-		copy(cps.Data[kept*cols:(kept+1)*cols], cr)
 		kept++
 	}
-	filtered := compress.CompressWithRange(tensor.FromSlice(kept, cols, cps.Data[:kept*cols]), bits, q.Lo, q.Hi)
+	if shift > 0 {
+		words[wi] = word
+	}
+	q.TruncateRows(kept)
 
+	w := transport.NewWriter(2 + 4 + len(r.sel) + 4 + transport.QuantizedSize(q))
+	w.Byte(schemeSelected)
 	w.Byte(1)
-	w.Uint8s(packSelector(r.sel))
-	w.Uint32(uint32(len(r.sel)))
-	w.Quantized(filtered)
-	filtered.Release()
+	w.Uint8s(r.sel)
+	w.Uint32(uint32(h.Rows))
+	w.Quantized(q)
 	return w.Bytes(), stats
+}
+
+// trendStep is k = t mod T_tr + 1, the number of M_cr steps iteration t
+// lies past the last trend boundary.
+func trendStep(t, ttr int) float32 { return float32(t%ttr + 1) }
+
+// predict is one element of Ĥ_pdt = H_base + M_cr·k (Eq. 7), the product
+// rounded to float32 before the sum. Every prediction — the responder's
+// selector, the requester's decode of both selectors and its degraded
+// fallback — is this expression, so both ends agree bit for bit.
+func predict(base, mcr, k float32) float32 { return base + float32(k*mcr) }
+
+// predictRow writes predict over a row (or a whole matrix's data) into dst.
+func predictRow(dst, base, mcr []float32, k float32) {
+	for j, b := range base {
+		dst[j] = predict(b, mcr[j], k)
+	}
+}
+
+// predicted returns Ĥ_pdt for the trend state base, mcr at step k.
+func predicted(base, mcr *tensor.Matrix, k float32) *tensor.Matrix {
+	out := tensor.New(base.Rows, base.Cols)
+	predictRow(out.Data, base.Data, mcr.Data, k)
+	return out
 }
 
 // respondMatrixWise picks one approximation for the entire message: a
 // single id byte plus, unless predicted wins, the compressed matrix.
-func (r *ForwardResponder) respondMatrixWise(h, cps *tensor.Matrix, k float32, q *compress.Quantized, w *transport.Writer, stats RespondStats) ([]byte, RespondStats) {
-	pdt := r.hLast.Add(r.mcr.Scale(k))
+func (r *ForwardResponder) respondMatrixWise(h *tensor.Matrix, t, bits int, stats RespondStats) ([]byte, RespondStats) {
+	q := compress.Compress(h, bits)
+	defer q.Release()
+	cps := q.Decompress()
+	pdt := predicted(r.hLast, r.mcr, trendStep(t, r.Ttr))
 	avg := pdt.Add(cps).ScaleInPlace(0.5)
 	dc := cps.Sub(h).AbsSum()
 	dp := pdt.Sub(h).AbsSum()
@@ -293,6 +346,8 @@ func (r *ForwardResponder) respondMatrixWise(h, cps *tensor.Matrix, k float32, q
 	if da < bd {
 		best = SelAverage
 	}
+	w := transport.NewWriter(2 + 5 + transport.QuantizedSize(q))
+	w.Byte(schemeSelected)
 	w.Byte(2) // matrix-wise selector flag
 	w.Byte(byte(best))
 	w.Uint32(uint32(h.Rows))
@@ -315,24 +370,6 @@ func decompressReleasing(r *transport.Reader) *tensor.Matrix {
 	m := q.Decompress()
 	q.Release()
 	return m
-}
-
-// packSelector packs 2-bit approximation ids, four per byte (the paper
-// ships 2 bits per vertex).
-func packSelector(sel []byte) []byte {
-	out := make([]byte, (len(sel)+3)/4)
-	for i, s := range sel {
-		out[i/4] |= (s & 3) << (uint(i%4) * 2)
-	}
-	return out
-}
-
-func unpackSelector(packed []byte, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = (packed[i/4] >> (uint(i%4) * 2)) & 3
-	}
-	return out
 }
 
 // ForwardRequester mirrors ForwardResponder on the requesting end (Alg. 3):
@@ -397,8 +434,7 @@ func (q *ForwardRequester) Predict(t int) (pdt *tensor.Matrix, ok bool) {
 	if q.hBase == nil {
 		return nil, false
 	}
-	k := float32(t%q.Ttr + 1)
-	return q.hBase.Add(q.mcr.Scale(k)), true
+	return predicted(q.hBase, q.mcr, trendStep(t, q.Ttr)), true
 }
 
 // Parse decodes a ReqEC-FP payload for iteration t into the reconstructed
@@ -443,8 +479,7 @@ func (q *ForwardRequester) Parse(payload []byte, t int) *tensor.Matrix {
 				if q.hBase == nil {
 					panic("ec: matrix-wise prediction before any trend baseline")
 				}
-				k := float32(t%q.Ttr + 1)
-				pdt = q.hBase.Add(q.mcr.Scale(k))
+				pdt = predicted(q.hBase, q.mcr, trendStep(t, q.Ttr))
 				if pdt.Rows != n {
 					panic(fmt.Sprintf("ec: matrix-wise row mismatch %d vs %d", pdt.Rows, n))
 				}
@@ -464,42 +499,85 @@ func (q *ForwardRequester) Parse(payload []byte, t int) *tensor.Matrix {
 		default:
 			panic(fmt.Sprintf("ec: invalid selector flag %d", flag))
 		}
-		packed := r.Uint8s()
-		n := int(r.Uint32())
-		if q.hBase == nil {
-			panic("ec: selected payload with selector before any trend baseline")
-		}
-		if n != q.hBase.Rows || len(packed) != (n+3)/4 {
-			panic(fmt.Sprintf("ec: selector for %d rows in %d bytes over a %d-row base", n, len(packed), q.hBase.Rows))
-		}
-		sel := unpackSelector(packed, n)
-		filtered := decompressReleasing(r)
-		k := float32(t%q.Ttr + 1)
-		pdt := q.hBase.Add(q.mcr.Scale(k))
-		out := tensor.New(n, pdt.Cols)
-		fi := 0
-		for v := 0; v < n; v++ {
-			switch sel[v] {
-			case SelPredicted:
-				copy(out.Row(v), pdt.Row(v))
-			case SelCompressed:
-				copy(out.Row(v), filtered.Row(fi))
-				fi++
-			case SelAverage:
-				prow, crow, orow := pdt.Row(v), filtered.Row(fi), out.Row(v)
-				for j := range orow {
-					orow[j] = (prow[j] + crow[j]) / 2
-				}
-				fi++
-			default:
-				panic(fmt.Sprintf("ec: invalid selector id %d", sel[v]))
-			}
-		}
-		return out
+		return q.parseVertexWise(r, t)
 	default:
 		panic(fmt.Sprintf("ec: unexpected forward scheme %d", scheme))
 	}
 }
+
+// parseVertexWise decodes the rest of a vertex-wise selected payload in one
+// walk over the selector, straight from the packed words into the output:
+// a predicted row is Ĥ_pdt, a compressed row the bucket values of its ids,
+// an average row (Ĥ_pdt + Ĥ_cps)/2. The filtered rows must be exactly the
+// non-predicted rows at the base's width.
+func (q *ForwardRequester) parseVertexWise(r *transport.Reader, t int) *tensor.Matrix {
+	packed := r.Uint8s()
+	n := int(r.Uint32())
+	if q.hBase == nil {
+		panic("ec: selected payload with selector before any trend baseline")
+	}
+	if n != q.hBase.Rows || len(packed) != (n+3)/4 {
+		panic(fmt.Sprintf("ec: selector for %d rows in %d bytes over a %d-row base", n, len(packed), q.hBase.Rows))
+	}
+	kept := 0
+	for v := 0; v < n; v++ {
+		switch selectorAt(packed, v) {
+		case SelPredicted:
+		case SelCompressed, SelAverage:
+			kept++
+		default:
+			panic(fmt.Sprintf("ec: invalid selector id %d", selectorAt(packed, v)))
+		}
+	}
+	filtered, words := r.QuantizedWords()
+	cols := q.hBase.Cols
+	if filtered.Rows != kept || filtered.Cols != cols {
+		panic(fmt.Sprintf("ec: %d non-predicted rows of width %d shipped as a %dx%d matrix", kept, cols, filtered.Rows, filtered.Cols))
+	}
+	var small [256]float32
+	var table []float32
+	if kept > 0 {
+		table = filtered.Values(small[:])
+	}
+	bits, mask := uint(filtered.Bits), uint64(1)<<filtered.Bits-1
+	k := trendStep(t, q.Ttr)
+	out := tensor.New(n, cols)
+	var word uint64
+	next, shift := 0, uint(64) // the next word to load, the bit offset in word
+	id := func() uint64 {
+		if shift == 64 {
+			word = binary.LittleEndian.Uint64(words[8*next:])
+			next, shift = next+1, 0
+		}
+		b := word >> shift & mask
+		shift += bits
+		return b
+	}
+	for v := 0; v < n; v++ {
+		orow := out.Row(v)
+		switch selectorAt(packed, v) {
+		case SelPredicted:
+			predictRow(orow, q.hBase.Row(v), q.mcr.Row(v), k)
+		case SelCompressed:
+			for j := range orow {
+				orow[j] = table[id()]
+			}
+		case SelAverage:
+			br, mr := q.hBase.Row(v), q.mcr.Row(v)
+			for j := range orow {
+				orow[j] = (predict(br[j], mr[j], k) + table[id()]) / 2
+			}
+		}
+	}
+	return out
+}
+
+// The selector ships 2 bits per vertex, four vertices per byte (§IV-B).
+// setSelector records vertex v's approximation id in a packed selector
+// whose bits for v are clear; selectorAt reads it back.
+func setSelector(packed []byte, v int, id byte) { packed[v/4] |= id << (uint(v%4) * 2) }
+
+func selectorAt(packed []byte, v int) byte { return packed[v/4] >> (uint(v%4) * 2) & 3 }
 
 // BitTuner adapts the compression bit width from the fraction of vertices
 // whose predicted approximation was selected (§IV-B): > 60 % predicted

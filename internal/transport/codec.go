@@ -132,10 +132,13 @@ func (w *Writer) Matrix(m *tensor.Matrix) {
 	w.float32s(m.Data)
 }
 
-// Quantized appends a compressed matrix: shape, bits, domain and packed ids.
-// Its encoded size matches Quantized.WireBytes within the constant bucket
-// table (which we reconstruct from the domain instead of shipping).
+// Quantized appends a compressed matrix: shape, bits, domain and packed ids,
+// QuantizedSize(q) bytes. Its encoded size matches Quantized.WireBytes
+// within the constant bucket table (which we reconstruct from the domain
+// instead of shipping). This is where a quantised matrix goes on the wire,
+// so it is what the compress package's codec counters count.
 func (w *Writer) Quantized(q *compress.Quantized) {
+	compress.CountWire(q)
 	w.Uint32(uint32(q.Rows))
 	w.Uint32(uint32(q.Cols))
 	w.Byte(byte(q.Bits))
@@ -151,6 +154,9 @@ func (w *Writer) Quantized(q *compress.Quantized) {
 		w.Uint64(word)
 	}
 }
+
+// QuantizedSize returns the number of bytes Writer.Quantized appends for q.
+func QuantizedSize(q *compress.Quantized) int { return 22 + 8*len(q.Packed) }
 
 // Sparse appends a Top-K sparsified matrix: shape plus (index, value)
 // pairs for the kept elements.
@@ -313,7 +319,19 @@ func (r *Reader) Sparse() *compress.Sparse {
 // against the shape, so whatever is decoded from the result (Decompress,
 // Block) allocates in proportion to the bytes that arrived.
 func (r *Reader) Quantized() *compress.Quantized {
-	q := &compress.Quantized{}
+	q, src := r.QuantizedWords()
+	q.Packed = make([]uint64, len(src)/8)
+	for i := range q.Packed {
+		q.Packed[i] = binary.LittleEndian.Uint64(src[8*i:])
+	}
+	return &q
+}
+
+// QuantizedWords reads a compressed matrix with Quantized's checks but
+// leaves its packed words in the payload: q has no Packed, and packed holds
+// them little-endian, aliasing the payload — for a decoder that reads each
+// word once straight into its output.
+func (r *Reader) QuantizedWords() (q compress.Quantized, packed []byte) {
 	q.Rows = int(r.Uint32())
 	q.Cols = int(r.Uint32())
 	q.Bits = int(r.Byte())
@@ -334,9 +352,5 @@ func (r *Reader) Quantized() *compress.Quantized {
 	if len(src)/8 != words || (q.Cols == 0 && q.Rows != 0) {
 		panic(fmt.Sprintf("transport: quantised %dx%d matrix at %d bits in %d words", q.Rows, q.Cols, q.Bits, len(src)/8))
 	}
-	q.Packed = make([]uint64, len(src)/8)
-	for i := range q.Packed {
-		q.Packed[i] = binary.LittleEndian.Uint64(src[8*i:])
-	}
-	return q
+	return q, src
 }

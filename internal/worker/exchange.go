@@ -433,15 +433,14 @@ func (w *Worker) Handler() transport.Handler {
 					sel[i] = rows[p]
 				}
 			}
-			m := h.GatherRows(int32sToInts(sel))
 			switch w.cfg.Opts.FPScheme {
 			case SchemeRaw:
 				w.storeLayerBits(l, 32)
-				return ec.RespondRaw(m), nil
+				return ec.RespondRaw(h.GatherRows(int32sToInts(sel))), nil
 			case SchemeCompress:
 				bits := w.FPBits()
 				w.storeLayerBits(l, bits)
-				return ec.RespondCompressOnly(m, bits), nil
+				return ec.RespondCompressOnly(h.GatherRows(int32sToInts(sel)), bits), nil
 			case SchemeEC:
 				seq := r.Uint32()
 				// Under ecMu: a leaked handler goroutine from an abandoned
@@ -462,6 +461,8 @@ func (w *Worker) Handler() transport.Handler {
 						resp.ForceExact()
 						w.obs.rebaselines.Inc()
 					}
+					m := gatherInto(w.fpRows, h, sel)
+					w.fpRows = m.Data
 					payload, stats = resp.Respond(m, t, bits)
 				})
 				w.storeLayerBits(l, bits)

@@ -214,7 +214,11 @@ type Worker struct {
 	// ecMu serialises access to the responder-side EC state (fpResp,
 	// bpResp, topkResp, tuner), which handler goroutines touch while
 	// supervised recovery may be resetting it; see ResetCompensation.
+	// fpRows is the getH handler's gather of a pair's rows under ReqEC-FP,
+	// reused by every reply this worker serves (it is only touched under
+	// ecMu, and Respond keeps no reference to it).
 	ecMu          sync.Mutex
+	fpRows        []float32
 	tuner         *ec.BitTuner
 	predictedRows atomic.Int64
 	totalRows     atomic.Int64
@@ -499,6 +503,20 @@ func (w *Worker) topGRows() (shipped, derived int) {
 		derived += len(all[i].ids) - len(top[i].ids)
 	}
 	return shipped, derived
+}
+
+// gatherInto copies h's rows into buf's storage, growing it when it is too
+// small, and returns them as a len(rows)×h.Cols matrix.
+func gatherInto(buf []float32, h *tensor.Matrix, rows []int32) *tensor.Matrix {
+	n := len(rows) * h.Cols
+	if cap(buf) < n {
+		buf = make([]float32, n)
+	}
+	m := tensor.FromSlice(len(rows), h.Cols, buf[:n])
+	for i, r := range rows {
+		copy(m.Row(i), h.Row(int(r)))
+	}
+	return m
 }
 
 func int32sToInts(v []int32) []int {
