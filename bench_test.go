@@ -214,35 +214,6 @@ func BenchmarkAblationCompressor(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPerRowDomains compares the paper's whole-matrix
-// quantisation domain with per-row domains at 4 bits on embeddings with an
-// outlier row.
-func BenchmarkAblationPerRowDomains(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	h := tensor.New(1024, 64)
-	for i := range h.Data {
-		h.Data[i] = rng.Float32()
-	}
-	for c := 0; c < 64; c++ { // one outlier vertex inflates the global domain
-		h.Set(0, c, 50)
-	}
-	norm := h.FrobeniusNorm()
-	b.Run("global-domain", func(b *testing.B) {
-		var err float64
-		for i := 0; i < b.N; i++ {
-			err = compress.Compress(h, 4).Decompress().Sub(h).FrobeniusNorm()
-		}
-		b.ReportMetric(err/norm, "rel-l2-err")
-	})
-	b.Run("per-row-domain", func(b *testing.B) {
-		var err float64
-		for i := 0; i < b.N; i++ {
-			err = compress.CompressPerRow(h, 4).Decompress().Sub(h).FrobeniusNorm()
-		}
-		b.ReportMetric(err/norm, "rel-l2-err")
-	})
-}
-
 // BenchmarkGATDistributed regenerates the distributed-GAT table (the
 // §III-B model-generality experiment): GAT trained by core.Train as
 // KindGAT on the same workers and exchange as the GCN row beside it.

@@ -249,26 +249,3 @@ func (c *Common) StartTelemetryWith(reg *obs.Registry, mount func(*http.ServeMux
 	}
 	return t, nil
 }
-
-// Built is the assembled runtime configuration a main() consumes.
-type Built struct {
-	Dataset *datasets.Dataset
-	*Telemetry
-}
-
-// Build validates the shared flags, loads the dataset and starts the
-// telemetry — the common prologue of every EC-Graph CLI.
-func (c *Common) Build(mount func(*http.ServeMux)) (*Built, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	d, err := c.LoadDataset()
-	if err != nil {
-		return nil, err
-	}
-	t, err := c.StartTelemetry(mount)
-	if err != nil {
-		return nil, err
-	}
-	return &Built{Dataset: d, Telemetry: t}, nil
-}

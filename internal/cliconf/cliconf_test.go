@@ -143,14 +143,14 @@ func TestSuperviseOptions(t *testing.T) {
 	}
 }
 
-func TestBuildStartsTelemetryAndMounts(t *testing.T) {
+func TestStartTelemetryMounts(t *testing.T) {
 	fs := newFS(t)
-	c := Register(fs, Defaults{Dataset: "cora"}, Data|Obs)
+	c := Register(fs, Defaults{}, Obs)
 	if err := fs.Parse([]string{"-metrics-addr", ":0"}); err != nil {
 		t.Fatal(err)
 	}
 	mounted := false
-	b, err := c.Build(func(mux *http.ServeMux) {
+	b, err := c.StartTelemetry(func(mux *http.ServeMux) {
 		mounted = true
 		mux.HandleFunc("/v1/ping", func(w http.ResponseWriter, _ *http.Request) {
 			w.WriteHeader(http.StatusNoContent)
@@ -160,11 +160,11 @@ func TestBuildStartsTelemetryAndMounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.Dataset == nil || b.Registry == nil || b.Server == nil {
-		t.Fatalf("Build must load the dataset and start telemetry: %+v", b)
+	if b.Registry == nil || b.Server == nil {
+		t.Fatalf("StartTelemetry must start the registry and server: %+v", b)
 	}
 	if !mounted {
-		t.Fatal("Build must invoke the mount hook")
+		t.Fatal("StartTelemetry must invoke the mount hook")
 	}
 	resp, err := http.Get("http://" + b.Server.Addr() + "/v1/ping")
 	if err != nil {

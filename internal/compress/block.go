@@ -5,7 +5,7 @@
 // elements on register — lut[id] per multiply-add — instead of
 // materialising a float32 ghost matrix first.
 //
-// Bitwise contract: every LUT entry equals Quantized.BucketValue(id), the
+// Bitwise contract: every LUT entry equals Quantized.Values(nil)[id], the
 // exact value Decompress writes, so any kernel that reads elements through
 // a Blocked in the same order a decoded matrix would have been read
 // produces bit-identical float32 results to decode-then-compute.
@@ -61,9 +61,6 @@ func (q *Quantized) Block() *Blocked {
 	}
 	return b
 }
-
-// RowLUT returns the bucket value table of the block containing row r.
-func (b *Blocked) RowLUT(r int) []float32 { return b.luts[r/BlockRows] }
 
 // AccumRow accumulates w times row r into dst (dst[j] += w·row[j]),
 // dequantising on register through the block's LUT. This is the packed SpMM
@@ -222,20 +219,4 @@ func (b *Blocked) Dense() *tensor.Matrix {
 		b.DequantRowsInto(0, b.Rows, out.Data)
 	}
 	return out
-}
-
-// Release returns the packed words to the shared pool under the same
-// policy and poisoning as Quantized.Release. Only call it when the Blocked
-// is transient; payloads retained as last-good fallbacks are simply
-// dropped to the GC.
-func (b *Blocked) Release() {
-	if b == nil || b.Words == nil {
-		return
-	}
-	s := b.Words
-	b.Words = nil
-	if cap(s) == 0 || cap(s) > maxPooledWords {
-		return
-	}
-	packedPool.Put(&s)
 }

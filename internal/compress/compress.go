@@ -165,8 +165,8 @@ func (q *Quantized) TruncateRows(rows int) {
 // Grid is the uniform bucket grid of a bucket-quantised (not zero-centred)
 // Quantized: 2^B buckets over [Lo, Hi]. It is the one place a bucket id is
 // computed from a value (ID, what CompressWithRange packs) and a bucket's
-// representative from its id (Value, what BucketValue and Values — and
-// through Values DecompressInto and the Blocked LUTs — decode to), so a
+// representative from its id (Value, what Values — and through it
+// DecompressInto and the Blocked LUTs — decode to), so a
 // caller that fuses quantisation into its own walk packs and decodes exactly
 // what those functions do.
 type Grid struct {
@@ -216,15 +216,6 @@ func (g *Grid) Value(id int) float32 {
 		return g.lo
 	}
 	return g.lo + (float32(id)+0.5)*g.width
-}
-
-// BucketValue returns the representative value of bucket/level id.
-func (q *Quantized) BucketValue(id int) float32 {
-	if q.ZeroCentered {
-		return q.zeroCenteredValue(id)
-	}
-	g := q.Grid()
-	return g.Value(id)
 }
 
 // Values returns the representative value of every bucket/level id — the
@@ -288,14 +279,6 @@ func (q *Quantized) DecompressInto(dst *tensor.Matrix) *tensor.Matrix {
 		}
 	})
 	return out
-}
-
-// BucketID returns the stored bucket id of element i (row-major); exported
-// for tests and the selector's diagnostics.
-func (q *Quantized) BucketID(i int) int {
-	perWord := 64 / q.Bits
-	mask := uint64(1)<<uint(q.Bits) - 1
-	return int((q.Packed[i/perWord] >> (uint(i%perWord) * uint(q.Bits))) & mask)
 }
 
 // WireBytes returns the number of bytes this message occupies on the wire:

@@ -97,12 +97,19 @@ func TestClampOutOfRangeValues(t *testing.T) {
 	m := tensor.FromSlice(1, 3, []float32{-10, 0.5, 10})
 	q := CompressWithRange(m, 2, 0, 1)
 	d := q.Decompress()
-	if d.Data[0] != q.BucketValue(0) {
+	if d.Data[0] != q.Values(nil)[0] {
 		t.Fatalf("below-range value not clamped to bucket 0: %v", d.Data[0])
 	}
-	if d.Data[2] != q.BucketValue(3) {
+	if d.Data[2] != q.Values(nil)[3] {
 		t.Fatalf("above-range value not clamped to top bucket: %v", d.Data[2])
 	}
+}
+
+// BucketID returns the stored bucket id of element i (row-major).
+func (q *Quantized) BucketID(i int) int {
+	perWord := 64 / q.Bits
+	mask := uint64(1)<<uint(q.Bits) - 1
+	return int((q.Packed[i/perWord] >> (uint(i%perWord) * uint(q.Bits))) & mask)
 }
 
 func TestBucketIDAndValueConsistency(t *testing.T) {
@@ -111,8 +118,8 @@ func TestBucketIDAndValueConsistency(t *testing.T) {
 	q := Compress(m, 4)
 	d := q.Decompress()
 	for i := range m.Data {
-		if got := q.BucketValue(q.BucketID(i)); got != d.Data[i] {
-			t.Fatalf("element %d: BucketValue(BucketID)=%v but Decompress=%v", i, got, d.Data[i])
+		if got := q.Values(nil)[q.BucketID(i)]; got != d.Data[i] {
+			t.Fatalf("element %d: Values[BucketID]=%v but Decompress=%v", i, got, d.Data[i])
 		}
 	}
 }

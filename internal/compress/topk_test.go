@@ -102,66 +102,3 @@ func TestTopKErrorFeedbackRecoversMass(t *testing.T) {
 		t.Fatalf("EF identity violated for Top-K: %v vs %v", diff, residual.FrobeniusNorm())
 	}
 }
-
-func TestPerRowRoundTripTighterThanGlobal(t *testing.T) {
-	// One outlier row blows up the global domain; per-row domains keep every
-	// other row accurate.
-	rng := rand.New(rand.NewSource(3))
-	m := tensor.New(16, 8)
-	for i := range m.Data {
-		m.Data[i] = rng.Float32() // [0,1)
-	}
-	for c := 0; c < 8; c++ {
-		m.Set(0, c, 100*rng.Float32()) // outlier row
-	}
-	global := Compress(m, 4).Decompress().Sub(m).AbsSum()
-	perRow := CompressPerRow(m, 4).Decompress().Sub(m).AbsSum()
-	if perRow >= global/4 {
-		t.Fatalf("per-row error %v not far below global %v", perRow, global)
-	}
-}
-
-func TestPerRowErrorWithinHalfRowBucket(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := tensor.New(10, 6)
-	for i := range m.Data {
-		m.Data[i] = float32(rng.NormFloat64())
-	}
-	q := CompressPerRow(m, 4)
-	d := q.Decompress()
-	for r := 0; r < m.Rows; r++ {
-		half := float64(q.Hi[r]-q.Lo[r]) / 16 / 2
-		for c := 0; c < m.Cols; c++ {
-			if err := math.Abs(float64(m.At(r, c) - d.At(r, c))); err > half+1e-6 {
-				t.Fatalf("row %d col %d error %v > %v", r, c, err, half)
-			}
-		}
-	}
-}
-
-func TestPerRowConstantRow(t *testing.T) {
-	m := tensor.FromSlice(2, 3, []float32{5, 5, 5, 1, 2, 3})
-	d := CompressPerRow(m, 2).Decompress()
-	for c := 0; c < 3; c++ {
-		if d.At(0, c) != 5 {
-			t.Fatalf("constant row not exact: %v", d.Row(0))
-		}
-	}
-}
-
-func TestPerRowWireBytes(t *testing.T) {
-	q := CompressPerRow(tensor.New(10, 16), 2)
-	want := 10 + (10*16*2+7)/8 + 10*8
-	if got := q.WireBytes(); got != want {
-		t.Fatalf("WireBytes = %d, want %d", got, want)
-	}
-}
-
-func TestPerRowInvalidBitsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	CompressPerRow(tensor.New(1, 1), 7)
-}

@@ -75,8 +75,8 @@ func CompressZeroCentered(m *tensor.Matrix, bits int) *Quantized {
 }
 
 // zeroCenteredValue returns the representative of level id for a
-// zero-centred Quantized — the one decode site (BucketValue and Values, and
-// through Values DecompressInto's table and the Blocked LUTs). Levels count
+// zero-centred Quantized — the one decode site (Values, and through it
+// DecompressInto's table and the Blocked LUTs). Levels count
 // from the middle so that level mid is exactly +0 at every width.
 func (q *Quantized) zeroCenteredValue(id int) float32 {
 	if q.Hi <= q.Lo {

@@ -49,12 +49,6 @@ type Config struct {
 	// widths, T_tr, delayed aggregation).
 	Worker worker.Options
 
-	// Adjacency overrides the default GCN normalisation
-	// Â = D^{-1/2}(A+I)D^{-1/2} with a custom symmetric operator. Passing
-	// graph.GINAdjacency turns the engine into a GIN trainer; any symmetric
-	// aggregation matrix over the dataset's graph works.
-	Adjacency *graph.NormAdjacency
-
 	Epochs int
 	// Optim carries optional server-side optimiser refinements (gradient
 	// clipping, learning-rate decay).
@@ -145,7 +139,7 @@ type Config struct {
 	// Tracer, when non-nil, records live sub-epoch spans (owned SpMM,
 	// ghost collect, fold, per-phase issue marks) from every worker on
 	// pid 1+workerID, leaving pid 0 free for the simulated timeline that
-	// trace.FromResult lays out.
+	// trace.FromResultInto lays out.
 	Tracer *obs.Tracer
 }
 
@@ -367,10 +361,7 @@ func Train(c Config) (*Result, error) {
 
 	// ---- Preprocessing: partition, topology, cluster wiring ----
 	preStart := time.Now()
-	adj := cfg.Adjacency
-	if adj == nil {
-		adj = graph.Normalize(d.Graph)
-	}
+	adj := graph.Normalize(d.Graph)
 	// Elastic runs reserve node-id space for workers that may join later:
 	// workers occupy ids 0..maxWorkers-1 (the active subset varies per
 	// view) and servers sit above at maxWorkers..maxWorkers+Servers-1.

@@ -322,18 +322,6 @@ func TestEarlyStoppingPatience(t *testing.T) {
 	}
 }
 
-func TestGINAdjacencyTrains(t *testing.T) {
-	cfg := coraConfig(30)
-	cfg.Adjacency = graph.GINAdjacency(cfg.Dataset.Graph, 0.1)
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TestAccuracy < 0.75 {
-		t.Fatalf("GIN accuracy %.3f too low", res.TestAccuracy)
-	}
-}
-
 func TestFinalModelMatchesGatheredLogits(t *testing.T) {
 	cfg := coraConfig(10)
 	res, err := Train(cfg)

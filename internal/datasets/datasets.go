@@ -248,18 +248,3 @@ func MustLoad(name string) *Dataset {
 	}
 	return d
 }
-
-// LoadScaled generates the named preset with the vertex count multiplied by
-// factor (edges scale with it); used by the scalability experiments.
-func LoadScaled(name string, factor float64) (*Dataset, error) {
-	cfg, err := PresetConfig(name)
-	if err != nil {
-		return nil, err
-	}
-	cfg.N = int(float64(cfg.N) * factor)
-	if cfg.N < cfg.NumClasses*4 {
-		cfg.N = cfg.NumClasses * 4
-	}
-	cfg.Name = fmt.Sprintf("%s-x%.2g", name, factor)
-	return Generate(cfg), nil
-}

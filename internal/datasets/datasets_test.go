@@ -115,27 +115,6 @@ func TestHomophilyIsHigh(t *testing.T) {
 	}
 }
 
-func TestLoadScaled(t *testing.T) {
-	d, err := LoadScaled("cora", 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Graph.N != 1354 {
-		t.Fatalf("scaled N = %d, want 1354", d.Graph.N)
-	}
-	if _, err := LoadScaled("nope", 1); err == nil {
-		t.Fatalf("expected error for unknown preset")
-	}
-	// Floor: never fewer than 4 vertices per class.
-	d, err = LoadScaled("ogbn-papers", 0.0001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Graph.N < d.NumClasses*4 {
-		t.Fatalf("scaled N %d below class floor", d.Graph.N)
-	}
-}
-
 func TestGenerateInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

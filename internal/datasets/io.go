@@ -160,45 +160,3 @@ func parseEdges(r io.Reader, n int) ([][2]int32, error) {
 	}
 	return edges, sc.Err()
 }
-
-// SaveFiles writes d in the LoadFiles interchange format.
-func SaveFiles(d *Dataset, edgePath, vertexPath string) error {
-	vf, err := os.Create(vertexPath)
-	if err != nil {
-		return err
-	}
-	vw := bufio.NewWriter(vf)
-	for v := 0; v < d.Graph.N; v++ {
-		fmt.Fprintf(vw, "%d", d.Labels[v])
-		for _, x := range d.Features.Row(v) {
-			fmt.Fprintf(vw, " %g", x)
-		}
-		fmt.Fprintln(vw)
-	}
-	if err := vw.Flush(); err != nil {
-		vf.Close()
-		return err
-	}
-	if err := vf.Close(); err != nil {
-		return err
-	}
-
-	ef, err := os.Create(edgePath)
-	if err != nil {
-		return err
-	}
-	ew := bufio.NewWriter(ef)
-	fmt.Fprintln(ew, "# u v (undirected, stored once)")
-	for v := 0; v < d.Graph.N; v++ {
-		for _, u := range d.Graph.Neighbors(v) {
-			if int32(v) < u {
-				fmt.Fprintf(ew, "%d %d\n", v, u)
-			}
-		}
-	}
-	if err := ew.Flush(); err != nil {
-		ef.Close()
-		return err
-	}
-	return ef.Close()
-}

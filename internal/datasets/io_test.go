@@ -77,34 +77,3 @@ func TestLoadFilesErrors(t *testing.T) {
 		t.Errorf("missing vertex file: expected error")
 	}
 }
-
-func TestSaveLoadFilesRoundTrip(t *testing.T) {
-	orig := MustLoad("cora")
-	dir := t.TempDir()
-	edges := filepath.Join(dir, "edges.txt")
-	vertices := filepath.Join(dir, "vertices.txt")
-	if err := SaveFiles(orig, edges, vertices); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFiles("cora-reloaded", edges, vertices, 0.5, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Graph.N != orig.Graph.N {
-		t.Fatalf("vertex count %d vs %d", got.Graph.N, orig.Graph.N)
-	}
-	if got.Graph.NumEdges() != orig.Graph.NumEdges() {
-		t.Fatalf("edge count %d vs %d", got.Graph.NumEdges(), orig.Graph.NumEdges())
-	}
-	if got.NumClasses != orig.NumClasses {
-		t.Fatalf("classes %d vs %d", got.NumClasses, orig.NumClasses)
-	}
-	for v := 0; v < got.Graph.N; v++ {
-		if got.Labels[v] != orig.Labels[v] {
-			t.Fatalf("label %d differs", v)
-		}
-	}
-	if !got.Features.Equal(orig.Features, 1e-5) {
-		t.Fatalf("features differ after round trip")
-	}
-}

@@ -67,7 +67,7 @@ func (r *BackwardResponder) Respond(g *tensor.Matrix, bits int) []byte {
 		ld[i] = c - xd[i]
 	}
 
-	w := transport.NewWriter(2 + len(q.Packed)*8)
+	w := transport.NewWriter(1 + transport.QuantizedSize(q))
 	w.Byte(schemeCompress)
 	w.Quantized(q)
 	q.Release()
@@ -146,7 +146,7 @@ func (r *TopKResponder) Respond(g *tensor.Matrix) []byte {
 	s := compress.TopK(cpt, k)
 	r.delta = cpt.Sub(s.Dense())
 
-	w := transport.NewWriter(2 + s.WireBytes())
+	w := transport.NewWriter(1 + s.WireBytes())
 	w.Byte(schemeSparse)
 	w.Sparse(s)
 	return w.Bytes()
@@ -154,14 +154,6 @@ func (r *TopKResponder) Respond(g *tensor.Matrix) []byte {
 
 // Reset zeroes the error-feedback memory, like BackwardResponder.Reset.
 func (r *TopKResponder) Reset() { r.delta = nil }
-
-// ResidualNorm returns ‖δ‖₂.
-func (r *TopKResponder) ResidualNorm() float64 {
-	if r.delta == nil {
-		return 0
-	}
-	return r.delta.FrobeniusNorm()
-}
 
 // ResidualNorm returns ‖δ‖₂, the quantity Theorem 1 bounds.
 func (r *BackwardResponder) ResidualNorm() float64 {
@@ -175,7 +167,7 @@ func (r *BackwardResponder) ResidualNorm() float64 {
 // ablation arm; bucket quantiser of Fig. 3).
 func RespondCompressOnly(m *tensor.Matrix, bits int) []byte {
 	q := compress.Compress(m, bits)
-	w := transport.NewWriter(2 + len(q.Packed)*8)
+	w := transport.NewWriter(1 + transport.QuantizedSize(q))
 	w.Byte(schemeCompress)
 	w.Quantized(q)
 	q.Release()
@@ -187,7 +179,7 @@ func RespondCompressOnly(m *tensor.Matrix, bits int) []byte {
 // ablation isolates the compensation rather than the grid.
 func RespondCompressOnlyGrad(m *tensor.Matrix, bits int) []byte {
 	q := compress.CompressZeroCentered(m, bits)
-	w := transport.NewWriter(2 + len(q.Packed)*8)
+	w := transport.NewWriter(1 + transport.QuantizedSize(q))
 	w.Byte(schemeCompress)
 	w.Quantized(q)
 	q.Release()
@@ -196,7 +188,7 @@ func RespondCompressOnlyGrad(m *tensor.Matrix, bits int) []byte {
 
 // RespondRaw ships m uncompressed (the Non-cp arm).
 func RespondRaw(m *tensor.Matrix) []byte {
-	w := transport.NewWriter(10 + len(m.Data)*4)
+	w := transport.NewWriter(9 + len(m.Data)*4)
 	w.Byte(schemeRaw)
 	w.Matrix(m)
 	return w.Bytes()

@@ -613,8 +613,8 @@ func TestTopKResponderErrorFeedback(t *testing.T) {
 		sumSent.AddInPlace(ParseMatrix(resp.Respond(g)))
 	}
 	diff := sumTrue.Sub(sumSent).FrobeniusNorm()
-	if math.Abs(diff-resp.ResidualNorm()) > 1e-3 {
-		t.Fatalf("Top-K EF identity violated: %v vs %v", diff, resp.ResidualNorm())
+	if residual := resp.delta.FrobeniusNorm(); math.Abs(diff-residual) > 1e-3 {
+		t.Fatalf("Top-K EF identity violated: %v vs %v", diff, residual)
 	}
 }
 
@@ -636,4 +636,25 @@ func TestNewTopKResponderInvalidBitsPanics(t *testing.T) {
 		}
 	}()
 	NewTopKResponder(3)
+}
+
+// TestReplyWritersSizedExactly checks that every backward and ablation reply
+// writer reserves exactly the bytes it writes, so no reply grows its buffer
+// while it is encoded nor carries spare capacity onto the wire.
+func TestReplyWritersSizedExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range [][2]int{{1, 1}, {7, 5}, {33, 16}} {
+		m := randomMatrix(rng, shape[0], shape[1])
+		for name, payload := range map[string][]byte{
+			"BackwardResponder.Respond": NewBackwardResponder().Respond(m, 2),
+			"TopKResponder.Respond":     NewTopKResponder(2).Respond(m),
+			"RespondCompressOnly":       RespondCompressOnly(m, 4),
+			"RespondCompressOnlyGrad":   RespondCompressOnlyGrad(m, 1),
+			"RespondRaw":                RespondRaw(m),
+		} {
+			if cap(payload) != len(payload) {
+				t.Errorf("%dx%d %s: %d bytes written into a %d-byte buffer", shape[0], shape[1], name, len(payload), cap(payload))
+			}
+		}
+	}
 }

@@ -415,13 +415,9 @@ func (q *ForwardRequester) InSyncWith(r *ForwardResponder) bool {
 	if q.hBase == nil || r.hLast == nil {
 		return q.hBase == nil && r.hLast == nil
 	}
-	return q.seq == r.seq && sameBits(q.hBase, r.hLast) && sameBits(q.mcr, r.mcr)
-}
-
-func sameBits(a, b *tensor.Matrix) bool {
-	return a.SameShape(b) && slices.EqualFunc(a.Data, b.Data, func(x, y float32) bool {
-		return math.Float32bits(x) == math.Float32bits(y)
-	})
+	bits := func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }
+	return q.seq == r.seq && q.hBase.SameShape(r.hLast) && q.mcr.SameShape(r.mcr) &&
+		slices.EqualFunc(q.hBase.Data, r.hLast.Data, bits) && slices.EqualFunc(q.mcr.Data, r.mcr.Data, bits)
 }
 
 // Predict returns the requester-side linear prediction

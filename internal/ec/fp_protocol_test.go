@@ -3,8 +3,10 @@ package ec
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ecgraph/internal/compress"
@@ -480,4 +482,10 @@ func BenchmarkForwardBoundary(b *testing.B) {
 		payload, _ := resp.Respond(h, 10*i+9, 2)
 		req.Parse(payload, 10*i+9)
 	}
+}
+
+func sameBits(a, b *tensor.Matrix) bool {
+	return a.SameShape(b) && slices.EqualFunc(a.Data, b.Data, func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y)
+	})
 }

@@ -89,49 +89,6 @@ func FromEdges(n int, edges [][2]int32) *Graph {
 	return &Graph{N: n, RowPtr: rowPtr, ColIdx: colIdx, degrees: deg}
 }
 
-// FromDirectedEdges builds a directed CSR graph: edge (u,v) means row u
-// aggregates from column v, and nothing is added in the reverse direction.
-// Degree(v) is the out-degree (row length). The training datasets are
-// undirected, but asymmetric aggregation topologies are useful for
-// partition-shaped benchmarks where one side of a cut consumes remote
-// embeddings without producing any (its peers then own no ghost vertices
-// and never touch the wire).
-func FromDirectedEdges(n int, edges [][2]int32) *Graph {
-	type pair = [2]int32
-	seen := make(map[pair]struct{}, len(edges))
-	deg := make([]int32, n)
-	kept := make([]pair, 0, len(edges))
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		if u == v || u < 0 || v < 0 || int(u) >= n || int(v) >= n {
-			continue
-		}
-		k := pair{u, v}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		kept = append(kept, k)
-		deg[u]++
-	}
-	rowPtr := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] = rowPtr[i] + deg[i]
-	}
-	colIdx := make([]int32, rowPtr[n])
-	cursor := make([]int32, n)
-	copy(cursor, rowPtr[:n])
-	for _, e := range kept {
-		colIdx[cursor[e[0]]] = e[1]
-		cursor[e[0]]++
-	}
-	for v := 0; v < n; v++ {
-		lst := colIdx[rowPtr[v]:rowPtr[v+1]]
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-	}
-	return &Graph{N: n, RowPtr: rowPtr, ColIdx: colIdx, degrees: deg}
-}
-
 // HasEdge reports whether the undirected edge {u,v} exists.
 func (g *Graph) HasEdge(u, v int) bool {
 	lst := g.Neighbors(u)
@@ -205,111 +162,5 @@ func (a *NormAdjacency) SpMM(h *tensor.Matrix) *tensor.Matrix {
 			tensor.AxpyGather(out.Data[v*cols:(v+1)*cols], a.Val[p:q], a.ColIdx[p:q], h.Data, 0, cols)
 		}
 	})
-	return out
-}
-
-// SpMMRows computes rows `rows` of Â·H into a len(rows)×Cols(H) matrix,
-// where H is indexed by global vertex id (Â.N rows). Used by workers that
-// own only a slice of the vertex set but have gathered the needed neighbour
-// rows of H.
-func (a *NormAdjacency) SpMMRows(h *tensor.Matrix, rows []int32) *tensor.Matrix {
-	if h.Rows != a.N {
-		panic(fmt.Sprintf("graph: SpMMRows dimension mismatch: adjacency %d vs H rows %d", a.N, h.Rows))
-	}
-	out := tensor.New(len(rows), h.Cols)
-	cols := h.Cols
-	avgDeg := 1
-	if a.N > 0 {
-		avgDeg = max(1, len(a.Val)/a.N)
-	}
-	tensor.ParallelRows(len(rows), len(rows)*avgDeg*cols, func(lo, hi int) {
-		for oi := lo; oi < hi; oi++ {
-			p, q := a.RowPtr[rows[oi]], a.RowPtr[rows[oi]+1]
-			tensor.AxpyGather(out.Data[oi*cols:(oi+1)*cols], a.Val[p:q], a.ColIdx[p:q], h.Data, 0, cols)
-		}
-	})
-	return out
-}
-
-// Dense materialises Â as a dense matrix; only for tests on small graphs.
-func (a *NormAdjacency) Dense() *tensor.Matrix {
-	out := tensor.New(a.N, a.N)
-	for v := 0; v < a.N; v++ {
-		for p := a.RowPtr[v]; p < a.RowPtr[v+1]; p++ {
-			out.Set(v, int(a.ColIdx[p]), a.Val[p])
-		}
-	}
-	return out
-}
-
-// GINAdjacency builds the sum-aggregation operator of the Graph Isomorphism
-// Network: S = A + (1+ε)·I with unit edge weights, so
-// S·H = (1+ε)·h_v + Σ_{u∈N(v)} h_u. Feeding this operator to the GCN
-// forward/backward path (Z = SᵀHW; S is symmetric) turns the whole engine —
-// including the distributed workers and both compensation algorithms — into
-// a GIN trainer with a single-linear MLP, no new model code.
-func GINAdjacency(g *Graph, eps float32) *NormAdjacency {
-	n := g.N
-	rowPtr := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		rowPtr[v+1] = rowPtr[v] + int32(g.Degree(v)) + 1
-	}
-	colIdx := make([]int32, rowPtr[n])
-	val := make([]float32, rowPtr[n])
-	for v := 0; v < n; v++ {
-		out := rowPtr[v]
-		placedSelf := false
-		for _, u := range g.Neighbors(v) {
-			if !placedSelf && int(u) > v {
-				colIdx[out] = int32(v)
-				val[out] = 1 + eps
-				out++
-				placedSelf = true
-			}
-			colIdx[out] = u
-			val[out] = 1
-			out++
-		}
-		if !placedSelf {
-			colIdx[out] = int32(v)
-			val[out] = 1 + eps
-		}
-	}
-	return &NormAdjacency{N: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-}
-
-// LHopNeighborhood returns the set of vertices within l hops of the seed
-// set (including the seeds), as a sorted slice. Used by the ML-centered
-// baselines that cache L-hop neighbourhoods, and to measure their memory
-// blow-up for Table II.
-func (g *Graph) LHopNeighborhood(seeds []int32, l int) []int32 {
-	inSet := make(map[int32]struct{}, len(seeds))
-	frontier := make([]int32, 0, len(seeds))
-	for _, s := range seeds {
-		if _, ok := inSet[s]; !ok {
-			inSet[s] = struct{}{}
-			frontier = append(frontier, s)
-		}
-	}
-	for hop := 0; hop < l; hop++ {
-		var next []int32
-		for _, v := range frontier {
-			for _, u := range g.Neighbors(int(v)) {
-				if _, ok := inSet[u]; !ok {
-					inSet[u] = struct{}{}
-					next = append(next, u)
-				}
-			}
-		}
-		if len(next) == 0 {
-			break
-		}
-		frontier = next
-	}
-	out := make([]int32, 0, len(inSet))
-	for v := range inSet {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -18,11 +18,12 @@ import (
 // ghost columns, preserving input order within each group (ghostStart marks
 // the boundary). That layout is what makes the split kernels exact — the
 // full SpMM accumulates a row's owned entries and then its ghost entries in
-// storage order, so SpMMOwnedInto followed by SpMMGhostInto into the same
-// output reproduces SpMM bit-for-bit, with no float reassociation between
-// the fused and split paths. The comm/compute overlap pipeline depends on
-// this: the owned half runs while ghost messages are in flight, and folding
-// the ghost half in afterwards must not perturb a single ulp.
+// storage order, so SpMMOwnedInto followed by the full-output ghost fold
+// into the same output reproduces SpMM bit-for-bit, with no float
+// reassociation between the fused and split paths. The comm/compute overlap
+// pipeline depends on this: the owned half runs while ghost messages are in
+// flight, and folding the ghost half in afterwards must not perturb a single
+// ulp.
 type LocalCSR struct {
 	NOwned int
 	RowPtr []int32
@@ -127,9 +128,6 @@ func (s *ghostEntrySort) Swap(i, j int) {
 // NumRows returns the number of output rows (owned vertices).
 func (a *LocalCSR) NumRows() int { return len(a.RowPtr) - 1 }
 
-// HasGhostColumns reports whether any entry references a ghost column.
-func (a *LocalCSR) HasGhostColumns() bool { return len(a.boundary) > 0 }
-
 // BoundaryRows returns the ascending list of rows with at least one ghost
 // column. The slice is owned by the LocalCSR; callers must not mutate it.
 func (a *LocalCSR) BoundaryRows() []int32 { return a.boundary }
@@ -138,7 +136,7 @@ func (a *LocalCSR) BoundaryRows() []int32 { return a.boundary }
 // above the ghost rows in compact local indexing. It is the fused oracle the
 // split kernels are proven against: per row, owned entries accumulate first
 // (they are stored first), then ghost entries, so the result is bit-for-bit
-// identical to SpMMOwnedInto followed by SpMMGhostInto.
+// identical to SpMMOwnedInto followed by the full-output ghost fold.
 func (a *LocalCSR) SpMM(hcat *tensor.Matrix) *tensor.Matrix {
 	checkOperand("SpMM", hcat.Rows, a.hcatRows())
 	out := tensor.New(a.NumRows(), hcat.Cols)
@@ -181,9 +179,9 @@ func (a *LocalCSR) hcatRows() int {
 // SpMMOwnedInto accumulates the owned-column contributions of A·[owned;·]
 // into out: out[i] += Σ_{col<NOwned} A[i,col]·owned[col]. out must be
 // NumRows()×owned.Cols and is typically freshly zeroed; the caller later
-// folds in the ghost half with SpMMGhostInto. This is the ghost-independent
-// part of a layer's aggregation — it runs while the ghost exchange is on the
-// wire.
+// folds in the ghost half (SpMMGhostCompactPacked). This is the
+// ghost-independent part of a layer's aggregation — it runs while the ghost
+// exchange is on the wire.
 func (a *LocalCSR) SpMMOwnedInto(owned, out *tensor.Matrix) {
 	if out.Rows != a.NumRows() || out.Cols != owned.Cols {
 		panic(fmt.Sprintf("graph: SpMMOwnedInto output %dx%d, want %dx%d",
@@ -199,23 +197,15 @@ func (a *LocalCSR) SpMMOwnedInto(owned, out *tensor.Matrix) {
 	})
 }
 
-// SpMMGhostInto accumulates the ghost-column contributions into out:
-// out[i] += Σ_{col≥NOwned} A[i,col]·ghost[col−NOwned]. A nil or empty ghost
-// matrix is a no-op (a worker with no remote neighbours). Applied after
-// SpMMOwnedInto on the same output it completes the product exactly as the
-// fused SpMM would have.
-func (a *LocalCSR) SpMMGhostInto(ghost, out *tensor.Matrix) {
-	a.SpMMGhostPacked(NewGhostDense(ghost), out)
-}
-
 // SpMMGhostCompact computes the ghost-column contributions for the boundary
 // rows only, returning a len(BoundaryRows())×ghost.Cols matrix whose row k
 // is the ghost contribution of owned row BoundaryRows()[k]. Row k holds
-// exactly the sum SpMMGhostInto would have accumulated into that row — same
-// entries, same storage order, so scattering the compact rows back (e.g.
-// tensor.AddRowsAt) reproduces the split product bit-for-bit while any dense
-// transform of the ghost contribution (its matmul against the layer weights)
-// costs O(boundary) rather than O(owned) rows.
+// exactly the sum the full-output ghost fold would have accumulated into
+// that row — same entries, same storage order, so scattering the compact
+// rows back (e.g. tensor.AddRowsAt) reproduces the split product
+// bit-for-bit while any dense transform of the ghost contribution (its
+// matmul against the layer weights) costs O(boundary) rather than O(owned)
+// rows.
 func (a *LocalCSR) SpMMGhostCompact(ghost *tensor.Matrix) *tensor.Matrix {
 	return a.SpMMGhostCompactPacked(NewGhostDense(ghost), nil)
 }

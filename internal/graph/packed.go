@@ -17,9 +17,9 @@ import (
 //
 // Bitwise contract: the fold reads, per element, exactly the float32 value
 // a decode pass would have materialised (dense rows verbatim, packed rows
-// via BucketValue-identical LUTs, unset rows +0), in the same CSR storage
-// order — so packed and decode-then-SpMM results are bit-for-bit equal by
-// construction.
+// via LUTs identical to Quantized.Values, unset rows +0), in the same CSR
+// storage order — so packed and decode-then-SpMM results are bit-for-bit
+// equal by construction.
 type GhostOperand struct {
 	Rows, Cols int
 
@@ -122,19 +122,6 @@ func (g *GhostOperand) materialiseRange(dst []float32, base, lo, hi int) {
 	}
 }
 
-// SpMMGhostPacked accumulates the ghost-column contributions into out like
-// SpMMGhostInto, over the hybrid operand. Nil or empty operands are a no-op.
-func (a *LocalCSR) SpMMGhostPacked(g *GhostOperand, out *tensor.Matrix) {
-	if g == nil || g.Rows == 0 {
-		return
-	}
-	if out.Rows != a.NumRows() || out.Cols != g.Cols {
-		panic(fmt.Sprintf("graph: SpMMGhostPacked output %dx%d, want %dx%d",
-			out.Rows, out.Cols, a.NumRows(), g.Cols))
-	}
-	a.foldGhost(g, out, true, nil)
-}
-
 // SpMMGhostCompactPacked is SpMMGhostCompact over the hybrid operand:
 // boundary-rows-only output, each row accumulated in CSR storage order so
 // the result is bit-for-bit what decode-then-SpMMGhostCompact computes.
@@ -171,8 +158,9 @@ func stripRows(cols int) int {
 	return s - s%compress.BlockRows
 }
 
-// foldGhost is the one ghost fold under SpMMGhostInto, SpMMGhostCompact,
-// SpMMGhostPacked and SpMMGhostCompactPacked: it adds each boundary row's
+// foldGhost is the one ghost fold under SpMMGhostCompact and
+// SpMMGhostCompactPacked, and under the full-output oracle the package's
+// tests hold the split kernels to: it adds each boundary row's
 // ghost terms to out, at the row's own index when full, else at its place
 // in BoundaryRows(). A dense operand is the kernel's base as it stands. A
 // hybrid one is materialised strip by strip of stripRows ghost rows into

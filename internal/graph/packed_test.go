@@ -11,6 +11,28 @@ import (
 	"ecgraph/internal/tensor"
 )
 
+// SpMMGhostInto accumulates the ghost-column contributions into out:
+// out[i] += Σ_{col≥NOwned} A[i,col]·ghost[col−NOwned]. A nil or empty ghost
+// matrix is a no-op (a worker with no remote neighbours). Applied after
+// SpMMOwnedInto on the same output it completes the product exactly as the
+// fused SpMM would have.
+func (a *LocalCSR) SpMMGhostInto(ghost, out *tensor.Matrix) {
+	a.SpMMGhostPacked(NewGhostDense(ghost), out)
+}
+
+// SpMMGhostPacked accumulates the ghost-column contributions into out like
+// SpMMGhostInto, over the hybrid operand. Nil or empty operands are a no-op.
+func (a *LocalCSR) SpMMGhostPacked(g *GhostOperand, out *tensor.Matrix) {
+	if g == nil || g.Rows == 0 {
+		return
+	}
+	if out.Rows != a.NumRows() || out.Cols != g.Cols {
+		panic(fmt.Sprintf("graph: SpMMGhostPacked output %dx%d, want %dx%d",
+			out.Rows, out.Cols, a.NumRows(), g.Cols))
+	}
+	a.foldGhost(g, out, true, nil)
+}
+
 // packedFixture builds a nGhost×cols ghost operand the way the exchange
 // layer does — a few per-peer payloads landing in their slot ranges, some
 // quantised (kept packed), some dense (installed by reference) — together
@@ -293,8 +315,8 @@ func TestSpMMGhostConcurrentFolds(t *testing.T) {
 
 // TestColumnBeyondOperandPanics checks that every product in the package
 // refuses an operand its CSR's columns run past with a panic instead of
-// reading past it: the LocalCSR products before the kernel runs, the
-// NormAdjacency ones, whose exported columns nothing records, in the kernel.
+// reading past it: the LocalCSR products before the kernel runs,
+// NormAdjacency.SpMM, whose exported columns nothing records, in the kernel.
 func TestColumnBeyondOperandPanics(t *testing.T) {
 	// Row 0 reads owned column 2 and ghost slot 3; row 1 only owned ones.
 	a := NewLocalCSR(3, []int32{0, 2, 3}, []int32{2, 6, 0}, []float32{1, 1, 1})
@@ -302,20 +324,17 @@ func TestColumnBeyondOperandPanics(t *testing.T) {
 	full := tensor.New(3, 8)  // the owned half, and the output
 	hybrid := NewGhostHybrid(3, 8)
 	hybrid.SetRowsPacked(0, compress.Compress(short, 2).Block())
-	adj := Normalize(FromEdges(4, [][2]int32{{0, 1}, {2, 3}}))
 	bad := &NormAdjacency{N: 2, RowPtr: []int32{0, 1, 2}, ColIdx: []int32{1, 5}, Val: []float32{1, 1}}
 	cases := map[string]func(){
-		"LocalCSR.SpMM":                    func() { a.SpMM(tensor.New(6, 8)) },
-		"LocalCSR.SpMMRows":                func() { a.SpMMRows(tensor.New(6, 8), []int32{1}) },
-		"SpMMOwnedInto":                    func() { a.SpMMOwnedInto(short, tensor.New(2, 8)) },
-		"SpMMGhostInto":                    func() { a.SpMMGhostInto(full, tensor.New(2, 8)) },
-		"SpMMGhostCompact":                 func() { a.SpMMGhostCompact(full) },
-		"SpMMGhostPacked":                  func() { a.SpMMGhostPacked(hybrid, tensor.New(2, 8)) },
-		"SpMMGhostCompactPacked":           func() { a.SpMMGhostCompactPacked(hybrid, tensor.NewArena(0)) },
-		"SpMMGhostCompactPacked (dense)":   func() { a.SpMMGhostCompactPacked(NewGhostDense(full), nil) },
-		"NormAdjacency.SpMM":               func() { bad.SpMM(tensor.New(2, 8)) },
-		"NormAdjacency.SpMMRows":           func() { bad.SpMMRows(tensor.New(2, 8), []int32{1}) },
-		"NormAdjacency.SpMMRows (short H)": func() { adj.SpMMRows(tensor.New(3, 8), []int32{3}) },
+		"LocalCSR.SpMM":                  func() { a.SpMM(tensor.New(6, 8)) },
+		"LocalCSR.SpMMRows":              func() { a.SpMMRows(tensor.New(6, 8), []int32{1}) },
+		"SpMMOwnedInto":                  func() { a.SpMMOwnedInto(short, tensor.New(2, 8)) },
+		"SpMMGhostInto":                  func() { a.SpMMGhostInto(full, tensor.New(2, 8)) },
+		"SpMMGhostCompact":               func() { a.SpMMGhostCompact(full) },
+		"SpMMGhostPacked":                func() { a.SpMMGhostPacked(hybrid, tensor.New(2, 8)) },
+		"SpMMGhostCompactPacked":         func() { a.SpMMGhostCompactPacked(hybrid, tensor.NewArena(0)) },
+		"SpMMGhostCompactPacked (dense)": func() { a.SpMMGhostCompactPacked(NewGhostDense(full), nil) },
+		"NormAdjacency.SpMM":             func() { bad.SpMM(tensor.New(2, 8)) },
 	}
 	for name, call := range cases {
 		func() {

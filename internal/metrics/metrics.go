@@ -33,14 +33,8 @@ func (c Cell) String() string { return c.s }
 // Seconds renders a duration in seconds (FormatSeconds).
 func Seconds(v float64) Cell { return Cell{FormatSeconds(v)} }
 
-// Bytes renders a byte count in binary units (FormatBytes).
-func Bytes(v float64) Cell { return Cell{FormatBytes(v)} }
-
 // Ratio renders a speedup/slowdown multiplier as "1.87x".
 func Ratio(v float64) Cell { return Cell{fmt.Sprintf("%.2fx", v)} }
-
-// Percent renders a fraction in [0,1] as "42.0%".
-func Percent(v float64) Cell { return Cell{fmt.Sprintf("%.1f%%", v*100)} }
 
 // Fixed renders a float with the given number of decimals.
 func Fixed(v float64, decimals int) Cell { return Cell{fmt.Sprintf("%.*f", decimals, v)} }

@@ -22,9 +22,6 @@ func NewAdam(lr float64, n int) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, m: make([]float64, n), v: make([]float64, n)}
 }
 
-// Len returns the parameter-vector length this optimiser was sized for.
-func (a *Adam) Len() int { return len(a.m) }
-
 // Snapshot returns copies of the moment vectors and the timestep, so a
 // checkpoint can capture the optimiser mid-run.
 func (a *Adam) Snapshot() (m, v []float64, t int) {

@@ -51,10 +51,3 @@ func MacroF1(logits *tensor.Matrix, labels []int, idx []int, numClasses int) flo
 	}
 	return sum / float64(counted)
 }
-
-// MicroF1 returns the micro-averaged F1 over the vertices in idx. For
-// single-label multi-class classification this equals accuracy; it is
-// provided because GNN papers commonly report it under this name.
-func MicroF1(logits *tensor.Matrix, labels []int, idx []int) float64 {
-	return Accuracy(logits, labels, idx)
-}

@@ -39,13 +39,6 @@ func TestMacroF1KnownValue(t *testing.T) {
 	}
 }
 
-func TestMicroF1EqualsAccuracy(t *testing.T) {
-	logits, labels, idx := evalFixture()
-	if MicroF1(logits, labels, idx) != Accuracy(logits, labels, idx) {
-		t.Fatalf("micro-F1 must equal accuracy for single-label tasks")
-	}
-}
-
 func TestMacroF1PerfectAndEmpty(t *testing.T) {
 	logits := tensor.FromSlice(2, 2, []float32{5, 0, 0, 5})
 	labels := []int{0, 1}

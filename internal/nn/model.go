@@ -261,9 +261,3 @@ func (m *Model) Backward(adj *graph.NormAdjacency, acts *Activations, gradOut *t
 	}
 	return grads
 }
-
-// Predict returns the arg-max class per vertex from a forward pass.
-func (m *Model) Predict(adj *graph.NormAdjacency, x *tensor.Matrix) []int {
-	acts := m.Forward(adj, x)
-	return acts.H[len(acts.H)-1].ArgMaxRows()
-}

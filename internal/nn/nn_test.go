@@ -268,9 +268,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	n := 5
 	w := make([]float32, n)
 	opt := NewAdam(0.1, n)
-	if opt.Len() != n {
-		t.Fatalf("Len = %d", opt.Len())
-	}
 	g := make([]float32, n)
 	for step := 0; step < 2000; step++ {
 		for i := range g {

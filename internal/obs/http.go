@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -48,16 +47,6 @@ func ServeWith(addr string, reg *Registry, mount func(*http.ServeMux)) (*Server,
 	s := &Server{lis: lis, srv: &http.Server{Handler: mux}}
 	go func() { _ = s.srv.Serve(lis) }()
 	return s, nil
-}
-
-// Shutdown stops accepting connections and waits for in-flight handlers
-// to finish, up to the context's deadline — the graceful counterpart of
-// Close for signal-driven teardown.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Shutdown(ctx)
 }
 
 // Addr returns the bound address (useful with port 0).

@@ -346,21 +346,11 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(values).(*Histogram)
 }
 
-// OnScrape registers fn to run at the start of every exposition, before
-// values are read. Use it to copy externally-owned counters (transport
-// node stats, chaos totals, detector phi) into gauges at scrape time
-// instead of paying for bookkeeping on the hot path.
-func (r *Registry) OnScrape(fn func()) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	r.hooks = append(r.hooks, scrapeHook{fn: fn})
-	r.mu.Unlock()
-}
-
-// OnScrapeNamed is OnScrape with replacement semantics: registering a
-// second hook under the same name drops the first. Components that may be
+// OnScrapeNamed registers fn to run at the start of every exposition, before
+// values are read. Use it to copy externally-owned counters (transport node
+// stats, chaos totals, detector phi) into gauges at scrape time instead of
+// paying for bookkeeping on the hot path. Registering a second hook under
+// the same non-empty name drops the first. Components that may be
 // rebuilt within one process (a transport stack per training run, a
 // supervisor per Train call) use this so only the live instance exports.
 func (r *Registry) OnScrapeNamed(name string, fn func()) {

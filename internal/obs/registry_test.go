@@ -124,7 +124,6 @@ func TestNilSafety(t *testing.T) {
 	r.CounterVec("v", "", "l").With("a").Inc()
 	r.GaugeVec("w", "", "l").With("a").Add(1)
 	r.HistogramVec("u", "", []float64{1}, "l").With("a").Observe(1)
-	r.OnScrape(func() {})
 	r.OnScrapeNamed("n", func() {})
 	r.BuildInfo("go")
 	if err := r.WritePrometheus(io.Discard); err != nil {
@@ -133,9 +132,6 @@ func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Span("s", "c", 0, 0, time.Now(), time.Second)
 	tr.Instant("i", "c", 0, 0, time.Now(), nil)
-	if tr.Enabled() {
-		t.Fatal("nil tracer claims enabled")
-	}
 	var l *EventLog
 	if err := l.Emit(map[string]int{"a": 1}); err != nil {
 		t.Fatal(err)
@@ -149,7 +145,7 @@ func TestScrapeHooksRunAndReplace(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("hook_gauge", "")
 	n := 0
-	r.OnScrape(func() { n++ })
+	r.OnScrapeNamed("", func() { n++ })
 	r.OnScrapeNamed("stack", func() { g.Set(1) })
 	r.OnScrapeNamed("stack", func() { g.Set(2) }) // replaces, not stacks
 	var b strings.Builder

@@ -28,9 +28,6 @@ func NewTracer(sink SpanSink) *Tracer {
 	return &Tracer{sink: sink, base: time.Now()}
 }
 
-// Enabled reports whether spans will be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Span records a complete span that began at start and lasted dur.
 func (t *Tracer) Span(name, category string, pid, tid int, start time.Time, dur time.Duration) {
 	if t == nil {

@@ -297,13 +297,6 @@ func (s *Server) SetExpected(n int) {
 	s.contribs = make(map[int][]float32)
 }
 
-// Expected returns the current barrier width (workers per epoch).
-func (s *Server) Expected() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expected
-}
-
 // State is a serialisable snapshot of one server's range: the parameters,
 // the Adam moments and timestep, the (possibly decayed) learning rate and
 // the applied-update count. Checkpoints concatenate per-range states in

@@ -32,25 +32,11 @@ func (rt *Routes) Primary(i int) int {
 	return rt.nodes[i]
 }
 
-// Primaries returns a copy of the current table.
-func (rt *Routes) Primaries() []int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return append([]int(nil), rt.nodes...)
-}
-
 // Len returns the number of ranges in the table.
 func (rt *Routes) Len() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return len(rt.nodes)
-}
-
-// Gen returns the table's generation, incremented on every SetPrimary.
-func (rt *Routes) Gen() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.gen
 }
 
 // SetPrimary reroutes range i to node — the failover promotion — and

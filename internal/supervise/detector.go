@@ -237,14 +237,3 @@ func (d *Detector) Status(worker int) Status {
 		return StatusHealthy
 	}
 }
-
-// LastBeat returns the time of the worker's most recent heartbeat.
-func (d *Detector) LastBeat(worker int) (time.Time, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	p, ok := d.peers[worker]
-	if !ok {
-		return time.Time{}, false
-	}
-	return p.last, true
-}

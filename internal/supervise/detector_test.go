@@ -6,6 +6,17 @@ import (
 	"time"
 )
 
+// LastBeat returns the time of the worker's most recent heartbeat.
+func (d *Detector) LastBeat(worker int) (time.Time, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p, ok := d.peers[worker]
+	if !ok {
+		return time.Time{}, false
+	}
+	return p.last, true
+}
+
 // fakeClock is a manually advanced clock for deterministic detector tests.
 type fakeClock struct{ t time.Time }
 

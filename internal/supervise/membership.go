@@ -294,22 +294,3 @@ func DialAnnounce(addr string, node int, join bool) (View, error) {
 	}
 	return decodeView(resp), nil
 }
-
-// DialView fetches the current membership view from a cluster monitor's TCP
-// listener address.
-func DialView(addr string) (View, error) {
-	resp, err := transport.DialCall(addr, MethodView, nil)
-	if err != nil {
-		return View{}, fmt.Errorf("supervise: fetch view: %w", err)
-	}
-	return decodeView(resp), nil
-}
-
-// FetchView reads the monitor's current view from the given node.
-func FetchView(net transport.Network, node, monitor int) (View, error) {
-	resp, err := net.Call(node, monitor, MethodView, nil)
-	if err != nil {
-		return View{}, fmt.Errorf("supervise: fetch view: %w", err)
-	}
-	return decodeView(resp), nil
-}

@@ -45,11 +45,11 @@ func TestMembershipAnnounceRPC(t *testing.T) {
 		t.Fatalf("joined %v left %v", joined, left)
 	}
 
-	got, err := FetchView(net, 0, monitor)
+	resp, err := net.Call(0, monitor, MethodView, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, view) {
+	if got := decodeView(resp); !reflect.DeepEqual(got, view) {
 		t.Fatalf("fetched view %v != installed %v", got, view)
 	}
 }

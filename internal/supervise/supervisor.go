@@ -289,9 +289,6 @@ func New(opts Options, net transport.Network, workerNodes []int, monitorNode int
 // Options returns the effective (defaulted) options.
 func (s *Supervisor) Options() Options { return s.opts }
 
-// Detector exposes the underlying failure detector.
-func (s *Supervisor) Detector() *Detector { return s.det }
-
 // WrapHandler layers the supervision RPCs over a node's existing handler:
 // sup.beat and sup.ping are served here, everything else passes through.
 func (s *Supervisor) WrapHandler(inner transport.Handler) transport.Handler {
@@ -377,18 +374,6 @@ func (s *Supervisor) addBeat(node int, ok bool) {
 	} else {
 		b.failed++
 	}
-}
-
-// BeatCounts returns how many heartbeats the worker node's emitter
-// delivered and how many failed in transit — test and log diagnostics.
-func (s *Supervisor) BeatCounts(node int) (sent, failed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.beats[node]
-	if b == nil {
-		return 0, 0
-	}
-	return b.sent, b.failed
 }
 
 // Stop terminates the heartbeat emitters and waits for them to exit.
@@ -538,17 +523,6 @@ func (s *Supervisor) Status(worker int) Status {
 	}
 	s.mu.Unlock()
 	return st
-}
-
-// Dead returns the roster members the detector currently declares dead.
-func (s *Supervisor) Dead() []int {
-	var out []int
-	for _, w := range s.Workers() {
-		if s.Status(w) == StatusDead {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // Probe sends one liveness ping from the monitor node; a response means

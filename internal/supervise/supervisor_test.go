@@ -8,6 +8,18 @@ import (
 	"ecgraph/internal/transport"
 )
 
+// BeatCounts returns how many heartbeats the worker node's emitter
+// delivered and how many failed in transit.
+func (s *Supervisor) BeatCounts(node int) (sent, failed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.beats[node]
+	if b == nil {
+		return 0, 0
+	}
+	return b.sent, b.failed
+}
+
 // TestWrapHandlerRoutes: sup.beat feeds the detector, sup.ping answers,
 // everything else reaches the inner handler untouched.
 func TestWrapHandlerRoutes(t *testing.T) {
@@ -21,7 +33,7 @@ func TestWrapHandlerRoutes(t *testing.T) {
 		return []byte("inner:" + method), nil
 	})
 
-	before, _ := s.Detector().LastBeat(0)
+	before, _ := s.det.LastBeat(0)
 	w := transport.NewWriter(8)
 	w.Int32(0)
 	w.Uint32(1)
@@ -29,7 +41,7 @@ func TestWrapHandlerRoutes(t *testing.T) {
 	if _, err := h(MethodBeat, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := s.Detector().LastBeat(0)
+	after, _ := s.det.LastBeat(0)
 	if !after.After(before) {
 		t.Fatalf("beat did not advance LastBeat (%v -> %v)", before, after)
 	}
@@ -86,8 +98,10 @@ func TestEmittersAndProbe(t *testing.T) {
 	if !s.Probe(0) {
 		t.Fatalf("probe to a live node failed")
 	}
-	if dead := s.Dead(); len(dead) != 0 {
-		t.Fatalf("dead set %v on a healthy cluster", dead)
+	for _, w := range s.Workers() {
+		if s.Status(w) == StatusDead {
+			t.Fatalf("worker %d dead on a healthy cluster", w)
+		}
 	}
 }
 

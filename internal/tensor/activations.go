@@ -1,7 +1,5 @@
 package tensor
 
-import "math"
-
 // ReLU returns max(0, x) elementwise.
 func (m *Matrix) ReLU() *Matrix {
 	out := New(m.Rows, m.Cols)
@@ -41,54 +39,6 @@ func (m *Matrix) ReLUBackwardInPlace(z *Matrix) *Matrix {
 	return m
 }
 
-// SoftmaxRows returns the row-wise softmax of m, computed with the usual
-// max-subtraction trick and float64 accumulation for stability.
-func (m *Matrix) SoftmaxRows() *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		orow := out.Row(i)
-		mx := row[0]
-		for _, v := range row[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - mx))
-			orow[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range orow {
-			orow[j] *= inv
-		}
-	}
-	return out
-}
-
-// LogSumExpRows returns the per-row log-sum-exp, used by the cross-entropy
-// loss without materialising the softmax.
-func (m *Matrix) LogSumExpRows() []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		mx := row[0]
-		for _, v := range row[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - mx))
-		}
-		out[i] = float64(mx) + math.Log(sum)
-	}
-	return out
-}
-
 // ArgMaxRows returns, for each row, the index of its maximum element.
 func (m *Matrix) ArgMaxRows() []int {
 	out := make([]int, m.Rows)
@@ -103,16 +53,4 @@ func (m *Matrix) ArgMaxRows() []int {
 		out[i] = bi
 	}
 	return out
-}
-
-// Clamp limits every element of m to [lo, hi] in place and returns m.
-func (m *Matrix) Clamp(lo, hi float32) *Matrix {
-	for i, v := range m.Data {
-		if v < lo {
-			m.Data[i] = lo
-		} else if v > hi {
-			m.Data[i] = hi
-		}
-	}
-	return m
 }

@@ -71,6 +71,3 @@ func (a *Arena) Reset() {
 	a.off = 0
 	a.hused = 0
 }
-
-// Cap returns the slab capacity in floats (diagnostics and tests).
-func (a *Arena) Cap() int { return len(a.slab) }

@@ -147,25 +147,6 @@ func (m *Matrix) Sub(n *Matrix) *Matrix {
 	return out
 }
 
-// SubInPlace sets m = m - n and returns m.
-func (m *Matrix) SubInPlace(n *Matrix) *Matrix {
-	m.assertSameShape(n, "SubInPlace")
-	for i, v := range n.Data {
-		m.Data[i] -= v
-	}
-	return m
-}
-
-// Hadamard returns the elementwise product m ⊙ n.
-func (m *Matrix) Hadamard(n *Matrix) *Matrix {
-	m.assertSameShape(n, "Hadamard")
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v * n.Data[i]
-	}
-	return out
-}
-
 // HadamardInPlace sets m = m ⊙ n and returns m.
 func (m *Matrix) HadamardInPlace(n *Matrix) *Matrix {
 	m.assertSameShape(n, "HadamardInPlace")
@@ -250,15 +231,6 @@ func (m *Matrix) ColSums() []float32 {
 	return out
 }
 
-// Sum returns the sum of all elements using a float64 accumulator.
-func (m *Matrix) Sum() float64 {
-	var acc float64
-	for _, v := range m.Data {
-		acc += float64(v)
-	}
-	return acc
-}
-
 // AbsSum returns the L1 norm (sum of absolute values).
 func (m *Matrix) AbsSum() float64 {
 	var acc float64
@@ -324,27 +296,6 @@ func (m *Matrix) Equal(n *Matrix, tol float64) bool {
 	return true
 }
 
-// String renders small matrices for debugging; large matrices are summarised.
-func (m *Matrix) String() string {
-	if m.Rows*m.Cols > 64 {
-		lo, hi := m.MinMax()
-		return fmt.Sprintf("Matrix(%dx%d, min=%g max=%g)", m.Rows, m.Cols, lo, hi)
-	}
-	s := fmt.Sprintf("Matrix(%dx%d)[", m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		if i > 0 {
-			s += "; "
-		}
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				s += " "
-			}
-			s += fmt.Sprintf("%.4g", m.At(i, j))
-		}
-	}
-	return s + "]"
-}
-
 // GatherRows returns a new matrix whose i-th row is m's rows[i]-th row.
 func (m *Matrix) GatherRows(rows []int) *Matrix {
 	out := New(len(rows), m.Cols)
@@ -352,17 +303,4 @@ func (m *Matrix) GatherRows(rows []int) *Matrix {
 		copy(out.Row(i), m.Row(r))
 	}
 	return out
-}
-
-// ScatterRowsAdd adds src's i-th row into m's rows[i]-th row.
-func (m *Matrix) ScatterRowsAdd(rows []int, src *Matrix) {
-	if len(rows) != src.Rows || src.Cols != m.Cols {
-		panic("tensor: ScatterRowsAdd shape mismatch")
-	}
-	for i, r := range rows {
-		dst := m.Row(r)
-		for j, v := range src.Row(i) {
-			dst[j] += v
-		}
-	}
 }

@@ -107,23 +107,15 @@ func (r *Recorder) WriteFile(path string) error {
 	return f.Close()
 }
 
-// FromResult lays a training result out on the simulated-cluster timeline:
-// preprocessing first, then per epoch a compute span followed by a comm
-// span, all on pid 0 / tid 0 with the epoch index in the span name. Epochs
-// that saw transport faults carry their retry/timeout/give-up and
+// FromResultInto lays a training result out on the simulated-cluster
+// timeline of r: preprocessing first, then per epoch a compute span followed
+// by a comm span, all on pid 0 / tid 0 with the epoch index in the span name.
+// Epochs that saw transport faults carry their retry/timeout/give-up and
 // degraded-fetch counters as span args, and every supervision event
 // (suspect/dead transitions, respawns, rollbacks, ...) becomes an instant
-// mark at the start of its epoch.
-func FromResult(res *core.Result) *Recorder {
-	r := NewRecorder()
-	FromResultInto(r, res)
-	return r
-}
-
-// FromResultInto lays the simulated timeline out on an existing recorder —
-// typically one that already holds live sub-epoch spans recorded through
-// obs.Tracer. The simulated events stay on pid 0 while live worker spans
-// use pid 1+workerID, so the two clocks never share a track.
+// mark at the start of its epoch. r typically already holds live sub-epoch
+// spans recorded through obs.Tracer; those use pid 1+workerID, so the two
+// clocks never share a track.
 func FromResultInto(r *Recorder, res *core.Result) {
 	cursor := 0.0
 	if res.PreprocessSeconds > 0 {

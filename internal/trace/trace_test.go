@@ -186,7 +186,8 @@ func TestFromResultLayout(t *testing.T) {
 			{ComputeSeconds: 0.3, CommSeconds: 0},
 		},
 	}
-	r := FromResult(res)
+	r := NewRecorder()
+	FromResultInto(r, res)
 	// preprocess + (compute, comm) + compute = 4 events (zero comm skipped).
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())

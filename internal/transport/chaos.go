@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,7 +138,7 @@ func (c *Chaos) Injected() ChaosStats {
 // Depart takes a node permanently offline from this moment on — the
 // scripted-at-runtime counterpart of ChaosConfig.Departures, for tests that
 // trigger a departure at a known training phase rather than a call count.
-// Calls faulted this way still land in the FaultLog with kind "depart", but
+// Calls faulted this way still land in the fault log with kind "depart", but
 // their onset is wall-clock-relative, so only the config form is replayable
 // byte-for-byte across runs.
 func (c *Chaos) Depart(node int) {
@@ -153,38 +152,6 @@ func (c *Chaos) isDeparted(node int) bool {
 	c.depMu.Lock()
 	defer c.depMu.Unlock()
 	return c.departed[node]
-}
-
-// FaultLog returns the injected fault events in canonical order — sorted by
-// (Src, Dst, Seq) — so two runs with the same seed and per-edge traffic
-// compare byte-identical regardless of goroutine interleaving. The log is
-// capped at maxFaultLog events.
-func (c *Chaos) FaultLog() []FaultEvent {
-	c.logMu.Lock()
-	out := make([]FaultEvent, len(c.log))
-	copy(out, c.log)
-	c.logMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Seq < b.Seq
-	})
-	return out
-}
-
-// FormatFaultLog renders the canonical fault log one event per line, for
-// byte-for-byte comparison across runs.
-func FormatFaultLog(events []FaultEvent) string {
-	var b []byte
-	for _, e := range events {
-		b = append(b, fmt.Sprintf("%d->%d #%d %s %s\n", e.Src, e.Dst, e.Seq, e.Kind, e.Method)...)
-	}
-	return string(b)
 }
 
 func (c *Chaos) record(src, dst int, seq int64, kind, method string) {
@@ -272,7 +239,7 @@ func (c *Chaos) Call(src, dst int, method string, req []byte) ([]byte, error) {
 		// layer would see a node that answers pings but serves nothing.
 		// These failures are not logged: the pair sequence only advances with
 		// eligible calls, so logging them would interleave nondeterministic
-		// positions into the FaultLog.
+		// positions into the fault log.
 		if node, gone := c.departedNode(src, dst, c.peekPairSeq(src, dst)); gone {
 			c.departs.Add(1)
 			return nil, fmt.Errorf("chaos: node %d departed: %w", node, ErrInjected)
@@ -281,7 +248,7 @@ func (c *Chaos) Call(src, dst int, method string, req []byte) ([]byte, error) {
 	}
 	n := c.nextPairSeq(src, dst)
 	// Departures outrank every other fault: a gone node is gone. The check
-	// runs after the pair sequence advances so the FaultLog entry carries a
+	// runs after the pair sequence advances so the fault log entry carries a
 	// deterministic per-pair position, distinguishable from crash-window
 	// entries by its "depart" kind and by never healing.
 	if node, gone := c.departedNode(src, dst, n); gone {

@@ -3,11 +3,44 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// FaultLog returns the injected fault events in canonical order — sorted by
+// (Src, Dst, Seq) — so two runs with the same seed and per-edge traffic
+// compare byte-identical regardless of goroutine interleaving. The log is
+// capped at maxFaultLog events.
+func (c *Chaos) FaultLog() []FaultEvent {
+	c.logMu.Lock()
+	out := make([]FaultEvent, len(c.log))
+	copy(out, c.log)
+	c.logMu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		if a.Dst != b.Dst {
+			return a.Dst < b.Dst
+		}
+		return a.Seq < b.Seq
+	})
+	return out
+}
+
+// FormatFaultLog renders the canonical fault log one event per line, for
+// byte-for-byte comparison across runs.
+func FormatFaultLog(events []FaultEvent) string {
+	var b []byte
+	for _, e := range events {
+		b = append(b, fmt.Sprintf("%d->%d #%d %s %s\n", e.Src, e.Dst, e.Seq, e.Kind, e.Method)...)
+	}
+	return string(b)
+}
 
 // chaosOverEcho builds a 2-node InProc network wrapped in Chaos.
 func chaosOverEcho(cfg ChaosConfig) *Chaos {

@@ -184,9 +184,6 @@ type Reader struct {
 // NewReader wraps buf for reading.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
 func (r *Reader) need(n int) {
 	if n < 0 || n > len(r.buf)-r.off {
 		panic(fmt.Sprintf("transport: short read: need %d bytes at offset %d of %d", n, r.off, len(r.buf)))

@@ -1,7 +1,5 @@
 package transport
 
-import "time"
-
 // CostModel converts traffic counters into simulated network time. The
 // evaluation clusters in the paper are connected by Gigabit Ethernet; epoch
 // times in our reproduction are computed as measured local compute plus
@@ -42,9 +40,4 @@ func (c CostModel) Time(bytes, messages int64) float64 {
 // TimeFor is Time applied to a node Stats snapshot.
 func (c CostModel) TimeFor(s Stats) float64 {
 	return c.Time(s.Total(), s.Messages)
-}
-
-// Duration is Time converted to a time.Duration.
-func (c CostModel) Duration(bytes, messages int64) time.Duration {
-	return time.Duration(c.Time(bytes, messages) * float64(time.Second))
 }

@@ -225,9 +225,6 @@ func (s *Stack) NumNodes() int { return s.nodes }
 // Chaos returns the fault-injection layer, or nil without WithChaos.
 func (s *Stack) Chaos() *Chaos { return s.chaos }
 
-// Reliable returns the retry layer, or nil without WithReliable.
-func (s *Stack) Reliable() *Reliable { return s.reliable }
-
 // Stats returns the merged per-layer counters: one Stats per node as seen
 // from the top of the stack (traffic plus retry counters when Reliable is
 // present) and the chaos layer's injected-fault totals.

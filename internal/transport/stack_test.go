@@ -23,7 +23,7 @@ func TestStackComposesInFixedOrder(t *testing.T) {
 	if a.String() != want || b.String() != want {
 		t.Fatalf("stack order depends on option order: %q vs %q (want %q)", a, b, want)
 	}
-	if a.Chaos() == nil || a.Reliable() == nil {
+	if a.Chaos() == nil || a.reliable == nil {
 		t.Fatalf("layer accessors lost the wrappers")
 	}
 }
@@ -81,7 +81,7 @@ func TestStackBareBase(t *testing.T) {
 	if err != nil || string(resp) != "m/x" {
 		t.Fatalf("bare stack call: %q, %v", resp, err)
 	}
-	if s.Chaos() != nil || s.Reliable() != nil {
+	if s.Chaos() != nil || s.reliable != nil {
 		t.Fatalf("bare stack invented layers")
 	}
 	if s.NumNodes() != 2 {

@@ -25,8 +25,8 @@ func TestCodecScalars(t *testing.T) {
 	if r.Byte() != 7 || r.Uint32() != 1<<30 || r.Uint64() != 1<<50 || r.Int32() != -5 || r.Float32() != 3.25 {
 		t.Fatalf("scalar round trip failed")
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("leftover bytes: %d", r.Remaining())
+	if left := len(r.buf) - r.off; left != 0 {
+		t.Fatalf("leftover bytes: %d", left)
 	}
 }
 
@@ -363,9 +363,6 @@ func TestCostModel(t *testing.T) {
 	}
 	if cm.TimeFor(Stats{BytesOut: 1e6, BytesIn: 1e6, Messages: 10}) != want {
 		t.Fatalf("TimeFor mismatch")
-	}
-	if d := cm.Duration(1e6, 0); d.Seconds() != 1 {
-		t.Fatalf("Duration = %v", d)
 	}
 	ge := GigabitEthernet()
 	if ge.BandwidthBytesPerSec < 100e6 || ge.BandwidthBytesPerSec > 130e6 {

@@ -85,19 +85,3 @@ func (t *Topology) GhostCount(w int) int {
 	}
 	return n
 }
-
-// RemoteDegree returns the system-wide average number of remote 1-hop
-// neighbour *rows fetched* per owned vertex (ḡ_rmt after first-hop
-// deduplication — the paper's cache optimisation means each remote
-// neighbour is fetched once per worker, not once per edge).
-func (t *Topology) RemoteDegree() float64 {
-	total, verts := 0, 0
-	for w := 0; w < t.NumWorkers; w++ {
-		total += t.GhostCount(w)
-		verts += len(t.Owned[w])
-	}
-	if verts == 0 {
-		return 0
-	}
-	return float64(total) / float64(verts)
-}
