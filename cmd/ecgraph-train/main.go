@@ -503,7 +503,7 @@ func summarize(res *core.Result, stack *transport.Stack, overTCP bool, epochs in
 				metrics.FormatSeconds(e.SimSeconds), metrics.FormatSeconds(e.ComputeSeconds),
 				metrics.FormatSeconds(e.CommSeconds), metrics.FormatBytes(float64(e.Bytes)))
 		}
-		if e.Retries+e.Timeouts+e.GiveUps > 0 || e.DegradedFetches > 0 || e.StragglerSkips > 0 {
+		if e.Faulted() {
 			faulty = true
 			faults.AddRow(t, e.Retries, e.Timeouts, e.GiveUps, e.DegradedFetches, e.StragglerSkips)
 		}

@@ -285,7 +285,7 @@ func TrainBlock(c BlockConfig) (*core.Result, error) {
 	dims := append([]int{d.NumFeatures()}, cfg.Hidden...)
 	dims = append(dims, d.NumClasses)
 
-	res := &core.Result{ConvergedEpoch: -1}
+	res := &core.Result{}
 	preStart := time.Now()
 	assign := cfg.Partitioner.Partition(d.Graph, cfg.Workers)
 	res.PartitionStats = partition.Analyze(d.Graph, assign, cfg.Workers)
@@ -339,8 +339,11 @@ func TrainBlock(c BlockConfig) (*core.Result, error) {
 	for _, bw := range workers {
 		res.MemoryFloats = append(res.MemoryFloats, int64(len(bw.verts))*int64(d.NumFeatures()))
 	}
-	preCompute := time.Since(preStart).Seconds()
-	res.PreprocessSeconds = preCompute + maxCommTime(net, cfg.Cost, cfg.Workers+cfg.Servers)
+	nodes := cfg.Workers + cfg.Servers
+	cost := func(int) transport.CostModel { return cfg.Cost }
+	pre := core.EpochStats{ComputeSeconds: time.Since(preStart).Seconds()}
+	pre.MeasureTraffic(net, nodes, cost, nil)
+	res.PreprocessSeconds = pre.SimSeconds
 	net.ResetStats()
 
 	evalClient := ps.NewClient(net, 0, serverNodes, ranges)
@@ -359,22 +362,7 @@ func TrainBlock(c BlockConfig) (*core.Result, error) {
 		}
 		wall := time.Since(start).Seconds()
 		stats := core.EpochStats{RawComputeSeconds: wall, ComputeSeconds: wall / float64(cfg.Workers)}
-		var totalBytes, maxBytes, msgs int64
-		var maxComm float64
-		for node := 0; node < cfg.Workers+cfg.Servers; node++ {
-			s := net.NodeStats(node)
-			totalBytes += s.BytesOut
-			msgs += s.Messages
-			if s.Total() > maxBytes {
-				maxBytes = s.Total()
-			}
-			if c := cfg.Cost.TimeFor(s); c > maxComm {
-				maxComm = c
-			}
-		}
-		stats.Bytes, stats.MaxNodeBytes, stats.Messages = totalBytes, maxBytes, msgs
-		stats.CommSeconds = maxComm
-		stats.SimSeconds = stats.ComputeSeconds + stats.CommSeconds
+		stats.MeasureTraffic(net, nodes, cost, nil)
 
 		// Evaluate the global model on the full graph (uncounted).
 		cur, err := evalClient.Pull(t + 1)
@@ -389,24 +377,8 @@ func TrainBlock(c BlockConfig) (*core.Result, error) {
 		stats.ValAcc = nn.Accuracy(logits, d.Labels, valIdx)
 		stats.TestAcc = nn.Accuracy(logits, d.Labels, testIdx)
 		net.ResetStats()
-
-		if stats.ValAcc > res.BestVal {
-			res.BestVal = stats.ValAcc
-			res.BestEpoch = t
-			res.TestAccuracy = stats.TestAcc
-		}
-		res.Epochs = append(res.Epochs, stats)
+		res.Record(t, stats)
 	}
-	finishConvergence(res)
+	res.Finish(0)
 	return res, nil
-}
-
-func maxCommTime(net transport.Network, cost transport.CostModel, nodes int) float64 {
-	var worst float64
-	for node := 0; node < nodes; node++ {
-		if c := cost.TimeFor(net.NodeStats(node)); c > worst {
-			worst = c
-		}
-	}
-	return worst
 }

@@ -54,7 +54,7 @@ func Standalone(d *datasets.Dataset, kind nn.Kind, hidden []int, epochs int, lr 
 	opt := nn.NewAdam(lr, len(flat))
 	valIdx, testIdx := d.ValIdx(), d.TestIdx()
 
-	res := &core.Result{ConvergedEpoch: -1}
+	res := &core.Result{}
 	for t := 0; t < epochs; t++ {
 		start := time.Now()
 		var acts *nn.Activations
@@ -69,22 +69,16 @@ func Standalone(d *datasets.Dataset, kind nn.Kind, hidden []int, epochs int, lr 
 		opt.Step(flat, grads.Flatten())
 		model.SetFlatParams(flat)
 		wall := time.Since(start).Seconds()
-		stats := core.EpochStats{
+		res.Record(t, core.EpochStats{
 			ComputeSeconds:    wall,
 			RawComputeSeconds: wall,
+			SimSeconds:        wall,
 			Loss:              loss,
 			ValAcc:            nn.Accuracy(logits, d.Labels, valIdx),
 			TestAcc:           nn.Accuracy(logits, d.Labels, testIdx),
-		}
-		stats.SimSeconds = stats.ComputeSeconds
-		if stats.ValAcc > res.BestVal {
-			res.BestVal = stats.ValAcc
-			res.BestEpoch = t
-			res.TestAccuracy = stats.TestAcc
-		}
-		res.Epochs = append(res.Epochs, stats)
+		})
 	}
-	finishConvergence(res)
+	res.Finish(0)
 	res.MemoryFloats = []int64{int64(d.Graph.N) * int64(d.NumFeatures())}
 	return res
 }
@@ -125,19 +119,4 @@ func forwardEdgewise(m *nn.Model, adj *graph.NormAdjacency, x *tensor.Matrix) *n
 		acts.H = append(acts.H, h)
 	}
 	return acts
-}
-
-// finishConvergence fills the convergence bookkeeping fields shared by all
-// baseline result builders.
-func finishConvergence(res *core.Result) {
-	threshold := 0.995 * res.BestVal
-	var cum float64
-	for t, e := range res.Epochs {
-		cum += e.SimSeconds
-		if res.ConvergedEpoch == -1 && e.ValAcc >= threshold {
-			res.ConvergedEpoch = t
-			res.ConvergenceSimSeconds = cum
-		}
-	}
-	res.TotalSimSeconds = res.PreprocessSeconds + cum
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"ecgraph/internal/obs"
 	"ecgraph/internal/supervise"
-	"ecgraph/internal/transport"
 	"ecgraph/internal/worker"
 )
 
@@ -73,53 +72,28 @@ const EpochEventSchema = "ecgraph.epoch.v1"
 
 // EpochEvent is one line of the JSONL epoch event log (Config.Events): the
 // state of one worker after one successfully completed epoch. An epoch with
-// W workers emits W records, all sharing the epoch's global fields (loss,
-// accuracies, epoch index) alongside that worker's own traffic, EC-codec
-// and overlap bookkeeping. Cluster-level supervision events land on the
-// worker-0 record of the epoch they were observed in.
+// W workers emits W records, each the epoch's header — index, membership
+// view, training signal and compute time, identical across its records —
+// followed by that worker's own record (worker.EpochReport: traffic, EC
+// codec and overlap bookkeeping). Cluster-level supervision events land on
+// the worker-0 record of the epoch they were observed in.
 type EpochEvent struct {
 	Schema string `json:"schema"`
 	Epoch  int    `json:"epoch"`
-	Worker int    `json:"worker"`
 
 	// Membership view the epoch ran under (generation 0 and the boot roster
 	// on non-elastic runs).
 	ViewGen       int `json:"view_gen"`
 	ActiveWorkers int `json:"active_workers"`
 
-	// Training signal (global, identical across the epoch's records).
 	Loss    float64 `json:"loss"`
 	ValAcc  float64 `json:"val_acc"`
 	TestAcc float64 `json:"test_acc"`
-	// LocalLossSum is this worker's unnormalised share of the loss.
-	LocalLossSum float64 `json:"local_loss_sum"`
-
-	// Virtual-clock timing: compute is global (wall / workers), comm is
-	// this worker's own simulated link time.
+	// ComputeSeconds is the virtual clock's per-machine compute (wall /
+	// workers); the record's comm_seconds is this worker's own link time.
 	ComputeSeconds float64 `json:"compute_seconds"`
-	CommSeconds    float64 `json:"comm_seconds"`
 
-	// This worker node's transport counters for the epoch.
-	BytesOut int64 `json:"bytes_out"`
-	BytesIn  int64 `json:"bytes_in"`
-	Messages int64 `json:"messages"`
-	Retries  int64 `json:"retries"`
-	Timeouts int64 `json:"timeouts"`
-	GiveUps  int64 `json:"giveups"`
-
-	// EC pipeline: codec width actually served per embedding layer (index
-	// 0 ↔ layer 1), the ReqEC-FP predictor's win rate, and — under
-	// ResEC-BP — the residual L2 norm per layer.
-	LayerFPBits       []int     `json:"layer_fp_bits"`
-	PredictedFraction float64   `json:"predicted_fraction"`
-	ResidualL2        []float64 `json:"residual_l2,omitempty"`
-
-	// Fault tolerance and comm/compute overlap.
-	DegradedFetches    int     `json:"degraded_fetches"`
-	StragglerSkips     int     `json:"straggler_skips"`
-	CommWireSeconds    float64 `json:"comm_wire_seconds"`
-	CommBlockedSeconds float64 `json:"comm_blocked_seconds"`
-	OverlapUtilization float64 `json:"overlap_utilization"`
+	worker.EpochReport
 
 	// Supervision and membership-log events observed since the previous
 	// record was emitted (rendered strings; first record of the epoch only).
@@ -129,14 +103,10 @@ type EpochEvent struct {
 	Membership []MembershipEvent `json:"membership,omitempty"`
 }
 
-// emitEpochEvents writes one EpochEvent per active worker for a completed
-// epoch. ids maps record index to worker node id; wstats and wcomm are the
-// per-worker-node transport snapshot and simulated link time captured before
-// the counters were reset; supEvents are the supervision/membership log
-// entries and memEvents the installed view transitions new since the last
-// emission.
-func emitEpochEvents(log *obs.EventLog, t int, stats *EpochStats, ids []int,
-	reports []worker.EpochReport, wstats []transport.Stats, wcomm []float64,
+// emitEpochEvents writes one EpochEvent per report of a completed epoch;
+// supEvents are the supervision/membership log entries and memEvents the
+// installed view transitions new since the last emission.
+func emitEpochEvents(log *obs.EventLog, t int, stats *EpochStats, reports []worker.EpochReport,
 	supEvents []supervise.Event, memEvents []MembershipEvent) {
 	if log == nil {
 		return
@@ -145,51 +115,20 @@ func emitEpochEvents(log *obs.EventLog, t int, stats *EpochStats, ids []int,
 	for _, ev := range supEvents {
 		supStrs = append(supStrs, ev.String())
 	}
-	for i := range reports {
-		var ns transport.Stats
-		var comm float64
-		if i < len(wstats) {
-			ns, comm = wstats[i], wcomm[i]
-		}
-		node := i
-		if i < len(ids) {
-			node = ids[i]
-		}
+	for i, r := range reports {
 		ev := EpochEvent{
-			Schema:  EpochEventSchema,
-			Epoch:   t,
-			Worker:  node,
-			Loss:    stats.Loss,
-			ValAcc:  stats.ValAcc,
-			TestAcc: stats.TestAcc,
-
-			ViewGen:       stats.ViewGen,
-			ActiveWorkers: stats.ActiveWorkers,
-
-			LocalLossSum:   reports[i].LocalLossSum,
+			Schema:         EpochEventSchema,
+			Epoch:          t,
+			ViewGen:        stats.ViewGen,
+			ActiveWorkers:  stats.ActiveWorkers,
+			Loss:           stats.Loss,
+			ValAcc:         stats.ValAcc,
+			TestAcc:        stats.TestAcc,
 			ComputeSeconds: stats.ComputeSeconds,
-			CommSeconds:    comm,
-
-			BytesOut: ns.BytesOut,
-			BytesIn:  ns.BytesIn,
-			Messages: ns.Messages,
-			Retries:  ns.Retries,
-			Timeouts: ns.Timeouts,
-			GiveUps:  ns.GiveUps,
-
-			LayerFPBits:       reports[i].LayerFPBits,
-			PredictedFraction: reports[i].PredictedFraction,
-			ResidualL2:        reports[i].ResidualL2,
-
-			DegradedFetches:    reports[i].DegradedFetches,
-			StragglerSkips:     reports[i].StragglerSkips,
-			CommWireSeconds:    reports[i].CommWireSeconds,
-			CommBlockedSeconds: reports[i].CommBlockedSeconds,
-			OverlapUtilization: reports[i].OverlapUtilization,
+			EpochReport:    r,
 		}
 		if i == 0 {
-			ev.Supervise = supStrs
-			ev.Membership = memEvents
+			ev.Supervise, ev.Membership = supStrs, memEvents
 		}
 		log.Emit(ev)
 	}

@@ -349,10 +349,11 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 // OnScrapeNamed registers fn to run at the start of every exposition, before
 // values are read. Use it to copy externally-owned counters (transport node
 // stats, chaos totals, detector phi) into gauges at scrape time instead of
-// paying for bookkeeping on the hot path. Registering a second hook under
-// the same non-empty name drops the first. Components that may be
-// rebuilt within one process (a transport stack per training run, a
-// supervisor per Train call) use this so only the live instance exports.
+// paying for bookkeeping on the hot path. The name identifies the hook:
+// registering a second hook under the same name drops the first.
+// Components that may be rebuilt within one process (a transport stack per
+// training run, a supervisor per Train call) use this so only the live
+// instance exports.
 func (r *Registry) OnScrapeNamed(name string, fn func()) {
 	if r == nil || fn == nil {
 		return
@@ -360,7 +361,7 @@ func (r *Registry) OnScrapeNamed(name string, fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range r.hooks {
-		if r.hooks[i].name == name && name != "" {
+		if r.hooks[i].name == name {
 			r.hooks[i].fn = fn
 			return
 		}

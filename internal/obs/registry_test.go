@@ -145,7 +145,7 @@ func TestScrapeHooksRunAndReplace(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("hook_gauge", "")
 	n := 0
-	r.OnScrapeNamed("", func() { n++ })
+	r.OnScrapeNamed("counter", func() { n++ })
 	r.OnScrapeNamed("stack", func() { g.Set(1) })
 	r.OnScrapeNamed("stack", func() { g.Set(2) }) // replaces, not stacks
 	var b strings.Builder
@@ -153,7 +153,7 @@ func TestScrapeHooksRunAndReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 1 {
-		t.Fatalf("anonymous hook ran %d times, want 1", n)
+		t.Fatalf("hook under a second name ran %d times, want 1", n)
 	}
 	if !strings.Contains(b.String(), "hook_gauge 2") {
 		t.Fatalf("named hook not replaced:\n%s", b.String())

@@ -126,7 +126,7 @@ func FromResultInto(r *Recorder, res *core.Result) {
 	for t, e := range res.Epochs {
 		epochStart[t] = cursor
 		var args map[string]any
-		if e.Retries+e.Timeouts+e.GiveUps > 0 || e.DegradedFetches > 0 || e.StragglerSkips > 0 {
+		if e.Faulted() {
 			args = map[string]any{
 				"retries": e.Retries, "timeouts": e.Timeouts, "giveups": e.GiveUps,
 				"degraded_fetches": e.DegradedFetches, "straggler_skips": e.StragglerSkips,

@@ -180,7 +180,6 @@ type Worker struct {
 
 	labels    []int  // owned labels
 	trainMask []bool // owned train mask
-	nTrain    int    // owned training vertices
 
 	// The pair lists, derived and never sent (DESIGN.md §10): payload row k
 	// of a reply is vertex ids[k], gathered from owned row loc[k] by the
@@ -340,9 +339,6 @@ func New(cfg Config) *Worker {
 	for i, v := range w.owned {
 		w.labels[i] = cfg.Labels[v]
 		w.trainMask[i] = cfg.TrainMask[v]
-		if w.trainMask[i] {
-			w.nTrain++
-		}
 	}
 
 	// The served pair lists (owned rows per requester), and both roles'
@@ -663,36 +659,51 @@ func (w *Worker) FetchGhostFeatures() error {
 	return nil
 }
 
-// EpochReport summarises a worker's contribution to one epoch.
+// EpochReport is one worker's record of one epoch, and the per-worker half
+// of the ecgraph.epoch.v1 event line: core.EpochEvent embeds it, so its
+// JSON tags are the line's keys. RunEpoch fills what the worker measures;
+// the engine fills the node's transport window and modelled link time.
 type EpochReport struct {
-	LocalLossSum float64 // Σ −log p(label) over owned training vertices
-	TrainCount   int
-	FPBits       int // bit width in effect after the tuner update
+	Worker       int     `json:"worker"`         // node id
+	LocalLossSum float64 `json:"local_loss_sum"` // Σ −log p(label) over owned training vertices
+	FPBits       int     `json:"-"`              // bit width in effect after the tuner update
+
+	// CommSeconds is the node's modelled link time for its transport
+	// window, the six counters below.
+	CommSeconds float64 `json:"comm_seconds"`
+	BytesOut    int64   `json:"bytes_out"`
+	BytesIn     int64   `json:"bytes_in"`
+	Messages    int64   `json:"messages"`
+	Retries     int64   `json:"retries"`
+	Timeouts    int64   `json:"timeouts"`
+	GiveUps     int64   `json:"giveups"`
+
+	// LayerFPBits is the codec width served per embedding layer (index
+	// 0 ↔ layer 1); layers nobody requested report the nominal width.
+	LayerFPBits []int `json:"layer_fp_bits"`
+	// PredictedFraction is the share of responder-served rows this epoch
+	// for which the ReqEC-FP predictor won — the Bit-Tuner's input signal.
+	PredictedFraction float64 `json:"predicted_fraction"`
+	// ResidualL2 holds the ResEC-BP residual norms per layer (index =
+	// layer, entries 2..L populated); nil when ResEC is off.
+	ResidualL2 []float64 `json:"residual_l2,omitempty"`
+
 	// DegradedFetches counts ghost exchanges this epoch that exhausted the
 	// transport's retries and were served from the stale cache or the
 	// ReqEC-FP prediction instead.
-	DegradedFetches int
+	DegradedFetches int `json:"degraded_fetches"`
 	// StragglerSkips counts the subset of DegradedFetches that were served
 	// proactively — the supervision layer flagged the peer suspect and the
 	// worker skipped the call rather than waiting out retries.
-	StragglerSkips int
-	// PredictedFraction is the share of responder-served rows this epoch
-	// for which the ReqEC-FP predictor won — the Bit-Tuner's input signal.
-	PredictedFraction float64
-	// LayerFPBits is the codec width served per embedding layer (index
-	// 0 ↔ layer 1); layers nobody requested report the nominal width.
-	LayerFPBits []int
-	// ResidualL2 holds the ResEC-BP residual norms per layer (index =
-	// layer, entries 2..L populated); nil when ResEC is off.
-	ResidualL2 []float64
+	StragglerSkips int `json:"straggler_skips"`
 	// CommWireSeconds is the summed launch-to-completion time of this
 	// epoch's ghost-exchange batches; CommBlockedSeconds is how much of it
 	// the epoch goroutine actually spent waiting. Their gap is the comm
 	// the overlap window hid; OverlapUtilization is that gap as a
 	// fraction of wire time.
-	CommWireSeconds    float64
-	CommBlockedSeconds float64
-	OverlapUtilization float64
+	CommWireSeconds    float64 `json:"comm_wire_seconds"`
+	CommBlockedSeconds float64 `json:"comm_blocked_seconds"`
+	OverlapUtilization float64 `json:"overlap_utilization"`
 }
 
 // RunEpoch executes iteration t: pull parameters at version t, forward
@@ -724,7 +735,7 @@ func (w *Worker) RunEpoch(t int) (EpochReport, error) {
 	}
 
 	// ---- Loss gradient over owned training vertices ----
-	report := EpochReport{TrainCount: w.nTrain}
+	report := EpochReport{Worker: w.id}
 	logits := w.ownH[L]
 	g := tensor.New(logits.Rows, logits.Cols)
 	if w.cfg.NumTrainGlobal > 0 {

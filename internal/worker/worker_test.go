@@ -219,8 +219,14 @@ func TestWorkerLocalStructures(t *testing.T) {
 			}
 		}
 	}
-	if w.nTrain != 2 {
-		t.Fatalf("owned train count = %d, want 2", w.nTrain)
+	var nTrain int
+	for _, m := range w.trainMask {
+		if m {
+			nTrain++
+		}
+	}
+	if nTrain != 2 {
+		t.Fatalf("owned train count = %d, want 2", nTrain)
 	}
 	if w.FPBits() != 0 {
 		t.Fatalf("fixed FPBits = %d, want 0 (unset)", w.FPBits())
