@@ -109,3 +109,43 @@ func TestWorkerDelayedModeRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCompensatedExchangeMatchesReference is the full-graph oracle of the
+// compensated exchange: the grid of TestWorkerEpochMatchesReference with
+// EC-16 both ways (ReqEC-FP with Ttr 4, ResEC-BP) holds every epoch's loss
+// within 5e-4 relative of nn.TrainFullGraph's over 12 epochs. At 16 bits
+// the quantisation error is far below that bound; what it catches is a
+// layer that ships or folds the wrong rows, or a getG sent narrower than
+// its configured width.
+func TestCompensatedExchangeMatchesReference(t *testing.T) {
+	d := datasets.MustLoad("cora")
+	const epochs = 12
+	opts := Options{FPScheme: SchemeEC, FPBits: 16, BPScheme: SchemeEC, BPBits: 16, Ttr: 4}
+	for _, kind := range []nn.Kind{nn.KindGCN, nn.KindSAGE} {
+		for _, hidden := range [][]int{{8}, {8, 6}, {64, 64}} {
+			dims := append(append([]int{d.NumFeatures()}, hidden...), d.NumClasses)
+			ref := nn.TrainFullGraph(nn.NewModel(kind, dims, 1), d, epochs, 0.01)
+			for _, p := range []struct {
+				name string
+				part partition.Partitioner
+			}{{"rr", nil}, {"metis", partition.Metis{}}} {
+				t.Run(fmt.Sprintf("%v-%v-%s", kind, hidden, p.name), func(t *testing.T) {
+					r := clusterSpec{kind: kind, hidden: hidden, opts: opts, part: p.part, workers: 3, epochs: epochs}.run(t, d)
+					worst := 0.0
+					for e, want := range ref.LossHistory {
+						var sum float64
+						for _, losses := range r.losses {
+							sum += losses[e]
+						}
+						rel := math.Abs(sum/float64(len(d.TrainIdx()))-want) / want
+						if rel > 5e-4 {
+							t.Fatalf("epoch %d: relative loss difference %.3g > 5e-4", e, rel)
+						}
+						worst = max(worst, rel)
+					}
+					t.Logf("largest relative loss difference %.2g", worst)
+				})
+			}
+		}
+	}
+}
