@@ -137,7 +137,7 @@ func (a *LocalCSR) SpMMGhostCompactPacked(g *GhostOperand, ar *tensor.Arena) *te
 	} else {
 		out = tensor.New(len(a.boundary), g.Cols)
 	}
-	a.foldGhost(g, out, false, ar)
+	a.foldGhost(g, out, ar)
 	return out
 }
 
@@ -159,17 +159,15 @@ func stripRows(cols int) int {
 }
 
 // foldGhost is the one ghost fold under SpMMGhostCompact and
-// SpMMGhostCompactPacked, and under the full-output oracle the package's
-// tests hold the split kernels to: it adds each boundary row's
-// ghost terms to out, at the row's own index when full, else at its place
-// in BoundaryRows(). A dense operand is the kernel's base as it stands. A
+// SpMMGhostCompactPacked: it adds each boundary row's ghost terms to out,
+// at the row's place in BoundaryRows(). A dense operand is the kernel's base as it stands. A
 // hybrid one is materialised strip by strip of stripRows ghost rows into
 // scratch from ar (heap when nil), and each boundary row runs the kernel
 // over its terms in the strip. A row's ghost columns ascend, so walking the
 // strips in order adds its terms in storage order.
-func (a *LocalCSR) foldGhost(g *GhostOperand, out *tensor.Matrix, full bool, ar *tensor.Arena) {
+func (a *LocalCSR) foldGhost(g *GhostOperand, out *tensor.Matrix, ar *tensor.Arena) {
 	checkOperand("ghost fold", g.Rows, a.ghostRows)
-	f := ghostWalk{a: a, out: out, full: full, bias: a.NOwned}
+	f := ghostWalk{a: a, out: out, bias: a.NOwned}
 	if g.dense != nil {
 		f.base = g.dense.Data
 		f.run(a.nnzGhost * g.Cols)
@@ -211,7 +209,6 @@ func (g *GhostOperand) materialise(scratch []float32, lo, hi int) {
 type ghostWalk struct {
 	a     *LocalCSR
 	out   *tensor.Matrix
-	full  bool
 	base  []float32
 	bias  int
 	offs  []int32
@@ -244,11 +241,7 @@ func (f *ghostWalk) rows(klo, khi int) {
 				continue
 			}
 		}
-		r := k
-		if f.full {
-			r = i
-		}
-		tensor.AxpyGather(f.out.Data[r*cols:(r+1)*cols], a.Val[p:q], a.ColIdx[p:q], f.base, f.bias, cols)
+		tensor.AxpyGather(f.out.Data[k*cols:(k+1)*cols], a.Val[p:q], a.ColIdx[p:q], f.base, f.bias, cols)
 	}
 }
 

@@ -22,6 +22,10 @@ func (a *LocalCSR) SpMMGhostInto(ghost, out *tensor.Matrix) {
 
 // SpMMGhostPacked accumulates the ghost-column contributions into out like
 // SpMMGhostInto, over the hybrid operand. Nil or empty operands are a no-op.
+// It is the full-output walk the compact fold is held to: the operand
+// materialised whole, then each boundary row's ghost terms in one kernel
+// call at the row's own index. The kernel's chain adds one term after
+// another, so this matches the fold's strip-by-strip calls bit for bit.
 func (a *LocalCSR) SpMMGhostPacked(g *GhostOperand, out *tensor.Matrix) {
 	if g == nil || g.Rows == 0 {
 		return
@@ -30,7 +34,18 @@ func (a *LocalCSR) SpMMGhostPacked(g *GhostOperand, out *tensor.Matrix) {
 		panic(fmt.Sprintf("graph: SpMMGhostPacked output %dx%d, want %dx%d",
 			out.Rows, out.Cols, a.NumRows(), g.Cols))
 	}
-	a.foldGhost(g, out, true, nil)
+	checkOperand("ghost fold", g.Rows, a.ghostRows)
+	var base []float32
+	if g.dense != nil {
+		base = g.dense.Data
+	} else {
+		base = make([]float32, g.Rows*g.Cols)
+		g.materialise(base, 0, g.Rows)
+	}
+	for _, i := range a.boundary {
+		p, q := a.ghostStart[i], a.RowPtr[i+1]
+		tensor.AxpyGather(out.Row(int(i)), a.Val[p:q], a.ColIdx[p:q], base, a.NOwned, g.Cols)
+	}
 }
 
 // packedFixture builds a nGhost×cols ghost operand the way the exchange
