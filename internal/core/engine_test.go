@@ -432,3 +432,41 @@ func TestTopKSchemeTrainsAndReducesTraffic(t *testing.T) {
 		t.Fatalf("Top-K getG traffic %d B/epoch not below raw %d", topK, raw)
 	}
 }
+
+// TestCompensatedNarrowSideHoldsAccuracy guards the narrow side under EC
+// both ways (DESIGN.md §10, "Narrow side on the compensated wire"): on the
+// serve-online benchmark's shape — ogbn-products ×2, GCN 100 → 64 → 16, 4
+// workers and 2 servers, Hash placement, EC-2 with Ttr 10, 46 epochs — its
+// 64 → 16 layer ships P = H¹W² and takes ∇W² partly from quantised ghost
+// G² rows. A getG at the configured 2 bits loses about a tenth of test
+// accuracy there; at 4 bits the run ends above the benchmark's 0.82 floor.
+func TestCompensatedNarrowSideHoldsAccuracy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two 46-epoch runs on a 16000-vertex graph")
+	}
+	pc, err := datasets.PresetConfig("ogbn-products")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		dc := pc
+		dc.N *= 2
+		dc.Seed += seed
+		res, err := Train(Config{
+			Dataset: datasets.Generate(dc), Kind: nn.KindGCN, Hidden: []int{64},
+			Workers: 4, Servers: 2, Partitioner: partition.Hash{},
+			Epochs: 46, LR: 0.01, Seed: 1 + seed,
+			Worker: worker.Options{
+				FPScheme: worker.SchemeEC, BPScheme: worker.SchemeEC,
+				FPBits: 2, BPBits: 2, Ttr: 10,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed %d: test accuracy %.4f", seed, res.TestAccuracy)
+		if res.TestAccuracy < 0.82 {
+			t.Errorf("seed %d: test accuracy %.4f below 0.82", seed, res.TestAccuracy)
+		}
+	}
+}

@@ -26,10 +26,7 @@ var wallClockKeys = []string{
 }
 
 // normaliseEvent decodes one event line into a key → value map with the
-// wall-clock values masked. residual_l2 keeps only its length: a worker
-// reads its ResEC-BP residuals when its own epoch ends, which may be before
-// or after it has served its peer's getG of that epoch, so the values
-// depend on scheduling.
+// wall-clock values masked.
 func normaliseEvent(t *testing.T, line []byte) map[string]any {
 	t.Helper()
 	var m map[string]any
@@ -40,9 +37,6 @@ func normaliseEvent(t *testing.T, line []byte) map[string]any {
 		if _, ok := m[k]; ok {
 			m[k] = "wall-clock"
 		}
-	}
-	if r, ok := m["residual_l2"].([]any); ok {
-		m["residual_l2"] = float64(len(r))
 	}
 	return m
 }

@@ -18,8 +18,10 @@ import (
 // only backward exchange under ResEC-BP at B = 2, the 3-layer raw arm thins
 // G³ and leaves G² alone. raw-3layer was re-recorded once, in the commit
 // after 0ef9f3a, because its 16 → 7 top layer began to ship and fold H·W
-// (DESIGN.md §10, "Narrow side on the exact wire"). Never re-record them to
-// make this pass.
+// (DESIGN.md §10, "Narrow side on the exact wire"); ec2-2layer was
+// re-recorded once, in the commit after 6fba791, because its 16 → 7 top
+// layer began to ship P under EC both ways, with its getG at 4 bits ("…
+// on the compensated wire"). Never re-record them to make this pass.
 func TestTopLayerGetGGolden(t *testing.T) {
 	const epochs = 8
 	cases := []struct {
@@ -30,7 +32,7 @@ func TestTopLayerGetGGolden(t *testing.T) {
 	}{
 		{"ec2-2layer", []int{16}, worker.Options{
 			FPScheme: worker.SchemeEC, BPScheme: worker.SchemeEC, FPBits: 2, BPBits: 2, Ttr: 5,
-		}, "cf2e1d60ce73f16a"},
+		}, "9d532bbbc879c18b"},
 		{"raw-3layer", []int{16, 16}, worker.Options{}, "f963539d34407c8b"},
 	}
 	for _, tc := range cases {

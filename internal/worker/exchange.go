@@ -527,7 +527,8 @@ func (w *Worker) Handler() transport.Handler {
 }
 
 // respondBP encodes a backward payload for peer under the BP scheme: getG's
-// G rows for a requester, or getP's partials for an owner.
+// G rows for a requester, or getP's partials for an owner. A transform-first
+// layer's ResEC-BP rows go at no fewer than minGradBits.
 func (w *Worker) respondBP(l, peer int, m *tensor.Matrix) (payload []byte, err error) {
 	switch w.cfg.Opts.BPScheme {
 	case SchemeRaw:
@@ -535,7 +536,11 @@ func (w *Worker) respondBP(l, peer int, m *tensor.Matrix) (payload []byte, err e
 	case SchemeCompress:
 		return ec.RespondCompressOnlyGrad(m, w.cfg.Opts.BPBits), nil
 	case SchemeEC:
-		w.underEC(func() { payload = w.bpResp[l][peer].Respond(m, w.cfg.Opts.BPBits) })
+		bits := w.cfg.Opts.BPBits
+		if w.transformFirst(l) {
+			bits = max(bits, minGradBits)
+		}
+		w.underEC(func() { payload = w.bpResp[l][peer].Respond(m, bits) })
 		return payload, nil
 	case SchemeTopK:
 		w.underEC(func() { payload = w.topkResp[l][peer].Respond(m) })

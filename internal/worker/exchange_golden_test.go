@@ -39,7 +39,12 @@ func runHash(r *clusterRun) string {
 // sage-raw were re-recorded once, in the commit after 0ef9f3a, because their
 // top layer began to transform first (DESIGN.md §10, "Narrow side on the
 // exact wire"); TestWorkerEpochMatchesReference held every epoch's loss to
-// 1e-6 of the full-graph reference before and after. Never re-record them to
+// 1e-6 of the full-graph reference before and after. gcn-ec was re-recorded
+// once, in the commit after 6fba791, because its 8 → 7 layer began to ship
+// P under EC both ways with a getG of at least 4 bits (DESIGN.md §10,
+// "Narrow side on the compensated wire");
+// TestCompensatedExchangeMatchesReference held every epoch's loss to 5e-4
+// of the full-graph reference before and after. Never re-record them to
 // make this pass.
 func TestExchangeGolden(t *testing.T) {
 	d := datasets.MustLoad("cora")
@@ -52,7 +57,7 @@ func TestExchangeGolden(t *testing.T) {
 	}{
 		{"gcn-raw", nn.KindGCN, Options{}, "950914421ca9d601", 0},
 		{"sage-raw", nn.KindSAGE, Options{}, "2e0904cecd8b1246", 0},
-		{"gcn-ec", nn.KindGCN, Options{FPScheme: SchemeEC, BPScheme: SchemeEC, FPBits: 2, BPBits: 2, Ttr: 4}, "23cf2138cced5368", 0},
+		{"gcn-ec", nn.KindGCN, Options{FPScheme: SchemeEC, BPScheme: SchemeEC, FPBits: 2, BPBits: 2, Ttr: 4}, "619a462689e06249", 0},
 		{"gcn-delay", nn.KindGCN, Options{DelayRounds: 3, BPScheme: SchemeCompress, BPBits: 4}, "600735f45d2d97f5", 0},
 	}
 	for _, tc := range cases {
@@ -117,8 +122,11 @@ func exchangeGrid(f func(name string, spec clusterSpec)) {
 // its sequential/pipelined × decode-first/packed paths and no run degraded.
 // The 8 raw arms were re-recorded once, in the commit after 0ef9f3a, because
 // their 8 → 7 or 8 → 6 layer began to ship and fold H·W (DESIGN.md §10,
-// "Narrow side on the exact wire"); the other 104, whose forward or backward
-// exchange is lossy or delayed, kept their bits. Never re-record them to make
+// "Narrow side on the exact wire"). The 8 ec-2 arms were re-recorded once,
+// in the commit after 6fba791, because the same layer began to ship P under
+// EC both ways, its getG at 4 bits ("Narrow side on the compensated wire");
+// the other 96, whose exchanges are lossy in one direction, lossy under
+// another scheme, or delayed, kept their bits. Never re-record them to make
 // this pass.
 func TestExchangeGoldenGrid(t *testing.T) {
 	d := datasets.MustLoad("cora")
@@ -137,7 +145,7 @@ func TestExchangeGoldenGrid(t *testing.T) {
 }
 
 // gridGoldens maps each exchangeGrid run to its runHash (46113fd, the raw
-// arms after 0ef9f3a).
+// arms after 0ef9f3a, the ec-2 arms after 6fba791).
 var gridGoldens = map[string]string{
 	"gcn-L2-rr-raw":                    "1958077ace48878c",
 	"gcn-L2-rr-cp-fp2":                 "eb1ecddd54dd55f0",
@@ -148,7 +156,7 @@ var gridGoldens = map[string]string{
 	"gcn-L2-rr-cp-bp4":                 "613d64daf32a206d",
 	"gcn-L2-rr-resec-bp2":              "0daafc5adbf3e9c1",
 	"gcn-L2-rr-topk-bp4":               "a6370a9806474703",
-	"gcn-L2-rr-ec-2":                   "c392c8edaf5445d3",
+	"gcn-L2-rr-ec-2":                   "5e8f23d16caad960",
 	"gcn-L2-rr-cp-4":                   "44255072636ae2ae",
 	"gcn-L2-rr-reqec-fp2-topk-bp8":     "c60831f9730a2908",
 	"gcn-L2-rr-delay2":                 "edc08297899342b3",
@@ -162,7 +170,7 @@ var gridGoldens = map[string]string{
 	"gcn-L2-metis-cp-bp4":              "c63563e7a5062ac9",
 	"gcn-L2-metis-resec-bp2":           "8e7671dda69b73f5",
 	"gcn-L2-metis-topk-bp4":            "71ead8eca542809b",
-	"gcn-L2-metis-ec-2":                "70976e0485ef7ff0",
+	"gcn-L2-metis-ec-2":                "e32c687ae4724468",
 	"gcn-L2-metis-cp-4":                "4eb8246d417bc873",
 	"gcn-L2-metis-reqec-fp2-topk-bp8":  "e8e815001e1326f6",
 	"gcn-L2-metis-delay2":              "7ed61c49d862df51",
@@ -176,7 +184,7 @@ var gridGoldens = map[string]string{
 	"gcn-L3-rr-cp-bp4":                 "d14638e6cc6a744f",
 	"gcn-L3-rr-resec-bp2":              "96ec14d24d53bea1",
 	"gcn-L3-rr-topk-bp4":               "f84f90132dfdc680",
-	"gcn-L3-rr-ec-2":                   "742594c6e03c643c",
+	"gcn-L3-rr-ec-2":                   "e9c780fac6a55864",
 	"gcn-L3-rr-cp-4":                   "c5caa29461147010",
 	"gcn-L3-rr-reqec-fp2-topk-bp8":     "03911612f122629a",
 	"gcn-L3-rr-delay2":                 "050093b1cac19b95",
@@ -190,7 +198,7 @@ var gridGoldens = map[string]string{
 	"gcn-L3-metis-cp-bp4":              "bbc9a330f257cdb2",
 	"gcn-L3-metis-resec-bp2":           "137617c30aee8f3a",
 	"gcn-L3-metis-topk-bp4":            "02aa7dc52642cc67",
-	"gcn-L3-metis-ec-2":                "7469f8270d605c40",
+	"gcn-L3-metis-ec-2":                "05bb928f978f9561",
 	"gcn-L3-metis-cp-4":                "4fdc60d3bad9701c",
 	"gcn-L3-metis-reqec-fp2-topk-bp8":  "c713aed430285e79",
 	"gcn-L3-metis-delay2":              "756bb43b3e6eab8d",
@@ -204,7 +212,7 @@ var gridGoldens = map[string]string{
 	"sage-L2-rr-cp-bp4":                "dc5064de160a8fbc",
 	"sage-L2-rr-resec-bp2":             "4fc30f9d5cf707db",
 	"sage-L2-rr-topk-bp4":              "ff3085627a0e35c9",
-	"sage-L2-rr-ec-2":                  "ef203e54aaa9a005",
+	"sage-L2-rr-ec-2":                  "21d692ae9a396fff",
 	"sage-L2-rr-cp-4":                  "6f88720400d88626",
 	"sage-L2-rr-reqec-fp2-topk-bp8":    "63342a8a0121401b",
 	"sage-L2-rr-delay2":                "72d7ce4de2927b06",
@@ -218,7 +226,7 @@ var gridGoldens = map[string]string{
 	"sage-L2-metis-cp-bp4":             "9cc1cd3f9fb78b7d",
 	"sage-L2-metis-resec-bp2":          "358d0f4dbaf94656",
 	"sage-L2-metis-topk-bp4":           "94b05a83e789e038",
-	"sage-L2-metis-ec-2":               "1fd355265d0b654c",
+	"sage-L2-metis-ec-2":               "8380df1b5f8fd91d",
 	"sage-L2-metis-cp-4":               "0e601e784c2192f1",
 	"sage-L2-metis-reqec-fp2-topk-bp8": "0134a76ef22eab23",
 	"sage-L2-metis-delay2":             "e5c11c28926497e5",
@@ -232,7 +240,7 @@ var gridGoldens = map[string]string{
 	"sage-L3-rr-cp-bp4":                "7af190b5e6ea2f40",
 	"sage-L3-rr-resec-bp2":             "a3686674009b3beb",
 	"sage-L3-rr-topk-bp4":              "6c5080dc0e6a4ee2",
-	"sage-L3-rr-ec-2":                  "72a4449c52daf8ca",
+	"sage-L3-rr-ec-2":                  "a3d94893fe359747",
 	"sage-L3-rr-cp-4":                  "d507feb08929993b",
 	"sage-L3-rr-reqec-fp2-topk-bp8":    "e586ddabb909e872",
 	"sage-L3-rr-delay2":                "eca3aca8f98f3a5b",
@@ -246,7 +254,7 @@ var gridGoldens = map[string]string{
 	"sage-L3-metis-cp-bp4":             "9d5be7d5ef02ac23",
 	"sage-L3-metis-resec-bp2":          "ec425cd0599d748d",
 	"sage-L3-metis-topk-bp4":           "8ce0bcf816d93053",
-	"sage-L3-metis-ec-2":               "4d0dae6fd8cb7bb6",
+	"sage-L3-metis-ec-2":               "7d551c9dac7eda97",
 	"sage-L3-metis-cp-4":               "5f563fdeea581fd2",
 	"sage-L3-metis-reqec-fp2-topk-bp8": "10984608e76f76ee",
 	"sage-L3-metis-delay2":             "4c30a7842fb6b246",

@@ -91,14 +91,18 @@ func (f *handoffFixture) newWorker(id int, topo *Topology) *Worker {
 }
 
 // widthArms runs f once on a fixture whose layer 2 (8 → 7) aggregates first,
-// under ResEC-BP, and once on one where it transforms first, raw both ways,
-// so getH(1) ships the 7-wide H¹·W².
+// under ResEC-BP alone, and on two where it transforms first, raw and EC-2
+// both ways, so getH(1) ships the 7-wide H¹·W² — under ReqEC-FP too.
 func widthArms(t *testing.T, f func(t *testing.T, fx *handoffFixture, tf bool)) {
 	for _, arm := range []struct {
 		name string
 		opts Options
 		tf   bool
-	}{{"resec-bp4", resecBP4, false}, {"raw", Options{}, true}} {
+	}{
+		{"resec-bp4", resecBP4, false},
+		{"raw", Options{}, true},
+		{"ec-2", Options{FPScheme: SchemeEC, BPScheme: SchemeEC, FPBits: 2, BPBits: 2, Ttr: 4}, true},
+	} {
 		t.Run(arm.name, func(t *testing.T) {
 			fx := newHandoffFixtureWith(t, arm.opts, 8)
 			if got := fx.old[0].transformFirst(2); got != arm.tf {

@@ -157,12 +157,9 @@ func (w *Worker) finishEpochObs(report *EpochReport) {
 	w.obs.predFrac.Set(report.PredictedFraction)
 	w.obs.epochs.Inc()
 
-	if w.cfg.Opts.BPScheme == SchemeEC {
-		report.ResidualL2 = w.ResidualNorms()
-		for l, norm := range report.ResidualL2 {
-			if l < len(w.obs.residual) {
-				w.obs.residual[l].Set(norm)
-			}
+	for l, norm := range report.ResidualL2 {
+		if l < len(w.obs.residual) {
+			w.obs.residual[l].Set(norm)
 		}
 	}
 }
