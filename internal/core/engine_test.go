@@ -470,3 +470,41 @@ func TestCompensatedNarrowSideHoldsAccuracy(t *testing.T) {
 		}
 	}
 }
+
+// TestTrendBoundaryHoldsAccuracy guards the ReqEC-FP trend boundary (DESIGN.md
+// §8) on the train-wire benchmark's shape — ogbn-products ×2, GCN
+// 100 → 16 → 16, 4 workers and 2 servers, Hash placement, EC-2 with Ttr 10,
+// 106 epochs (the benchmark's five warm-up, 100 timed and one closing
+// epoch): every tenth round re-baselines the trend both ends predict from,
+// so a boundary that moves the base too coarsely drags the in-group rounds
+// with it. Each seed must end above the benchmark's 0.82 floor.
+func TestTrendBoundaryHoldsAccuracy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two 106-epoch runs on a 16000-vertex graph")
+	}
+	pc, err := datasets.PresetConfig("ogbn-products")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		dc := pc
+		dc.N *= 2
+		dc.Seed += seed
+		res, err := Train(Config{
+			Dataset: datasets.Generate(dc), Kind: nn.KindGCN, Hidden: []int{16},
+			Workers: 4, Servers: 2, Partitioner: partition.Hash{},
+			Epochs: 106, LR: 0.01, Seed: 1 + seed,
+			Worker: worker.Options{
+				FPScheme: worker.SchemeEC, BPScheme: worker.SchemeEC,
+				FPBits: 2, BPBits: 2, Ttr: 10,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed %d: test accuracy %.4f", seed, res.TestAccuracy)
+		if res.TestAccuracy < 0.82 {
+			t.Errorf("seed %d: test accuracy %.4f below 0.82", seed, res.TestAccuracy)
+		}
+	}
+}
