@@ -227,8 +227,9 @@ func (q *Quantized) Values(dst []float32) []float32 {
 	}
 	dst = dst[:n]
 	if q.ZeroCentered {
+		g := q.ZeroGrid()
 		for id := range dst {
-			dst[id] = q.zeroCenteredValue(id)
+			dst[id] = g.Value(id)
 		}
 		return dst
 	}

@@ -43,15 +43,12 @@ func CompressZeroCentered(m *tensor.Matrix, bits int) *Quantized {
 		// All zeros: every id is 0, which decodes to 0 (Hi ≤ Lo).
 		return q
 	}
-	levels := (1 << bits) - 1 // odd ⇒ the middle level is exactly 0
-	if bits == 1 {
-		levels = 2 // {−mx, +mx}: sign quantisation, no zero level
-	}
-	step := 2 * mx / float32(levels-1)
+	g := q.ZeroGrid()
 	// Word-parallel packing, same scheme as CompressWithRange: elements
 	// sharing a packed word stay on one worker, and the size gate counts
 	// words so small matrices stay serial.
 	tensor.ParallelRows(len(q.Packed), len(q.Packed)*wordWork, func(wlo, whi int) {
+		g := g // the band's own copy: the loop keeps its fields in registers
 		for w := wlo; w < whi; w++ {
 			base := w * perWord
 			end := base + perWord
@@ -60,13 +57,7 @@ func CompressZeroCentered(m *tensor.Matrix, bits int) *Quantized {
 			}
 			var word uint64
 			for i := base; i < end; i++ {
-				id := int((m.Data[i]+mx)/step + 0.5)
-				if id < 0 {
-					id = 0
-				} else if id >= levels {
-					id = levels - 1
-				}
-				word |= uint64(id) << (uint(i-base) * uint(bits))
+				word |= uint64(g.ID(m.Data[i])) << (uint(i-base) * uint(bits))
 			}
 			q.Packed[w] = word
 		}
@@ -74,18 +65,63 @@ func CompressZeroCentered(m *tensor.Matrix, bits int) *Quantized {
 	return q
 }
 
-// zeroCenteredValue returns the representative of level id for a
-// zero-centred Quantized — the one decode site (Values, and through it
-// DecompressInto's table and the Blocked LUTs). Levels count
-// from the middle so that level mid is exactly +0 at every width.
-func (q *Quantized) zeroCenteredValue(id int) float32 {
-	if q.Hi <= q.Lo {
+// ZeroGrid is the level grid of a zero-centred Quantized: 2^B−1 uniform
+// levels over [Lo, Hi] = [−a, +a] whose middle level is exactly 0, or the
+// sign grid {−a, +a} at B = 1. It is the one place a level id is computed
+// from a value (ID, what CompressZeroCentered packs) and a level's value from
+// its id (Value, what Values — and through it DecompressInto and the Blocked
+// LUTs — decode to), so a caller that fuses quantisation into its own walk
+// packs and decodes exactly what those functions do.
+type ZeroGrid struct {
+	lo, step float32
+	// levels is the level count, mid the id of the zero level (levels/2;
+	// unused at B = 1, whose values count from lo). flat marks a domain with
+	// Hi ≤ Lo, where every id decodes to 0 and every value encodes to 0.
+	levels, mid int
+	sign, flat  bool
+}
+
+// ZeroGrid returns q's zero-centred level grid.
+func (q *Quantized) ZeroGrid() ZeroGrid {
+	levels := (1 << q.Bits) - 1 // odd ⇒ the middle level is exactly 0
+	if q.Bits == 1 {
+		levels = 2 // {−a, +a}: sign quantisation, no zero level
+	}
+	return ZeroGrid{
+		lo:     q.Lo,
+		step:   (q.Hi - q.Lo) / float32(levels-1),
+		levels: levels,
+		mid:    levels / 2,
+		sign:   q.Bits == 1,
+		flat:   q.Hi <= q.Lo,
+	}
+}
+
+// ID returns the level nearest x, clamping values outside the domain to the
+// end levels.
+func (g *ZeroGrid) ID(x float32) int {
+	if g.flat {
 		return 0
 	}
-	if q.Bits == 1 {
-		return q.Lo + float32(id)*(q.Hi-q.Lo) // {−a, +a}: no zero level
+	id := int((x-g.lo)/g.step + 0.5)
+	if id < 0 {
+		return 0
 	}
-	levels := (1 << q.Bits) - 1
-	step := (q.Hi - q.Lo) / float32(levels-1)
-	return float32(id-levels/2) * step
+	if id >= g.levels {
+		return g.levels - 1
+	}
+	return id
+}
+
+// Value returns the representative of level id. Levels count from the
+// middle so that level mid is exactly +0 at every width; the product is
+// rounded to float32 before the caller adds it to anything.
+func (g *ZeroGrid) Value(id int) float32 {
+	switch {
+	case g.flat:
+		return 0
+	case g.sign:
+		return g.lo + float32(id)*g.step // {−a, +a}: no zero level
+	}
+	return float32(float32(id-g.mid) * g.step)
 }

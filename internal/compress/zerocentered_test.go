@@ -145,7 +145,8 @@ func TestZeroLevelExactEveryWidth(t *testing.T) {
 			if id := q.BucketID(1); id != mid {
 				t.Fatalf("bits=%d scale %v: zero encoded to level %d, want %d", bits, mx, id, mid)
 			}
-			if v := q.zeroCenteredValue(mid); math.Float32bits(v) != 0 {
+			g := q.ZeroGrid()
+			if v := g.Value(mid); math.Float32bits(v) != 0 {
 				t.Fatalf("bits=%d scale %v: level %d decodes to %v (bits %#x), want +0",
 					bits, mx, mid, v, math.Float32bits(v))
 			}

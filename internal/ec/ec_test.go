@@ -67,7 +67,7 @@ func TestForwardExactBoundaryRoundTrip(t *testing.T) {
 	h := randomMatrix(rng, 5, 8)
 	// t=3 is a boundary for Ttr=4.
 	payload, stats := resp.Respond(h, 3, 2)
-	if !stats.Exact {
+	if !stats.Boundary {
 		t.Fatalf("boundary response not marked exact")
 	}
 	got := req.Parse(payload, 3)
@@ -82,7 +82,7 @@ func TestForwardFirstGroupAllCompressed(t *testing.T) {
 	req := NewForwardRequester(5)
 	h := randomMatrix(rng, 6, 10)
 	payload, stats := resp.Respond(h, 0, 4)
-	if stats.Exact || stats.Predicted != 0 {
+	if stats.Boundary || stats.Predicted != 0 {
 		t.Fatalf("first-group stats wrong: %+v", stats)
 	}
 	got := req.Parse(payload, 0)
@@ -90,6 +90,24 @@ func TestForwardFirstGroupAllCompressed(t *testing.T) {
 	if !got.Equal(want, 1e-6) {
 		t.Fatalf("first-group payload should be plain compression")
 	}
+}
+
+// deltaBound is how far a delta boundary coded from rows h over base may
+// leave the new base from h: max|h − base|/(2^B − 2), half a level of the
+// zero-centred grid, plus a few float32 ulps of the largest magnitude
+// involved for the rounding of the subtraction, the level arithmetic and
+// the add.
+func deltaBound(h, base *tensor.Matrix) float64 {
+	mag := max(h.MaxAbs(), base.MaxAbs())
+	return float64(h.Sub(base).MaxAbs())/float64(int(1)<<boundaryBits-2) + 4*float64(mag)*0x1p-23
+}
+
+// trendBound is how far a prediction k < ttr steps past a delta boundary
+// coded from rows h over an exact base may stray from a perfectly linear
+// trend: the base's error e ≤ deltaBound, plus k times the error e/ttr of
+// the M_cr derived from it.
+func trendBound(h, base *tensor.Matrix, ttr int) float64 {
+	return deltaBound(h, base) * (1 + float64(ttr-1)/float64(ttr))
 }
 
 func TestForwardPredictedWinsOnLinearTrend(t *testing.T) {
@@ -110,18 +128,22 @@ func TestForwardPredictedWinsOnLinearTrend(t *testing.T) {
 	at := func(t int) *tensor.Matrix { return base.Add(rate.Scale(float32(t))) }
 
 	// The first boundary (t=Ttr−1) has no prior baseline, so M_cr is only
-	// meaningful from the second boundary (t=2·Ttr−1) on.
+	// meaningful from the second boundary (t=2·Ttr−1) on. That one is a
+	// delta over the exact first: it leaves the base within trendBound of
+	// the rows, and k steps of the M_cr derived from it stay within
+	// (1 + k/Ttr) of that.
+	tol := trendBound(at(2*ttr-1), at(ttr-1), ttr)
 	var selectedBytes int
 	for it := 0; it < 3*ttr; it++ {
 		h := at(it)
 		payload, stats := resp.Respond(h, it, 2)
 		got := req.Parse(payload, it)
-		if it >= 2*ttr && !stats.Exact {
+		if it >= 2*ttr && !stats.Boundary {
 			if stats.Predicted < stats.Rows {
 				t.Fatalf("iteration %d: only %d/%d predicted on perfect linear trend", it, stats.Predicted, stats.Rows)
 			}
 			selectedBytes = len(payload)
-			if !got.Equal(h, 1e-4) {
+			if !got.Equal(h, tol) {
 				t.Fatalf("iteration %d: prediction inexact", it)
 			}
 		}
@@ -539,17 +561,19 @@ func TestMatrixWisePredictedOnPerfectTrend(t *testing.T) {
 	for i := range rate.Data {
 		rate.Data[i] = 0.02 * rng.Float32()
 	}
+	at := func(t int) *tensor.Matrix { return base.Add(rate.Scale(float32(t))) }
+	tol := trendBound(at(2*ttr-1), at(ttr-1), ttr) // as in TestForwardPredictedWinsOnLinearTrend
 	var predictedPayload int
 	for it := 0; it < 3*ttr; it++ {
-		h := base.Add(rate.Scale(float32(it)))
+		h := at(it)
 		payload, stats := resp.Respond(h, it, 1)
 		got := req.Parse(payload, it)
-		if it >= 2*ttr && !stats.Exact {
+		if it >= 2*ttr && !stats.Boundary {
 			if stats.Predicted != stats.Rows {
 				t.Fatalf("iteration %d: matrix-wise did not pick predicted on a perfect trend", it)
 			}
 			predictedPayload = len(payload)
-			if !got.Equal(h, 1e-4) {
+			if !got.Equal(h, tol) {
 				t.Fatalf("iteration %d: prediction inexact", it)
 			}
 		}

@@ -110,11 +110,15 @@ func drift(rng *rand.Rand, h *tensor.Matrix) *tensor.Matrix {
 }
 
 // TestDerivedTrendMatchesShippedOracle drives a pair and the parent's
-// responder over the same drifting rows: at every boundary — scheduled,
-// first, after a Reset, forced off schedule — the M_cr both ends derive is
-// bit for bit the matrix the parent shipped, the boundary costs half the
-// parent's bytes, and every in-group payload is byte-identical to the
-// parent's (the scratch-buffer selector against its allocating oracle).
+// responder over the same drifting rows. At every exact boundary — the
+// first, the first after a Reset, one forced off schedule, every one of a
+// 0-row pair — the M_cr both ends derive is bit for bit the matrix the
+// parent shipped, and a derived one costs half the parent's bytes. Every
+// other scheduled boundary is a delta, byte for byte the multi-pass delta
+// encoder's payload, and leaves both ends on its base and M_cr; the
+// parent's responder then carries on from that base, so every in-group
+// payload is byte-identical to the parent's (the scratch-buffer selector
+// against its allocating oracle).
 func TestDerivedTrendMatchesShippedOracle(t *testing.T) {
 	for _, ttr := range []int{2, 10} {
 		for _, shape := range [][2]int{{0, 6}, {1, 6}, {37, 16}} {
@@ -128,7 +132,7 @@ func TestDerivedTrendMatchesShippedOracle(t *testing.T) {
 					if ttr == 2 {
 						force = 3 * ttr // an even round: off schedule when T_tr = 2
 					}
-					boundaries := 0
+					boundaries, deltas := 0, 0
 					for it := 0; it < 5*ttr; it++ {
 						if it == reset {
 							resp.Reset()
@@ -138,20 +142,39 @@ func TestDerivedTrendMatchesShippedOracle(t *testing.T) {
 						if it == force {
 							resp.ForceExact()
 						}
+						// A scheduled boundary over a base is a delta unless
+						// the exact payload is smaller (the 0-row pair).
+						var want []byte
+						var wantBase, wantMcr *tensor.Matrix
+						if (it+1)%ttr == 0 && it != force && oracle.haveBase {
+							want, wantBase, wantMcr = multiPassDelta(oracle.hLast, h, ttr, resp.seq+1)
+						}
+						delta := want != nil && len(want) < exactSize(h)
 						payload, stats := resp.Respond(h, it, bits)
 						got := req.Parse(payload, it)
-						if stats.Exact != (it == force || (it+1)%ttr == 0) {
-							t.Fatalf("round %d: exact=%v", it, stats.Exact)
+						if stats.Boundary != (it == force || (it+1)%ttr == 0) {
+							t.Fatalf("round %d: boundary=%v", it, stats.Boundary)
 						}
-						if !stats.Exact {
+						switch {
+						case !stats.Boundary:
 							if want := oracle.respondSelected(h, it, bits); !bytes.Equal(payload, want) {
 								t.Fatalf("round %d: selected payload differs from the parent's (%d vs %d bytes)", it, len(payload), len(want))
 							}
-						} else {
+						case delta:
+							boundaries++
+							deltas++
+							if !bytes.Equal(payload, want) {
+								t.Fatalf("round %d: delta boundary differs from the multi-pass encoder's (%d vs %d bytes)", it, len(payload), len(want))
+							}
+							if !sameBits(got, wantBase) || !sameBits(resp.hLast, wantBase) || !sameBits(resp.mcr, wantMcr) || !req.InSyncWith(resp) {
+								t.Fatalf("round %d: delta boundary left another base or M_cr than the multi-pass encoder's", it)
+							}
+							oracle.hLast, oracle.mcr = wantBase, wantMcr
+						default:
 							boundaries++
 							derives := oracle.haveBase
 							shipped := oracle.respondExact(h)
-							if !sameBits(got, h) {
+							if payload[0] != schemeExact || !sameBits(got, h) {
 								t.Fatalf("round %d: boundary rows not exact", it)
 							}
 							if !sameBits(resp.mcr, oracle.mcr) || !sameBits(req.mcr, oracle.mcr) {
@@ -165,6 +188,9 @@ func TestDerivedTrendMatchesShippedOracle(t *testing.T) {
 							}
 						}
 						h = drift(rng, h)
+					}
+					if (deltas == 0) != (shape[0] == 0) {
+						t.Fatalf("%d delta boundaries on %d rows", deltas, shape[0])
 					}
 					if boundaries < 5 {
 						t.Fatalf("only %d boundaries exercised", boundaries)
@@ -200,7 +226,7 @@ func TestBoundaryRetrySameBytes(t *testing.T) {
 		t.Fatal("second boundary left M_cr zero")
 	}
 	again, stats := resp.Respond(h, 19, 2)
-	if !stats.Exact || !bytes.Equal(first, again) {
+	if !stats.Boundary || !bytes.Equal(first, again) {
 		t.Fatal("retry of the boundary round returned different bytes")
 	}
 	if !sameBits(resp.mcr, mcr) {
@@ -214,10 +240,10 @@ func TestBoundaryRetrySameBytes(t *testing.T) {
 	resp.ForceExact()
 	forced, _ := resp.Respond(h, 23, 2)
 	dup, stats := resp.Respond(h, 23, 2)
-	if !stats.Exact || !bytes.Equal(forced, dup) {
+	if !stats.Boundary || !bytes.Equal(forced, dup) {
 		t.Fatal("duplicate of the forced round is not a repeat of it")
 	}
-	if _, stats := resp.Respond(h, 24, 2); stats.Exact {
+	if _, stats := resp.Respond(h, 24, 2); stats.Boundary {
 		t.Fatal("force outlived its round")
 	}
 }
@@ -243,7 +269,7 @@ func TestLostBoundaryRebaselines(t *testing.T) {
 	resp.Reset()
 	resp.ForceExact()
 	payload, stats := resp.Respond(h, 20, 2)
-	if r := transport.NewReader(payload[len(payload)-5:]); !stats.Exact || r.Byte() != 0 {
+	if r := transport.NewReader(payload[len(payload)-5:]); !stats.Boundary || r.Byte() != 0 {
 		t.Fatal("re-baseline is not a flag-0 exact round")
 	}
 	req.Parse(payload, 20)
@@ -285,7 +311,7 @@ func TestLateDuplicateLeavesPairAlone(t *testing.T) {
 	base, mcr, seq := resp.hLast.Clone(), resp.mcr.Clone(), resp.seq
 	for _, round := range []int{9, 14} { // an older boundary, an older in-group round
 		payload, stats := resp.Respond(old, round, 2)
-		if !stats.Exact {
+		if !stats.Boundary {
 			t.Fatalf("late round %d answered against the newer base", round)
 		}
 		if got := req.Parse(payload, round); !sameBits(got, old) {
@@ -300,10 +326,122 @@ func TestLateDuplicateLeavesPairAlone(t *testing.T) {
 	}
 	// The live exchange carries on from the untouched pair.
 	payload, stats := resp.Respond(h, 20, 2)
-	if stats.Exact {
+	if stats.Boundary {
 		t.Fatal("round 20 is in-group")
 	}
 	req.Parse(payload, 20)
+}
+
+// TestDeltaBoundaryProtocol walks pairs over random walks and linear trends
+// through what the exchange does to boundaries: a boundary round retried
+// (the same bytes, parsed again or not), a boundary reply lost for good
+// (the worker's OutOfSync rule re-baselines on the next round), a reset of
+// both ends with ForceExact (recovery, resume, a view change), ForceExact
+// alone, late duplicates of older rounds, and pairs of 0 rows. After every
+// round whose reply arrived, both ends hold the same boundary, and the
+// requester's base is within max|d|/(2^B − 2) (deltaBound) of the rows of
+// the boundary it came from — exactly those rows when it was exact.
+func TestDeltaBoundaryProtocol(t *testing.T) {
+	var seen struct{ delta, exact, retried, lost, reset, forced, late, empty int }
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ttr := 2 + rng.Intn(5)
+		rows, cols := rng.Intn(9), 1+rng.Intn(9)
+		if seed%6 == 0 {
+			rows = 0
+		}
+		linear := seed%2 == 0
+		resp, req := NewForwardResponder(ttr), NewForwardRequester(ttr)
+		h := randomMatrix(rng, rows, cols)
+		rate := randomMatrix(rng, rows, cols).ScaleInPlace(0.02)
+		var from *tensor.Matrix // rows of the requester's boundary
+		bound := 0.0
+		for it := 0; it < 10*ttr; it++ {
+			if linear {
+				h = h.Add(rate)
+			} else {
+				h = drift(rng, h)
+			}
+			switch rng.Intn(16) {
+			case 0:
+				resp.Reset()
+				req.Reset()
+				resp.ForceExact()
+				from = nil
+				seen.reset++
+			case 1:
+				resp.ForceExact()
+				seen.forced++
+			}
+			if resp.OutOfSync(it, req.Seq()) {
+				resp.Reset()
+				resp.ForceExact()
+			}
+			var prev *tensor.Matrix
+			if resp.hLast != nil {
+				prev = resp.hLast.Clone()
+			}
+			payload, stats := resp.Respond(h, it, 1<<rng.Intn(3))
+			if stats.Boundary {
+				lost := rng.Intn(8) == 0
+				base, mcr := resp.hLast.Clone(), resp.mcr.Clone()
+				for retry := rng.Intn(3); retry > 0; retry-- {
+					again, _ := resp.Respond(h, it, 2)
+					if !bytes.Equal(again, payload) || !sameBits(resp.hLast, base) || !sameBits(resp.mcr, mcr) {
+						t.Fatalf("seed %d round %d: retry of the boundary round is not a repeat of it", seed, it)
+					}
+					if !lost && rng.Intn(2) == 0 {
+						req.Parse(again, it)
+					}
+					seen.retried++
+				}
+				if lost {
+					seen.lost++
+					continue // no reply ever arrives: the next round re-baselines
+				}
+			}
+			got := req.Parse(payload, it)
+			if stats.Boundary {
+				if !sameBits(got, req.hBase) {
+					t.Fatalf("seed %d round %d: boundary rows are not the base they leave", seed, it)
+				}
+				from, bound = h.Clone(), 0
+				switch payload[0] {
+				case schemeDelta:
+					bound = deltaBound(h, prev)
+					seen.delta++
+				case schemeExact:
+					seen.exact++
+				}
+				if rows == 0 {
+					seen.empty++
+				}
+			}
+			if it > ttr && rng.Intn(4) == 0 {
+				// A late duplicate of an older round answers exact rows and
+				// moves nothing.
+				old := it - 1 - rng.Intn(ttr)
+				if old < resp.round {
+					late, _ := resp.Respond(h, old, 2)
+					if !sameBits(req.Parse(late, old), h) {
+						t.Fatalf("seed %d round %d: late duplicate of round %d is not exact", seed, it, old)
+					}
+					seen.late++
+				}
+			}
+			if !req.InSyncWith(resp) {
+				t.Fatalf("seed %d round %d: pair out of sync", seed, it)
+			}
+			if from != nil && !req.hBase.Equal(from, bound) {
+				t.Fatalf("seed %d round %d: base strays more than %g from its boundary's rows", seed, it, bound)
+			}
+		}
+	}
+	t.Logf("%+v", seen)
+	if seen.delta == 0 || seen.exact == 0 || seen.retried == 0 || seen.lost == 0 || seen.reset == 0 ||
+		seen.forced == 0 || seen.late == 0 || seen.empty == 0 {
+		t.Fatalf("a case was never exercised: %+v", seen)
+	}
 }
 
 // TestRespondKeepsNoReferenceToRows: the worker gathers every reply's rows
@@ -347,7 +485,7 @@ func realPayloads() (forward, matrix [][]byte, newReq func() *ForwardRequester) 
 			p, stats := resp.Respond(h, it, bits)
 			pm, _ := mat.Respond(h, it, bits)
 			forward = append(forward, p, pm)
-			if stats.Exact && len(boundaries) < 2 {
+			if stats.Boundary && len(boundaries) < 2 {
 				boundaries = append(boundaries, p)
 			}
 		}
@@ -446,7 +584,8 @@ func FuzzParsePacked(f *testing.F) {
 	})
 }
 
-// TestRealPayloadsDecode keeps the fuzz seeds honest: every seed decodes.
+// TestRealPayloadsDecode keeps the fuzz seeds honest: every seed decodes,
+// and there is one of every scheme that does.
 func TestRealPayloadsDecode(t *testing.T) {
 	forward, matrix, newReq := realPayloads()
 	schemes := map[byte]bool{}
@@ -454,10 +593,11 @@ func TestRealPayloadsDecode(t *testing.T) {
 		// Rounds past the held boundary so that boundaries are new ones;
 		// those that ask for a derivation this requester cannot do are
 		// allowed to fail, the rest must decode.
-		if _, panicked := allocated(func() { newReq().Parse(p, 100+i) }); panicked && p[0] != schemeExact {
+		_, panicked := allocated(func() { newReq().Parse(p, 100+i) })
+		if panicked && p[0] != schemeExact && p[0] != schemeDelta {
 			t.Fatalf("forward seed %d (scheme %d) does not decode", i, p[0])
 		}
-		schemes[p[0]] = true
+		schemes[p[0]] = schemes[p[0]] || !panicked
 	}
 	for i, p := range matrix {
 		if _, panicked := allocated(func() { ParseMatrix(p); ParsePacked(p) }); panicked {
@@ -465,22 +605,56 @@ func TestRealPayloadsDecode(t *testing.T) {
 		}
 		schemes[p[0]] = true
 	}
-	for s := byte(schemeRaw); s <= schemeSparse; s++ {
+	for s := byte(schemeRaw); s <= schemeDelta; s++ {
 		if !schemes[s] {
-			t.Fatalf("no seed of scheme %d", s)
+			t.Fatalf("no seed of scheme %d that decodes", s)
 		}
 	}
 }
 
-func BenchmarkForwardBoundary(b *testing.B) {
+// deltaPair returns a 1024×64 pair past its first (exact) boundary at round
+// 9 and two row sets a drift apart, so that boundaries alternating between
+// them each ship a delta.
+func deltaPair() (*ForwardResponder, *ForwardRequester, [2]*tensor.Matrix) {
 	rng := rand.New(rand.NewSource(1))
 	resp, req := NewForwardResponder(10), NewForwardRequester(10)
 	h := randomMatrix(rng, 1024, 64)
-	b.SetBytes(int64(len(h.Data) * 4))
+	payload, _ := resp.Respond(h, 9, 2)
+	req.Parse(payload, 9)
+	return resp, req, [2]*tensor.Matrix{h, drift(rng, h)}
+}
+
+// BenchmarkForwardRespondDelta serves scheduled boundaries of a 1024×64 pair
+// over its base: the max pass and the one walk that quantises, packs and
+// moves the base and M_cr.
+func BenchmarkForwardRespondDelta(b *testing.B) {
+	resp, _, hs := deltaPair()
+	if p, _ := resp.Respond(hs[1], 19, 2); p[0] != schemeDelta {
+		b.Fatal("scheduled boundary is not a delta")
+	}
+	b.SetBytes(int64(len(hs[0].Data) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		payload, _ := resp.Respond(h, 10*i+9, 2)
-		req.Parse(payload, 10*i+9)
+		resp.Respond(hs[i%2], 29+10*i, 2)
+	}
+}
+
+// BenchmarkForwardParseDelta decodes a delta boundary of a 1024×64 pair in
+// one walk over its ids. Every op decodes the same payload as the boundary
+// after the one held: the requester's count is put back before each, and
+// its base drifts by the decoded rows, which costs the same.
+func BenchmarkForwardParseDelta(b *testing.B) {
+	resp, req, hs := deltaPair()
+	payload, _ := resp.Respond(hs[1], 19, 2)
+	if payload[0] != schemeDelta {
+		b.Fatal("scheduled boundary is not a delta")
+	}
+	held := req.seq
+	b.SetBytes(int64(len(hs[0].Data) * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.seq, req.round = held, 9
+		req.Parse(payload, 19)
 	}
 }
 

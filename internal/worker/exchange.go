@@ -466,7 +466,7 @@ func (w *Worker) Handler() transport.Handler {
 					payload, stats = resp.Respond(m, t, bits)
 				})
 				w.storeLayerBits(l, bits)
-				if !stats.Exact {
+				if !stats.Boundary {
 					w.totalRows.Add(int64(stats.Rows))
 					w.predictedRows.Add(int64(stats.Predicted))
 					w.obs.selPredicted.Add(float64(stats.Predicted))
