@@ -357,7 +357,7 @@ func (cl *cluster) applyView(t int, view supervise.View, joined, left []int) (*M
 	for _, id := range view.Members {
 		ws = append(ws, newWorkers[id])
 	}
-	if err := runAll(ws, func(w *worker.Worker) error { return w.FetchGhostFeatures() }); err != nil {
+	if err := runAll(ws, func(_ int, w *worker.Worker) error { return w.FetchGhostFeatures() }); err != nil {
 		return nil, fmt.Errorf("core: view gen %d: rehydrate: %w", view.Gen, err)
 	}
 	for _, w := range ws {

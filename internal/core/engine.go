@@ -559,7 +559,7 @@ func Train(c Config) (*Result, error) {
 	cl.mobs.activeWorkers.Set(float64(len(cl.active)))
 
 	// First-hop ghost feature fetch (the static layer-0 cache).
-	if err := runAll(cl.workerList(), func(w *worker.Worker) error { return w.FetchGhostFeatures() }); err != nil {
+	if err := runAll(cl.workerList(), func(_ int, w *worker.Worker) error { return w.FetchGhostFeatures() }); err != nil {
 		return nil, err
 	}
 	// A resumed run restarts with empty EC state on both ends of every pair
@@ -606,16 +606,22 @@ func Train(c Config) (*Result, error) {
 	// handoff payloads travel the same links — is charged to the epoch that
 	// finally completes, visible in the per-epoch fault columns rather than
 	// silently discarded.
-	runEpoch := func(t int) (EpochStats, *tensor.Matrix, error) {
+	// Each worker evaluates its own rows inside the join; the second result
+	// says whether any logit came out NaN or ±Inf.
+	runEpoch := func(t int) (EpochStats, bool, error) {
 		ws := cl.workerList()
 		reports = make([]worker.EpochReport, len(ws))
+		counts := make([]evalCount, len(ws))
 		epochStart := time.Now()
-		if err := runAllIdx(ws, func(i int, w *worker.Worker) error {
+		if err := runAll(ws, func(i int, w *worker.Worker) error {
 			var err error
-			reports[i], err = w.RunEpoch(t)
+			if reports[i], err = w.RunEpoch(t); err == nil {
+				ids, logits := w.Logits(t)
+				counts[i] = countHits(d, ids, logits)
+			}
 			return err
 		}); err != nil {
-			return EpochStats{}, nil, err
+			return EpochStats{}, false, err
 		}
 		wall := time.Since(epochStart).Seconds()
 		stats := EpochStats{
@@ -635,20 +641,21 @@ func Train(c Config) (*Result, error) {
 		stats.MeasureTraffic(net, totalNodes, cfg.costFor, reports)
 
 		var lossSum float64
+		var hits evalCount
 		for i := range reports {
 			lossSum += reports[i].LocalLossSum
 			stats.FPBits = append(stats.FPBits, reports[i].FPBits)
 			stats.DegradedFetches += reports[i].DegradedFetches
 			stats.StragglerSkips += reports[i].StragglerSkips
+			hits.val += counts[i].val
+			hits.test += counts[i].test
+			hits.nonFinite = hits.nonFinite || counts[i].nonFinite
 		}
 		if nTrain > 0 {
 			stats.Loss = lossSum / float64(nTrain)
 		}
-
-		logits := gatherLogits(net, cl.active, t, d.Graph.N, d.NumClasses)
-		stats.ValAcc = nn.Accuracy(logits, d.Labels, valIdx)
-		stats.TestAcc = nn.Accuracy(logits, d.Labels, testIdx)
-		return stats, logits, nil
+		stats.ValAcc, stats.TestAcc = nn.HitRate(hits.val, len(valIdx)), nn.HitRate(hits.test, len(testIdx))
+		return stats, hits.nonFinite, nil
 	}
 
 	for t := startEpoch; t < cfg.Epochs; {
@@ -660,9 +667,9 @@ func Train(c Config) (*Result, error) {
 		if _, err := cl.maybeTransition(t); err != nil {
 			return nil, err
 		}
-		stats, logits, err := runEpoch(t)
+		stats, nonFinite, err := runEpoch(t)
 		if err == nil && sv != nil {
-			if reason := sv.guardReason(stats, logits); reason != "" {
+			if reason := sv.guardReason(stats, nonFinite); reason != "" {
 				next, rerr := sv.guardTripped(t, reason)
 				if rerr != nil {
 					return nil, rerr
@@ -836,13 +843,9 @@ func FinalModel(c Config, res *Result) (*nn.Model, error) {
 	return m, nil
 }
 
-// runAll executes f concurrently on every worker, returning the first error.
-func runAll(workers []*worker.Worker, f func(*worker.Worker) error) error {
-	return runAllIdx(workers, func(_ int, w *worker.Worker) error { return f(w) })
-}
-
-// runAllIdx is runAll with the worker's index supplied.
-func runAllIdx(workers []*worker.Worker, f func(int, *worker.Worker) error) error {
+// runAll executes f concurrently on every worker, with the worker's index,
+// and returns the first error.
+func runAll(workers []*worker.Worker, f func(int, *worker.Worker) error) error {
 	errs := make(chan error, len(workers))
 	for i, w := range workers {
 		go func(i int, w *worker.Worker) { errs <- f(i, w) }(i, w)
@@ -856,24 +859,31 @@ func runAllIdx(workers []*worker.Worker, f func(int, *worker.Worker) error) erro
 	return first
 }
 
-// gatherLogits assembles the global logits matrix from the owned rows of
-// the workers at the given node ids. Calls are node-local (src == dst) so
-// evaluation is not charged to the simulated network.
-func gatherLogits(net transport.Network, ids []int, epoch, n, classes int) *tensor.Matrix {
-	out := tensor.New(n, classes)
-	req := transport.NewWriter(4)
-	req.Uint32(uint32(epoch))
-	for _, i := range ids {
-		resp, err := net.Call(i, i, worker.MethodLogits, req.Bytes())
-		if err != nil {
-			panic(fmt.Sprintf("core: gather logits from worker %d: %v", i, err))
+// evalCount is one worker's share of an epoch's evaluation: its owned val
+// and test vertices whose arg-max logit is the label (a vertex in both masks
+// counts in both), and whether any of its logits is NaN or ±Inf.
+type evalCount struct {
+	val, test int
+	nonFinite bool
+}
+
+// countHits evaluates a worker's owned rows where they lie: row k of logits
+// holds vertex ids[k].
+func countHits(d *datasets.Dataset, ids []int32, logits *tensor.Matrix) evalCount {
+	var c evalCount
+	for k, id := range ids {
+		v, row := int(id), logits.Row(k)
+		for _, x := range row {
+			c.nonFinite = c.nonFinite || x-x != 0 // x−x is NaN for NaN and ±Inf
 		}
-		r := transport.NewReader(resp)
-		ids := r.Int32s()
-		m := r.Matrix()
-		for k, id := range ids {
-			copy(out.Row(int(id)), m.Row(k))
+		if tensor.ArgMax(row) == d.Labels[v] {
+			if d.ValMask[v] {
+				c.val++
+			}
+			if d.TestMask[v] {
+				c.test++
+			}
 		}
 	}
-	return out
+	return c
 }

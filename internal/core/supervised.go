@@ -36,7 +36,6 @@ import (
 
 	"ecgraph/internal/ps"
 	"ecgraph/internal/supervise"
-	"ecgraph/internal/tensor"
 	"ecgraph/internal/transport"
 )
 
@@ -92,14 +91,15 @@ func newSupervisedRun(cfg *Config, sup *supervise.Supervisor, net transport.Netw
 }
 
 // guardReason checks the numeric guards against a completed epoch and
-// returns a non-empty reason when one fires. Healthy epochs fold their
-// loss into the running statistics the spike guard compares against.
-func (sv *supervisedRun) guardReason(stats EpochStats, logits *tensor.Matrix) string {
+// returns a non-empty reason when one fires; nonFinite says a worker found
+// a NaN or ±Inf among its logits. Healthy epochs fold their loss into the
+// running statistics the spike guard compares against.
+func (sv *supervisedRun) guardReason(stats EpochStats, nonFinite bool) string {
 	if math.IsNaN(stats.Loss) || math.IsInf(stats.Loss, 0) {
 		return fmt.Sprintf("non-finite loss %v", stats.Loss)
 	}
-	if i := nonFiniteIndex(logits); i >= 0 {
-		return fmt.Sprintf("non-finite logit at flat index %d", i)
+	if nonFinite {
+		return "non-finite logit"
 	}
 	if sigma := sv.sup.Options().LossSpikeSigma; sigma > 0 && sv.lossN >= 5 {
 		mean := sv.lossMean
@@ -118,17 +118,6 @@ func (sv *supervisedRun) guardReason(stats EpochStats, logits *tensor.Matrix) st
 	sv.lossMean += d / float64(sv.lossN)
 	sv.lossM2 += d * (stats.Loss - sv.lossMean)
 	return ""
-}
-
-// nonFiniteIndex returns the flat index of the first NaN/Inf in m, or -1.
-func nonFiniteIndex(m *tensor.Matrix) int {
-	for i, v := range m.Data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return i
-		}
-	}
-	return -1
 }
 
 // spendRecovery charges one action against the recovery budget.

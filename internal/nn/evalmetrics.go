@@ -9,9 +9,8 @@ func ConfusionMatrix(logits *tensor.Matrix, labels []int, idx []int, numClasses 
 	for i := range cm {
 		cm[i] = make([]int, numClasses)
 	}
-	pred := logits.ArgMaxRows()
 	for _, v := range idx {
-		t, p := labels[v], pred[v]
+		t, p := labels[v], tensor.ArgMax(logits.Row(v))
 		if t >= 0 && t < numClasses && p >= 0 && p < numClasses {
 			cm[t][p]++
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
+
+	"ecgraph/internal/tensor"
 )
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
@@ -94,7 +96,12 @@ func TestSavedModelPredictsIdentically(t *testing.T) {
 	}
 	predict := func(m *Model) []int {
 		acts := m.Forward(adj, x)
-		return acts.H[len(acts.H)-1].ArgMaxRows()
+		logits := acts.H[len(acts.H)-1]
+		pred := make([]int, logits.Rows)
+		for i := range pred {
+			pred[i] = tensor.ArgMax(logits.Row(i))
+		}
+		return pred
 	}
 	a, b := predict(orig), predict(loaded)
 	for i := range a {

@@ -64,15 +64,19 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int, mask []bool) (floa
 // Accuracy returns the fraction of vertices in idx whose arg-max logit
 // matches the label.
 func Accuracy(logits *tensor.Matrix, labels []int, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	pred := logits.ArgMaxRows()
 	correct := 0
 	for _, v := range idx {
-		if pred[v] == labels[v] {
+		if tensor.ArgMax(logits.Row(v)) == labels[v] {
 			correct++
 		}
 	}
-	return float64(correct) / float64(len(idx))
+	return HitRate(correct, len(idx))
+}
+
+// HitRate is Accuracy's ratio: hits of n, and 0 when n is 0.
+func HitRate(hits, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(hits) / float64(n)
 }

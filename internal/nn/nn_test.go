@@ -261,6 +261,20 @@ func TestAccuracy(t *testing.T) {
 	if got := Accuracy(logits, labels, nil); got != 0 {
 		t.Fatalf("empty idx should be 0, got %v", got)
 	}
+	// A tie goes to the first maximum, a NaN at index 0 keeps index 0, and
+	// a later NaN never wins.
+	nan := float32(math.NaN())
+	odd := tensor.FromSlice(3, 3, []float32{
+		2, 2, 1,
+		nan, 5, 6,
+		1, nan, 0,
+	})
+	if got := Accuracy(odd, []int{0, 0, 0}, []int{0, 1, 2}); got != 1 {
+		t.Fatalf("Accuracy over a tie and NaNs = %v, want 1", got)
+	}
+	if got := Accuracy(odd, []int{1, 1, 1}, []int{0, 1, 2}); got != 0 {
+		t.Fatalf("Accuracy with every label missed = %v, want 0", got)
+	}
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {

@@ -489,18 +489,17 @@ func NewClientRoutes(net transport.Network, worker int, routes *Routes, ranges [
 // served at exactly the requested version (see Server.pullWait), so pulls
 // during a replayed epoch are bitwise reproducible.
 func (c *Client) Pull(version int) ([]float32, error) {
+	w := transport.NewWriter(4)
+	w.Uint32(uint32(version))
+	resps, err := c.fanOut(MethodPull, func(int) []byte { return w.Bytes() })
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float32, c.total)
-	for i := range c.ranges {
-		srv := c.routes.Primary(i)
-		w := transport.NewWriter(4)
-		w.Uint32(uint32(version))
-		resp, err := c.net.Call(c.worker, srv, MethodPull, w.Bytes())
-		if err != nil {
-			return nil, err
-		}
+	for i, resp := range resps {
 		part := transport.NewReader(resp).Float32s()
 		if len(part) != c.ranges[i].Len() {
-			return nil, fmt.Errorf("ps: server %d returned %d params, want %d", srv, len(part), c.ranges[i].Len())
+			return nil, fmt.Errorf("ps: range %d returned %d params, want %d", i, len(part), c.ranges[i].Len())
 		}
 		copy(out[c.ranges[i].Lo:c.ranges[i].Hi], part)
 	}
@@ -511,12 +510,12 @@ func (c *Client) Pull(version int) ([]float32, error) {
 // Pull it never blocks, so recovery can read the fleet's progress while an
 // epoch barrier is incomplete.
 func (c *Client) ServerVersions() ([]int, error) {
-	out := make([]int, len(c.ranges))
-	for i := range c.ranges {
-		resp, err := c.net.Call(c.worker, c.routes.Primary(i), MethodVersion, nil)
-		if err != nil {
-			return nil, err
-		}
+	resps, err := c.fanOut(MethodVersion, func(int) []byte { return nil })
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, len(resps))
+	for i, resp := range resps {
 		out[i] = int(transport.NewReader(resp).Uint32())
 	}
 	return out, nil
@@ -529,14 +528,30 @@ func (c *Client) Push(version int, grads []float32) error {
 	if len(grads) != c.total {
 		return fmt.Errorf("ps: pushing %d grads, total is %d", len(grads), c.total)
 	}
-	for i := range c.ranges {
+	_, err := c.fanOut(MethodPush, func(i int) []byte {
 		w := transport.NewWriter(12 + c.ranges[i].Len()*4)
 		w.Uint32(uint32(version))
 		w.Int32(int32(c.worker))
 		w.Float32s(grads[c.ranges[i].Lo:c.ranges[i].Hi])
-		if _, err := c.net.Call(c.worker, c.routes.Primary(i), MethodPush, w.Bytes()); err != nil {
-			return err
-		}
+		return w.Bytes()
+	})
+	return err
+}
+
+// fanOut issues a phase as one CallMulti batch, req(i) to range i's primary
+// as routed when the batch is built; a failed range stops no other's call.
+// It returns the replies in range order, or the first error in that order.
+func (c *Client) fanOut(method string, req func(i int) []byte) ([][]byte, error) {
+	calls := make([]transport.Call, len(c.ranges))
+	for i := range calls {
+		calls[i] = transport.Call{Dst: c.routes.Primary(i), Method: method, Req: req(i)}
 	}
-	return nil
+	resps := make([][]byte, len(calls))
+	for i, r := range c.net.CallMulti(c.worker, calls) {
+		if r.Err != nil {
+			return nil, r.Err
+		}
+		resps[i] = r.Resp
+	}
+	return resps, nil
 }

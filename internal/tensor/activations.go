@@ -39,18 +39,14 @@ func (m *Matrix) ReLUBackwardInPlace(z *Matrix) *Matrix {
 	return m
 }
 
-// ArgMaxRows returns, for each row, the index of its maximum element.
-func (m *Matrix) ArgMaxRows() []int {
-	out := make([]int, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		best, bi := row[0], 0
-		for j, v := range row[1:] {
-			if v > best {
-				best, bi = v, j+1
-			}
+// ArgMax returns the index of row's largest element: the first of equal
+// maxima wins, and a NaN after index 0 never does (it compares false).
+func ArgMax(row []float32) int {
+	bi := 0
+	for j, v := range row {
+		if v > row[bi] {
+			bi = j
 		}
-		out[i] = bi
 	}
-	return out
+	return bi
 }

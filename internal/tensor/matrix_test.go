@@ -360,12 +360,19 @@ func TestMatMulRowsIntoMatchesMatMulBitwise(t *testing.T) {
 }
 
 func TestArgMaxRows(t *testing.T) {
-	m := FromSlice(3, 3, []float32{1, 5, 2, 9, 0, 0, 1, 1, 2})
-	want := []int{1, 0, 2}
-	got := m.ArgMaxRows()
+	nan := float32(math.NaN())
+	m := FromSlice(6, 3, []float32{
+		1, 5, 2,
+		9, 0, 0,
+		1, 1, 2,
+		3, 7, 7, // tie: the first maximum wins
+		nan, 4, 5, // a NaN at index 0 is never displaced
+		2, nan, 1, // a later NaN never wins
+	})
+	want := []int{1, 0, 2, 1, 0, 0}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ArgMaxRows = %v, want %v", got, want)
+		if got := ArgMax(m.Row(i)); got != want[i] {
+			t.Fatalf("ArgMax(row %d) = %d, want %d", i, got, want[i])
 		}
 	}
 }

@@ -512,14 +512,6 @@ func (w *Worker) Handler() transport.Handler {
 			out.Int32(int32(n))
 			return out.Bytes(), nil
 
-		case MethodLogits:
-			t := int(r.Uint32())
-			ids, logits := w.Logits(t)
-			out := transport.NewWriter(8 + len(ids)*4 + len(logits.Data)*4)
-			out.Int32s(ids)
-			out.Matrix(logits)
-			return out.Bytes(), nil
-
 		default:
 			return nil, fmt.Errorf("worker %d: unknown method %q", w.id, method)
 		}

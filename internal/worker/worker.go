@@ -112,11 +112,10 @@ type Options struct {
 // exchange: an owner gathers the partial gradients its holders computed for
 // its vertices (gat.go).
 const (
-	MethodGetX   = "w.getX"
-	MethodGetH   = "w.getH"
-	MethodGetG   = "w.getG"
-	MethodGetP   = "w.getP"
-	MethodLogits = "w.logits"
+	MethodGetX = "w.getX"
+	MethodGetH = "w.getH"
+	MethodGetG = "w.getG"
+	MethodGetP = "w.getP"
 )
 
 // Config wires one worker into the cluster.
@@ -1074,7 +1073,7 @@ func (w *Worker) boundaryRows(m *tensor.Matrix) *tensor.Matrix {
 }
 
 // Logits returns the owned vertex ids and their final-layer logits from the
-// most recent epoch; used by the engine for evaluation.
+// most recent epoch; the engine evaluates them in place after RunEpoch.
 func (w *Worker) Logits(epoch int) ([]int32, *tensor.Matrix) {
 	L := w.cfg.Model.NumLayers()
 	return w.owned, w.hStore.Wait(L, epoch)
